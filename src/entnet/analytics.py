@@ -22,36 +22,23 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeParams:
     """Named efficiencies and probabilities consumed by the rate formulas."""
 
     eta_det: float = 1.0    # photon collection + detection
     eta_abs: float = 1.0    # photon absorption by an atom
-    eta_t: float = 1.0      # per-hop transmission
-    eta_c: float = 1.0      # survival of one cavity interaction
     eta_p: float = 1.0      # emission into the cavity mode
     eta_out: float = 1.0    # outcoupling into fibre
     eta_net: float = 1.0    # network-link transmission
     eta_ent: float = 1.0    # absorption by the receiving atom
     eta_a0an: float = 1.0   # source-to-node transmission, equal per node
-    p: float = 0.0          # which-path-erasing excitation probability
     p_epr: float = 1.0      # photon-pair source success
     p_ghz_n: float = 1.0    # N-photon source success
-    p_dark: float = 0.0     # dark count per detection window
-    p_real: float = 1.0     # true herald per detector
-    f_pa: float = 1.0       # photon-atom gate fidelity
-    f_ph: float = 1.0       # source-state fidelity
-    r_t: float = 1.0        # trial rate, 1/s
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "r_t":
-                if v < 0:
-                    raise ValueError("r_t must be nonnegative")
-            else:
-                _check_unit(f.name, v)
+            _check_unit(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ _DEVICES = {
     4: interferometers.quarter,
 }
 _GOLDEN_NAMES = {3: "tritter", 4: "quarter"}
+_KIND_NODES = {"bs": 2, "tritter": 3, "quarter": 4}
 
 
 def _fail(msg: str, code: int = EXIT_USAGE) -> int:
@@ -103,10 +104,7 @@ def cmd_multiport(args) -> int:
         except ValueError as exc:
             return _fail(str(exc))
     else:
-        builder = {"bs": interferometers.beam_splitter,
-                   "tritter": interferometers.tritter,
-                   "quarter": interferometers.quarter}[args.kind]
-        u = builder()
+        u = _DEVICES[_KIND_NODES[args.kind]]()
     inv = interferometers.inverse(u)
     if args.verify:
         print(f"unitarity residual: {tables.fmt(interferometers.unitarity_residual(u.entries))}")
@@ -129,13 +127,9 @@ def cmd_swap_table(args) -> int:
     if args.n not in _DEVICES:
         return _fail(f"--n must be one of {sorted(_DEVICES)}")
     u = _DEVICES[args.n]()
-    rows = herald.run_gbsa(herald.prepare_swap_input(args.n), u)
-    suppressed = herald.suppressed_patterns(herald.prepare_swap_input(args.n), u, args.n)
-    agg_thr = herald.aggregate_heralding(
-        rows, herald.THRESHOLD,
-        herald.HeraldRule(args.n, distinct_detectors_only=True))
-    agg_nr = herald.aggregate_heralding(
-        rows, herald.NUMBER_RESOLVED, herald.HeraldRule(args.n))
+    state = herald.prepare_swap_input(args.n)
+    rows = herald.run_gbsa(state, u)
+    suppressed = herald.suppressed_patterns(state, u, args.n)
     if args.golden:
         name = _GOLDEN_NAMES.get(args.n)
         if name is None:
@@ -156,6 +150,11 @@ def cmd_swap_table(args) -> int:
         return EXIT_OK
     shown = rows if args.max_clicks_per_detector is None else [
         r for r in rows if r.max_per_detector <= args.max_clicks_per_detector]
+    agg_thr = herald.aggregate_heralding(
+        rows, herald.THRESHOLD,
+        herald.HeraldRule(args.n, distinct_detectors_only=True))
+    agg_nr = herald.aggregate_heralding(
+        rows, herald.NUMBER_RESOLVED, herald.HeraldRule(args.n))
     print(f"p_BSA threshold/distinct: {tables.fmt(agg_thr)}"
           f" ({tables.rational_label(agg_thr) or 'no small rational'})")
     print(f"p_BSA number-resolved:    {tables.fmt(agg_nr)}"
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("multiport", help="build a symmetric multiport and its inverse")
-    p.add_argument("kind", choices=("bs", "tritter", "quarter", "sym2d"))
+    p.add_argument("kind", choices=(*_KIND_NODES, "sym2d"))
     p.add_argument("--d", type=int, default=None, help="beam-splitter depth for sym2d")
     p.add_argument("--verify", action="store_true",
                    help="print unitarity and symmetry residuals")

@@ -287,17 +287,10 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     ports = {mode.port for (_, fkey) in state.terms for mode, _ in fkey}
     if ports and max(ports) > u.dim:
         raise ValueError(f"input occupies port {max(ports)} > multiport dim {u.dim}")
-    rows = run_gbsa(state, u)
-    out = []
-    for row in rows:
-        if model.kind == "number_resolved":
-            keep = row.n_photons == m_clicks
-        else:
-            keep = row.n_detectors == m_clicks
-        if keep:
-            out.append(ProjectionRow(row.pattern, row.state, row.probability,
-                                     dicke_family_fidelity(row.state, m_clicks)))
-    return out
+    rule = HeraldRule(m_clicks)
+    return [ProjectionRow(row.pattern, row.state, row.probability,
+                          dicke_family_fidelity(row.state, m_clicks))
+            for row in run_gbsa(state, u) if _accepts(row, model, rule)]
 
 
 def wpe_sector_probabilities(state: HybridState) -> dict[int, float]:

@@ -20,9 +20,14 @@ PURITY_TOL = 1e-9
 
 
 class QubitState:
-    """Pure state of ``n_qubits`` qubits as a sparse bitstring-amplitude map."""
+    """Pure state of ``n_qubits`` qubits as a sparse bitstring-amplitude map.
 
-    __slots__ = ("n_qubits", "amplitudes")
+    The state stores its :func:`entanglement_class` after the first query;
+    the label derives from the amplitudes alone, so concurrent first queries
+    store the same value.
+    """
+
+    __slots__ = ("n_qubits", "amplitudes", "_label")
 
     def __init__(self, n_qubits: int, amplitudes: Mapping[str, complex],
                  normalize: bool = False, check: bool = True):
@@ -43,6 +48,7 @@ class QubitState:
                 raise ValueError(f"state is not normalized (norm^2 = {norm_sq})")
         self.n_qubits = n_qubits
         self.amplitudes = amps
+        self._label = None
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_qubits: int, **kw) -> "QubitState":
@@ -241,6 +247,14 @@ def verify_pair_decomposition(n_pairs: int, signs: Sequence[int] | None = None) 
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _purity(psi: np.ndarray, subset: Sequence[int]) -> float:
+    """Purity of the reduced state on ``subset`` of the qubit tensor ``psi``."""
+    rest = [q for q in range(psi.ndim) if q not in subset]
+    m = np.transpose(psi, list(subset) + rest).reshape(2 ** len(subset), -1)
+    rho = m @ m.conj().T
+    return float(np.trace(rho @ rho).real)
+
+
 def reduced_purity(state: QubitState, qubits: Iterable[int]) -> float:
     """Purity ``tr(rho^2)`` of the reduced state on the given qubit subset."""
     subset = sorted(set(qubits))
@@ -248,33 +262,17 @@ def reduced_purity(state: QubitState, qubits: Iterable[int]) -> float:
         raise ValueError("subset must be a proper nonempty set of qubit indices")
     if subset[0] < 0 or subset[-1] >= state.n_qubits:
         raise ValueError(f"qubit indices out of range for {state.n_qubits} qubits")
-    psi = state.vector().reshape([2] * state.n_qubits)
-    rest = [q for q in range(state.n_qubits) if q not in subset]
-    m = np.transpose(psi, subset + rest).reshape(2 ** len(subset), -1)
-    rho = m @ m.conj().T
-    return float(np.trace(rho @ rho).real)
+    return _purity(state.vector().reshape([2] * state.n_qubits), subset)
 
 
 def is_product_state(state: QubitState) -> bool:
     """True when the state is a tensor product of single-qubit states."""
-    if state.n_qubits == 1:
-        return True
-    return all(reduced_purity(state, [q]) > 1 - PURITY_TOL
-               for q in range(state.n_qubits))
+    return entanglement_class(state) == "product"
 
 
 def genuinely_entangled(state: QubitState) -> bool:
     """True when no bipartition of the qubits leaves the state product."""
-    n = state.n_qubits
-    if n == 1:
-        return False
-    for size in range(1, n // 2 + 1):
-        for subset in itertools.combinations(range(n), size):
-            if size == n / 2 and subset[0] != 0:
-                continue  # complements already covered
-            if reduced_purity(state, subset) > 1 - PURITY_TOL:
-                return False
-    return True
+    return entanglement_class(state) in ("entangled", "W-class", "GHZ-class")
 
 
 def three_tangle(state: QubitState) -> float:
@@ -309,27 +307,37 @@ def classify_three_qubit(state: QubitState) -> str:
     """
     if state.n_qubits != 3:
         raise ValueError("classification needs exactly 3 qubits")
-    pure = [reduced_purity(state, [q]) > 1 - PURITY_TOL for q in range(3)]
-    if all(pure):
-        return "product"
-    if any(pure):
-        return "biseparable"
-    if three_tangle(state) > TANGLE_TOL:
-        return "GHZ-class"
-    return "W-class"
+    return entanglement_class(state)
 
 
 def entanglement_class(state: QubitState) -> str:
-    """Coarse entanglement label used in detection tables.
+    """Entanglement label of a pure state, stored on the state once computed.
 
-    Three-qubit states get the full W/GHZ classification; otherwise the
-    label is ``product``, ``entangled`` (no bipartition is product) or
-    ``biseparable`` (entangled, but some cut is product).
+    The label is ``product`` when every qubit is pure, ``biseparable`` when
+    the state is entangled but some bipartition leaves it product, and
+    ``entangled`` when none does; three-qubit states split ``entangled``
+    into ``GHZ-class`` (nonzero three-tangle) and ``W-class``.  The walk
+    tests the single-qubit cuts before the larger ones, each bipartition
+    once, and stops at the first cut that settles the label.
     """
-    if state.n_qubits == 1:
-        return "product"
-    if state.n_qubits == 3:
-        return classify_three_qubit(state)
-    if is_product_state(state):
-        return "product"
-    return "entangled" if genuinely_entangled(state) else "biseparable"
+    if state._label is not None:
+        return state._label
+    n = state.n_qubits
+    psi = state.vector().reshape([2] * n)
+    cuts = (cut for size in range(1, n // 2 + 1)
+            for cut in itertools.combinations(range(n), size)
+            if 2 * size < n or cut[0] == 0)  # a half-size cut once, not its complement
+    label = "product"  # also the label of one qubit, which has no cut
+    for i, cut in enumerate(cuts):
+        if len(cut) > 1 and label == "product":
+            break  # every qubit is pure
+        pure = _purity(psi, cut) > 1 - PURITY_TOL
+        if i == 0:
+            label = "product" if pure else "entangled"
+        elif pure != (label == "product"):
+            label = "biseparable"
+            break
+    if label == "entangled" and n == 3:
+        label = "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
+    state._label = label
+    return label

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from entnet.states import dicke_state, fidelity
 def test_scheme_params_validation():
     with pytest.raises(ValueError):
         SchemeParams(eta_det=1.2)
-    with pytest.raises(ValueError):
-        SchemeParams(r_t=-1.0)
     assert SchemeParams().eta_det == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SchemeParams().eta_det = 0.5
 
 
 def test_fidelity_result_bounds():

@@ -101,6 +101,22 @@ def test_aggregate_quarter():
     assert nr == pytest.approx(7 / 8, abs=1e-9)
 
 
+def test_aggregates_reuse_row_classes(monkeypatch):
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    builds = []
+    vector = QubitState.vector
+    monkeypatch.setattr(QubitState, "vector",
+                        lambda self: builds.append(self) or vector(self))
+    for row in rows:
+        row.state_class()
+    assert len(builds) == len(rows)  # one state vector per row, however many cuts
+    builds.clear()
+    thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
+    nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
+    assert builds == []
+    assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
+
+
 def test_aggregate_tritter():
     rows = run_gbsa(prepare_swap_input(3), tritter())
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(3, distinct_detectors_only=True))

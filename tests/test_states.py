@@ -1,12 +1,16 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entnet.states import (GhzIndex, QubitState, bell_state, classify_three_qubit,
-                           dicke_state, entanglement_class, fidelity,
-                           genuinely_entangled, ghz_basis, ghz_basis_state, inner,
-                           is_product_state, reduced_purity, three_tangle,
+from entnet.states import (PURITY_TOL, TANGLE_TOL, GhzIndex, QubitState, bell_state,
+                           classify_three_qubit, dicke_state, entanglement_class,
+                           fidelity, genuinely_entangled, ghz_basis, ghz_basis_state,
+                           inner, is_product_state, reduced_purity, three_tangle,
                            verify_pair_decomposition)
 
 S2 = math.sqrt(2)
@@ -161,6 +165,67 @@ def test_entanglement_predicates():
     assert entanglement_class(two_bells) == "biseparable"
     assert entanglement_class(pair_of_pairs) == "entangled"
     assert entanglement_class(QubitState(1, {"0": 1.0})) == "product"
+
+
+def _haar_state(rng, n_qubits):
+    vec = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return QubitState.from_vector(vec / np.linalg.norm(vec), n_qubits)
+
+
+@st.composite
+def qubit_states(draw):
+    """Haar-random, product, block-product, GHZ, W and phased Dicke states
+    of 1..6 qubits, with the qubits relabelled by a random permutation."""
+    kind = draw(st.sampled_from(("haar", "product", "blocks", "ghz", "w", "dicke")))
+    n = draw(st.integers(2 if kind in ("ghz", "w") else 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "haar":
+        state = _haar_state(rng, n)
+    elif kind in ("product", "blocks"):
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(1 if kind == "product" else draw(st.integers(1, n - sum(sizes))))
+        state = functools.reduce(QubitState.tensor, [_haar_state(rng, k) for k in sizes])
+    elif kind == "ghz":
+        state = ghz_basis_state(draw(st.integers(0, 2 ** (n - 1) - 1)),
+                                draw(st.sampled_from("+-")), n)
+    elif kind == "w":
+        state = dicke_state(1, n)
+    else:
+        state = dicke_state(draw(st.integers(0, n)), n, list(rng.uniform(0, 2 * np.pi, n)))
+    perm = draw(st.permutations(range(n)))
+    return QubitState(n, {"".join(bits[q] for q in perm): a
+                          for bits, a in state.amplitudes.items()}, check=False)
+
+
+def _reference_class(state):
+    """Label from the purity of every bipartition, plus the 3-qubit tangle."""
+    n = state.n_qubits
+    pure = {cut: reduced_purity(state, cut) > 1 - PURITY_TOL
+            for size in range(1, n) for cut in itertools.combinations(range(n), size)}
+    if n == 1 or all(pure[(q,)] for q in range(n)):
+        return "product"
+    if any(pure.values()):
+        return "biseparable"
+    if n == 3:
+        return "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
+    return "entangled"
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubit_states())
+def test_entanglement_class_matches_every_bipartition(state):
+    expect = _reference_class(state)
+    fresh = functools.partial(QubitState, state.n_qubits, state.amplitudes)
+    assert entanglement_class(state) == expect
+    assert entanglement_class(state) == expect  # stored label
+    assert is_product_state(fresh()) == (expect == "product")
+    assert genuinely_entangled(fresh()) == (expect not in ("product", "biseparable"))
+    if state.n_qubits == 3:
+        assert classify_three_qubit(fresh()) == expect
+    else:
+        with pytest.raises(ValueError):
+            classify_three_qubit(fresh())
 
 
 def test_reduced_purity_input_guards():
