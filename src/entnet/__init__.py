@@ -8,9 +8,8 @@ expressions of the practical generation schemes.
 """
 
 from .photonics import (CapacityError, DimensionMismatch, FockState, HybridState,
-                        Mode, PhotonPolynomial, PortCollision, RegisterMismatch,
-                        apply_mode_transform, expand_to_fock, fock_to_polynomial,
-                        inner_product, mode, tensor)
+                        Mode, PhotonPolynomial, RegisterMismatch, apply_mode_transform,
+                        expand_to_fock, fock_to_polynomial, mode)
 from .interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                               split_polarization_phase, symmetric_multiport,
                               tritter, verify_symmetric, with_phase_plates)

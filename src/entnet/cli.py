@@ -129,7 +129,7 @@ def cmd_swap_table(args) -> int:
     u = _DEVICES[args.n]()
     state = herald.prepare_swap_input(args.n)
     rows = herald.run_gbsa(state, u)
-    suppressed = herald.suppressed_patterns(state, u, args.n)
+    suppressed = herald._suppressed(state, u.dim, rows, args.n)
     if args.golden:
         name = _GOLDEN_NAMES.get(args.n)
         if name is None:

@@ -67,13 +67,12 @@ def load_golden(device: str) -> GoldenTable:
 
 def diff_against_golden(rows: list[ProjectionRow],
                         suppressed: list[DetectionPattern],
-                        golden: GoldenTable,
-                        prob_tol: float = PROB_TOL,
-                        fid_tol: float = FID_TOL) -> list[str]:
+                        golden: GoldenTable) -> list[str]:
     """Compare an enumeration with a golden table; empty result means match.
 
-    States compare up to global phase (fidelity between normalized states),
-    probabilities within ``prob_tol``, suppressed lists as sets.
+    States compare up to global phase (fidelity between normalized states)
+    within ``FID_TOL``, probabilities within ``PROB_TOL``, suppressed lists
+    as sets.
     """
     problems: list[str] = []
     sim = {row.pattern.label(): row for row in rows}
@@ -84,12 +83,12 @@ def diff_against_golden(rows: list[ProjectionRow],
         if row is None:
             problems.append(f"pattern {g.pattern}: expected but not realized")
             continue
-        if abs(row.probability - g.probability_value) > prob_tol:
+        if abs(row.probability - g.probability_value) > PROB_TOL:
             problems.append(
                 f"pattern {g.pattern}: probability {row.probability:.12g} != "
                 f"{g.probability} ({g.probability_value:.12g})")
         fid = fidelity(row.state, g.state)
-        if fid < 1 - fid_tol:
+        if fid < 1 - FID_TOL:
             problems.append(
                 f"pattern {g.pattern}: projected state differs "
                 f"(fidelity {fid:.12g})")

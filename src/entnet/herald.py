@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .interferometers import MultiportMatrix, inverse
 from .photonics import (FockState, HybridState, Mode, apply_mode_transform,
-                        expand_to_fock, fock_to_polynomial)
+                        check_capacity, expand_to_fock, fock_to_polynomial)
 from .states import QubitState, entanglement_class, genuinely_entangled
 
 #: pattern amplitudes below this are treated as exactly suppressed
@@ -125,11 +125,16 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     Returns one row per output Fock pattern (sorted canonically) with the
     normalized projected atomic state and the exact pattern probability; the
     probabilities of a complete input sum to 1.
+
+    Raises:
+        CapacityError: the whole expansion is oversize; raised before any
+            term is expanded.
     """
     inv = inverse(u)
+    inputs = [(atoms, fock_to_polynomial(fock, amp)) for atoms, fock, amp in state.items()]
+    check_capacity((mono for _, poly in inputs for mono in poly.terms), u.dim)
     acc: dict[tuple, dict[str, complex]] = {}
-    for atoms, fock, amp in state.items():
-        poly = fock_to_polynomial(fock, amp)
+    for atoms, poly in inputs:
         out = expand_to_fock(apply_mode_transform(poly, inv), atoms)
         for (at, fkey), a in out.terms.items():
             slot = acc.setdefault(fkey, {})
@@ -169,13 +174,18 @@ def suppressed_patterns(state: HybridState, u: MultiportMatrix,
     multiport preserves polarization, so those counts are conserved);
     suppressed means the full enumeration assigns it no probability.
     """
+    return _suppressed(state, u.dim, run_gbsa(state, u), total_clicks)
+
+
+def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
+                total_clicks: int) -> list[DetectionPattern]:
+    """:func:`suppressed_patterns` against rows already enumerated from ``state``."""
     feasible = _polarization_census(state, total_clicks)
     if not feasible:
         return []
     pols = sorted({pol for counts in feasible for pol, _ in counts})
-    modes = [Mode(port, pol) for pol in pols for port in range(1, u.dim + 1)]
-    realized = {row.pattern.key for row in run_gbsa(state, u)
-                if row.n_photons == total_clicks}
+    modes = [Mode(port, pol) for pol in pols for port in range(1, dim + 1)]
+    realized = {row.pattern.key for row in rows if row.n_photons == total_clicks}
     out = []
     for combo in itertools.combinations_with_replacement(modes, total_clicks):
         fock = FockState.from_monomial(tuple(sorted(combo)))

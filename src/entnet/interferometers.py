@@ -9,7 +9,6 @@ against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -164,21 +163,3 @@ def split_polarization_phase(alpha_h: float, alpha_v: float, beta_h: float,
         phi += 2 * math.pi
     return phi
 
-
-def equal_up_to_port_permutation(a: MultiportMatrix, b: MultiportMatrix,
-                                 tol: float = 1e-9) -> bool:
-    """True when ``P_out @ a @ P_in == b`` for some port relabelings.
-
-    Brute force over both permutation groups; refuse beyond 6 ports.
-    """
-    if a.dim != b.dim:
-        return False
-    if a.dim > 6:
-        raise ValueError("permutation search is factorial; dim capped at 6")
-    eye = np.eye(a.dim)
-    for pin in itertools.permutations(range(a.dim)):
-        m = a.entries @ eye[list(pin)]
-        for pout in itertools.permutations(range(a.dim)):
-            if np.max(np.abs(eye[:, list(pout)] @ m - b.entries)) < tol:
-                return True
-    return False

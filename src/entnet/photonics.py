@@ -1,21 +1,23 @@
-"""Exact bosonic creation-operator algebra for lossless linear optics.
+"""Exact bosonic propagation of photonic states through lossless linear optics.
 
 Photonic states live in two interchangeable representations: sums of
 creation-operator monomials acting on vacuum (convenient while propagating
 through a multiport) and occupation-number amplitudes (convenient for
 detection statistics).  Everything here is pure and immutable after
 construction; coefficients with magnitude below ``MERGE_TOL`` are dropped
-during canonicalisation.
+during canonicalisation.  :func:`check_capacity` sizes an expansion from its
+input alone, so oversize ones are refused before any term is expanded.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
 MERGE_TOL = 1e-12
 NORM_TOL = 1e-9
-#: refuse symbolic expansions beyond this many intermediate terms
+#: refuse expansions into more than this many output terms
 MAX_TERMS = 10_000_000
 
 _POLS = ("", "H", "V")
@@ -34,10 +36,6 @@ class DimensionMismatch(ValueError):
         super().__init__(f"mode on port {port} exceeds interferometer dimension {dim}")
 
 
-class PortCollision(ValueError):
-    """Two states share a photonic port and no offset was given."""
-
-
 class RegisterMismatch(ValueError):
     """Atomic registers of two states have different lengths."""
 
@@ -51,9 +49,6 @@ class Mode(NamedTuple):
 
     port: int
     pol: str = ""
-
-    def shifted(self, offset: int) -> "Mode":
-        return Mode(self.port + offset, self.pol)
 
     def label(self) -> str:
         return f"{self.pol.lower()}{self.port}" if self.pol else f"{self.port}"
@@ -96,41 +91,6 @@ class PhotonPolynomial:
         for mono, coeff in items:
             _merge(acc, tuple(sorted(mono)), complex(coeff))
         self.terms = acc
-
-    @classmethod
-    def vacuum(cls) -> "PhotonPolynomial":
-        return cls({(): 1.0 + 0j})
-
-    @classmethod
-    def creation(cls, m: Mode, coeff: complex = 1.0) -> "PhotonPolynomial":
-        return cls({(m,): complex(coeff)})
-
-    def __mul__(self, other: "PhotonPolynomial") -> "PhotonPolynomial":
-        if len(self.terms) * len(other.terms) > MAX_TERMS:
-            raise CapacityError("polynomial product would exceed the term budget")
-        acc: dict[Monomial, complex] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _merge(acc, tuple(sorted(m1 + m2)), c1 * c2)
-        out = PhotonPolynomial()
-        out.terms = acc
-        return out
-
-    def __add__(self, other: "PhotonPolynomial") -> "PhotonPolynomial":
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            _merge(acc, mono, c)
-        out = PhotonPolynomial()
-        out.terms = acc
-        return out
-
-    def scaled(self, factor: complex) -> "PhotonPolynomial":
-        out = PhotonPolynomial()
-        out.terms = {m: c * factor for m, c in self.terms.items() if abs(c * factor) >= MERGE_TOL}
-        return out
-
-    def max_port(self) -> int:
-        return max((m.port for mono in self.terms for m in mono), default=0)
 
     def norm_sq(self) -> float:
         """Norm of the state obtained by applying the polynomial to vacuum."""
@@ -208,9 +168,6 @@ class FockState:
         return f"FockState({self.label()})"
 
 
-VACUUM = FockState()
-
-
 class HybridState:
     """Superposition of (atomic bitstring x photonic Fock state) terms."""
 
@@ -226,10 +183,6 @@ class HybridState:
             _merge(acc, (atoms, tuple(fkey)), complex(amp))
         self.terms = acc
 
-    @classmethod
-    def single(cls, atoms: str, photons: FockState = VACUUM, amp: complex = 1.0) -> "HybridState":
-        return cls(len(atoms), {(atoms, photons.key): complex(amp)})
-
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.terms.values())
 
@@ -241,6 +194,28 @@ class HybridState:
     def __repr__(self) -> str:
         n = len(self.terms)
         return f"HybridState(n_atoms={self.n_atoms}, terms={n}, norm^2={self.norm_sq():.6f})"
+
+
+def check_capacity(monomials: Iterable[Monomial], dim: int) -> None:
+    """Refuse expansions over ``dim`` output ports beyond ``MAX_TERMS`` terms.
+
+    Each operator of a monomial becomes a sum over the ``dim`` output modes
+    of its own polarization, so ``k`` photons of one polarization expand into
+    the ``C(dim + k - 1, k)`` multisets of those modes, and the polarizations
+    expand independently.  The count needs no expansion and is exact up to
+    interference cancellations.
+
+    Raises:
+        CapacityError: the monomials together expand into more than
+            ``MAX_TERMS`` terms.
+    """
+    total = 0
+    for mono in monomials:
+        per_pol = Counter(m.pol for m in mono)
+        total += math.prod(math.comb(dim + k - 1, k) for k in per_pol.values())
+    if total > MAX_TERMS:
+        raise CapacityError(
+            f"expanding over {dim} ports gives {total} terms > {MAX_TERMS}")
 
 
 def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolynomial:
@@ -262,15 +237,11 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     """
     dim = inverse_matrix.dim
     entries = inverse_matrix.entries
-    budget = 0
     for mono in poly.terms:
         for m in mono:
             if m.port > dim:
                 raise DimensionMismatch(m.port, dim)
-        budget += dim ** len(mono)
-        if budget > MAX_TERMS:
-            raise CapacityError(
-                f"transforming this polynomial needs > {MAX_TERMS} intermediate terms")
+    check_capacity(poly.terms, dim)
     acc: dict[Monomial, complex] = {}
     for mono, coeff in poly.terms.items():
         partial: dict[Monomial, complex] = {(): coeff}
@@ -313,48 +284,3 @@ def fock_to_polynomial(fock: FockState, coeff: complex = 1.0) -> PhotonPolynomia
     for _, k in fock.key:
         fact *= math.sqrt(math.factorial(k))
     return PhotonPolynomial({fock.monomial(): coeff / fact})
-
-
-def inner_product(a: HybridState, b: HybridState) -> complex:
-    """``<a|b>`` over matching (atoms, photons) basis labels."""
-    if a.n_atoms != b.n_atoms:
-        raise RegisterMismatch(
-            f"atomic registers differ: {a.n_atoms} vs {b.n_atoms} qubits")
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    total = 0j
-    for key, amp in small.items():
-        other = big.get(key)
-        if other is not None:
-            if small is a.terms:
-                total += amp.conjugate() * other
-            else:
-                total += other.conjugate() * amp
-    return total
-
-
-def tensor(a: HybridState, b: HybridState, port_offset: int | None = None) -> HybridState:
-    """Tensor product with concatenated atomic registers and merged photons.
-
-    ``b``'s ports are shifted by ``port_offset`` when given; otherwise the
-    two states must already occupy disjoint port ranges.
-    """
-    ports_a = {m.port for (_, fkey) in a.terms for m, _ in fkey}
-    if port_offset is None:
-        ports_b = {m.port for (_, fkey) in b.terms for m, _ in fkey}
-        clash = ports_a & ports_b
-        if clash:
-            raise PortCollision(f"states share ports {sorted(clash)}; pass port_offset")
-        port_offset = 0
-    acc: dict[tuple[str, tuple], complex] = {}
-    for (at_a, fk_a), amp_a in a.terms.items():
-        for (at_b, fk_b), amp_b in b.terms.items():
-            occ = dict(fk_a)
-            for m, k in fk_b:
-                m2 = m.shifted(port_offset)
-                occ[m2] = occ.get(m2, 0) + k
-            key = (at_a + at_b, tuple(sorted(occ.items())))
-            _merge(acc, key, amp_a * amp_b)
-    state = HybridState.__new__(HybridState)
-    state.n_atoms = a.n_atoms + b.n_atoms
-    state.terms = acc
-    return state

@@ -1,17 +1,25 @@
 import math
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entnet.herald
 from entnet.analytics import wpe_fidelity, wpe_rate
 from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectorModel, HeraldRule,
                            aggregate_heralding, dicke_family_fidelity,
                            prepare_swap_input, run_gbsa, subnetwork_swap,
                            suppressed_patterns, wpe_fidelity_sim, wpe_herald,
                            wpe_rate_sim, wpe_sector_probabilities, wpe_state)
-from entnet.interferometers import beam_splitter, quarter, symmetric_multiport, tritter
+from entnet.interferometers import (MultiportMatrix, beam_splitter, quarter,
+                                    symmetric_multiport, tritter)
+from entnet.photonics import CapacityError, FockState, Mode
 from entnet.states import QubitState, dicke_state, fidelity, is_product_state
 
 S2 = math.sqrt(2)
+EPS = sys.float_info.epsilon
 
 
 def rows_by_label(rows):
@@ -48,6 +56,59 @@ def test_run_gbsa_probabilities_complete(n, builder):
     assert sum(r.probability for r in rows) == pytest.approx(1.0, abs=1e-9)
     for r in rows:
         assert sum(abs(a) ** 2 for a in r.state.amplitudes.values()) == pytest.approx(1.0)
+
+
+def test_swap_capacity_refused_before_any_expansion(monkeypatch):
+    calls = []
+    transform = entnet.herald.apply_mode_transform
+    monkeypatch.setattr(entnet.herald, "apply_mode_transform",
+                        lambda *args: calls.append(args) or transform(*args))
+    run_gbsa(prepare_swap_input(2), beam_splitter())
+    assert len(calls) == 4  # the counter sees every input term
+    calls.clear()
+    with pytest.raises(CapacityError):  # 8 pairs on 8 ports: 22.2M output terms
+        run_gbsa(prepare_swap_input(8), symmetric_multiport(3))
+    assert calls == []
+
+
+def _haar_unitary(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(a)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def swap_inputs(draw):
+    """m = 2..4 signed Bell pairs on random ports of a random 4- or 8-port
+    unitary, plus a random relabelling of its input and output ports."""
+    dim = draw(st.sampled_from((4, 8)))
+    m = draw(st.integers(2, 4))
+    ports = draw(st.permutations(range(1, dim + 1)))[:m]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    u = _haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), dim)
+    return (dim, m, ports, signs, u, draw(st.permutations(range(dim))),
+            draw(st.permutations(range(dim))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(swap_inputs())
+def test_run_gbsa_invariants_over_random_unitaries(case):
+    dim, m, ports, signs, u, sigma, tau = case
+    rows = run_gbsa(prepare_swap_input(m, signs, ports), MultiportMatrix(dim, u))
+    assert abs(sum(r.probability for r in rows) - 1) <= 4 * EPS * len(rows)
+    for r in rows:  # each 0 bit sent one H photon, each 1 bit one V photon
+        n_v = sum(k for mo, k in r.pattern.key if mo.pol == "V")
+        assert all(bits.count("1") == n_v for bits in r.state.amplitudes)
+        assert r.n_photons == m
+    # input port j -> sigma[j-1]+1 and output port k -> tau[k-1]+1
+    moved_u = np.empty_like(u)
+    moved_u[np.ix_(tau, sigma)] = u
+    moved = run_gbsa(prepare_swap_input(m, signs, [sigma[p - 1] + 1 for p in ports]),
+                     MultiportMatrix(dim, moved_u))
+    back = {k + 1: tau.index(k) + 1 for k in range(dim)}
+    probs = {FockState({Mode(back[mo.port], mo.pol): k for mo, k in r.pattern.key}).key:
+             r.probability for r in moved}
+    assert probs == pytest.approx({r.pattern.key: r.probability for r in rows}, abs=1e-12)
 
 
 def test_run_gbsa_deterministic():
@@ -321,6 +382,30 @@ def test_wpe_simulation_matches_analytics(n, p):
             wpe_fidelity(m, n, p), abs=1e-9)
         assert wpe_rate_sim(n, p, m, 0.31) == pytest.approx(
             wpe_rate(m, n, p, 0.31).value, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def eraser_8():
+    """Full table of the 8-node eraser through the 8-port butterfly."""
+    p = 0.2
+    return p, run_gbsa(wpe_state(8, p), symmetric_multiport(3))
+
+
+def test_eight_node_eraser_table(eraser_8):
+    p, rows = eraser_8
+    assert abs(sum(r.probability for r in rows) - 1) <= 4 * EPS * len(rows)
+    sectors = {}
+    for r in rows:
+        sectors[r.n_photons] = sectors.get(r.n_photons, 0.0) + r.probability
+    assert sectors == pytest.approx(
+        {k: math.comb(8, k) * p ** k * (1 - p) ** (8 - k) for k in range(9)}, abs=1e-12)
+
+
+def test_eight_node_eraser_three_click_herald(eraser_8):
+    p, rows = eraser_8
+    heralded = wpe_herald(wpe_state(8, p), symmetric_multiport(3), 3)
+    assert heralded and all(r.n_detectors == 3 for r in heralded)
+    assert [r.pattern for r in heralded] == [r.pattern for r in rows if r.n_detectors == 3]
 
 
 def test_dicke_family_fidelity_sector_mismatch():

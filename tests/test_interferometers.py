@@ -1,10 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entnet.interferometers import (MultiportMatrix, beam_splitter,
-                                    equal_up_to_port_permutation, inverse, quarter,
+from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                                     split_polarization_phase, symmetric_multiport,
                                     symmetry_residual, tritter, unitarity_residual,
                                     verify_symmetric, with_phase_plates)
@@ -72,6 +72,22 @@ def test_inverse_is_two_sided():
 
 def test_symmetric_multiport_base_case_is_beam_splitter():
     assert np.allclose(symmetric_multiport(1).entries, beam_splitter().entries)
+
+
+def equal_up_to_port_permutation(a, b, tol=1e-9):
+    """True when ``P_out @ a @ P_in == b`` for some port relabelings.
+
+    Brute force over both permutation groups, so (n!)^2 matrix products.
+    """
+    if a.dim != b.dim:
+        return False
+    eye = np.eye(a.dim)
+    for pin in itertools.permutations(range(a.dim)):
+        m = a.entries @ eye[list(pin)]
+        for pout in itertools.permutations(range(a.dim)):
+            if np.max(np.abs(eye[:, list(pout)] @ m - b.entries)) < tol:
+                return True
+    return False
 
 
 def test_symmetric_multiport_depth2_is_quarter_with_ports_34_swapped():

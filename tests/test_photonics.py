@@ -5,9 +5,9 @@ import pytest
 
 from entnet.interferometers import MultiportMatrix, inverse, quarter, symmetric_multiport
 from entnet.photonics import (CapacityError, DimensionMismatch, FockState,
-                              HybridState, Mode, PhotonPolynomial, PortCollision,
-                              RegisterMismatch, apply_mode_transform, expand_to_fock,
-                              fock_to_polynomial, inner_product, mode, tensor)
+                              HybridState, Mode, PhotonPolynomial, RegisterMismatch,
+                              apply_mode_transform, check_capacity, expand_to_fock,
+                              fock_to_polynomial, mode)
 
 BS_INV = MultiportMatrix(2, np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2), "bs^-1")
 
@@ -65,9 +65,24 @@ def test_dimension_mismatch_names_port():
 
 def test_capacity_guard_trips_before_expanding():
     big = inverse(symmetric_multiport(5))  # 32 ports
-    crowded = poly_of((1.0, [Mode(1, "H")] * 5))  # 32^5 > 10^7
+    crowded = poly_of((1.0, [Mode(1, "H")] * 8))  # C(39, 8) > 10^7 output terms
     with pytest.raises(CapacityError):
         apply_mode_transform(crowded, big)
+
+
+def test_capacity_counts_distinct_output_monomials():
+    # per polarization, k photons on d ports give C(d + k - 1, k) multisets,
+    # all of them realized through a generic unitary
+    cases = ((2, [[H1, H2]], math.comb(3, 2)),
+             (3, [[H1, H1, V1]], math.comb(4, 2) * 3),
+             (4, [[H1, V1], [H2, H2, H2]], 4 * 4 + math.comb(6, 3)))
+    for d, monos, want in cases:
+        poly = poly_of(*[(1.0, m) for m in monos])
+        assert len(apply_mode_transform(poly, inverse(_random_unitary(d, d))).terms) == want
+    # 8 photons, 4 H and 4 V, on 8 ports: C(11, 4)^2 = 108,900 terms is allowed
+    check_capacity([tuple([H1] * 4 + [V1] * 4)], 8)
+    with pytest.raises(CapacityError):  # 8 photons of one polarization on 32 ports
+        check_capacity([tuple([H1] * 8)], 32)
 
 
 def test_expand_single_photons():
@@ -128,8 +143,13 @@ def test_transform_is_linear():
     p = poly_of((1.0, [H1]), (0.5j, [H1, H2]))
     q = poly_of((-2.0, [H2, H2]))
     a, b = 0.3 - 0.7j, 1.1 + 0.2j
-    combined = apply_mode_transform(p.scaled(a) + q.scaled(b), u)
-    split = apply_mode_transform(p, u).scaled(a) + apply_mode_transform(q, u).scaled(b)
+
+    def mix(x, y):
+        return PhotonPolynomial([(a * c, m) for m, c in x.terms.items()]
+                                + [(b * c, m) for m, c in y.terms.items()])
+
+    combined = apply_mode_transform(mix(p, q), u)
+    split = mix(apply_mode_transform(p, u), apply_mode_transform(q, u))
     assert combined == split
 
 
@@ -141,20 +161,9 @@ def test_fock_polynomial_round_trip():
     assert amp == pytest.approx(1.0)
 
 
-def test_inner_product_normalized_and_orthogonal():
-    bell = HybridState(1, {("0", FockState({H1: 1}).key): 1 / math.sqrt(2),
-                           ("1", FockState({V1: 1}).key): 1 / math.sqrt(2)})
-    assert inner_product(bell, bell) == pytest.approx(1.0, abs=1e-9)
-    gp = HybridState(3, {("000", ()): 1 / math.sqrt(2), ("111", ()): 1 / math.sqrt(2)})
-    gm = HybridState(3, {("000", ()): 1 / math.sqrt(2), ("111", ()): -1 / math.sqrt(2)})
-    assert inner_product(gp, gm) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_inner_product_register_mismatch():
-    a = HybridState.single("00")
-    b = HybridState.single("0")
+def test_hybrid_state_register_mismatch():
     with pytest.raises(RegisterMismatch):
-        inner_product(a, b)
+        HybridState(2, {("0", ()): 1.0})
 
 
 def test_projected_coincidence_amplitude_through_quarter():
@@ -167,39 +176,7 @@ def test_projected_coincidence_amplitude_through_quarter():
     for atoms, fock, amp in state.items():
         out = expand_to_fock(apply_mode_transform(fock_to_polynomial(fock, amp), inv), atoms)
         terms.update(out.terms)  # distinct atomic registers never collide
-    propagated = HybridState(4, terms)
     coincidence = FockState({Mode(p, "H"): 1 for p in range(1, 5)})
-    probe = HybridState(4, {("0000", coincidence.key): 1.0})
-    amp = inner_product(probe, propagated)
+    amp = terms[("0000", coincidence.key)]
     assert abs(amp) ** 2 == pytest.approx(1 / 64, abs=1e-12)
 
-
-def test_tensor_concatenates_and_multiplies():
-    a = HybridState.single("0")
-    b = HybridState.single("1")
-    ab = tensor(a, b)
-    assert ab.n_atoms == 2 and ab.terms == {("01", ()): 1.0}
-
-
-def _bell_pair(port):
-    s = 1 / math.sqrt(2)
-    return HybridState(1, {("0", FockState({Mode(port, "H"): 1}).key): s,
-                           ("1", FockState({Mode(port, "V"): 1}).key): s})
-
-
-def test_tensor_bell_pairs():
-    two = tensor(_bell_pair(1), _bell_pair(2))
-    assert len(two.terms) == 4
-    assert all(abs(a) == pytest.approx(0.5) for a in two.terms.values())
-    four = tensor(two, tensor(_bell_pair(3), _bell_pair(4)))
-    assert len(four.terms) == 16
-    assert all(abs(a) == pytest.approx(0.25) for a in four.terms.values())
-    assert four.norm_sq() == pytest.approx(1.0)
-
-
-def test_tensor_port_collision_and_offset():
-    with pytest.raises(PortCollision):
-        tensor(_bell_pair(1), _bell_pair(1))
-    shifted = tensor(_bell_pair(1), _bell_pair(1), port_offset=1)
-    ports = {m.port for (_, fkey) in shifted.terms for m, _ in fkey}
-    assert ports == {1, 2}
