@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .interferometers import MultiportMatrix, inverse
 from .photonics import (FockState, HybridState, Mode, apply_mode_transform,
                         check_capacity, expand_to_fock, fock_to_polynomial)
-from .states import QubitState, entanglement_class, genuinely_entangled
+from .states import QubitState, entanglement_classes, genuinely_entangled
 
 #: pattern amplitudes below this are treated as exactly suppressed
 SUPPRESSION_TOL = 1e-12
@@ -70,6 +70,10 @@ class ProjectionRow:
     #: best-phase overlap with the equal-weight excitation manifold matching
     #: the herald (set by :func:`wpe_herald` only)
     dicke_fidelity: float | None = None
+    #: states of every row of the table this row belongs to, labelled
+    #: together by the first :meth:`state_class` on any of them
+    _table_states: tuple[QubitState, ...] = field(
+        default=(), init=False, repr=False, compare=False)
 
     @property
     def n_photons(self) -> int:
@@ -84,7 +88,28 @@ class ProjectionRow:
         return max((k for _, k in self.pattern.key), default=0)
 
     def state_class(self) -> str:
-        return entanglement_class(self.state)
+        """Entanglement class of the projected state.
+
+        The first query on any row of a table returned by :func:`run_gbsa`
+        or :func:`wpe_herald` classifies the states of all its rows in one
+        batched walk and stores each label on its state; later queries
+        read the stored label.  A row built by hand is classified alone.
+        """
+        if self.state._label is None:
+            entanglement_classes(self._table_states or (self.state,))
+        return self.state._label
+
+
+def _share_table(rows: list[ProjectionRow]) -> list[ProjectionRow]:
+    """Give each row the tuple of all the rows' states, so they are labelled together.
+
+    The tuple holds states, not rows, so that no row refers back to its
+    table and a dropped table is freed at once.
+    """
+    states = tuple(row.state for row in rows)
+    for row in rows:
+        object.__setattr__(row, "_table_states", states)
+    return rows
 
 
 def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
@@ -105,6 +130,8 @@ def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
         ports = list(range(1, n_nodes + 1))
     if len(set(ports)) != n_nodes:
         raise ValueError("ports must be distinct, one per node")
+    if min(ports) < 1:
+        raise ValueError(f"ports are numbered from 1, got {min(ports)}")
     amp0 = 2 ** (-n_nodes / 2)
     terms = {}
     for bits in itertools.product("01", repeat=n_nodes):
@@ -149,7 +176,7 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
         qstate = QubitState(state.n_atoms,
                             {at: a * scale for at, a in sorted(amps.items())})
         rows.append(ProjectionRow(FockState.from_key(fkey), qstate, prob))
-    return rows
+    return _share_table(rows)
 
 
 def _polarization_census(state: HybridState, total: int) -> set[tuple]:
@@ -213,10 +240,16 @@ def _accepts(row: ProjectionRow, model: DetectorModel, rule: HeraldRule) -> bool
 
 def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,
                         rule: HeraldRule) -> float:
-    """Total probability of accepted patterns whose state passes the filter."""
+    """Total probability of accepted patterns whose state passes the filter.
+
+    Under the default filter the accepted rows' states are classified in
+    one batched walk before the sum; a custom filter sees only accepted rows.
+    """
+    accepted = [row for row in rows if _accepts(row, model, rule)]
+    if rule.entanglement_filter is None:
+        entanglement_classes([row.state for row in accepted])
     passes = rule.entanglement_filter or (lambda row: genuinely_entangled(row.state))
-    return sum(row.probability for row in rows
-               if _accepts(row, model, rule) and passes(row))
+    return sum(row.probability for row in accepted if passes(row))
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,
@@ -298,9 +331,9 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     if ports and max(ports) > u.dim:
         raise ValueError(f"input occupies port {max(ports)} > multiport dim {u.dim}")
     rule = HeraldRule(m_clicks)
-    return [ProjectionRow(row.pattern, row.state, row.probability,
-                          dicke_family_fidelity(row.state, m_clicks))
-            for row in run_gbsa(state, u) if _accepts(row, model, rule)]
+    return _share_table([ProjectionRow(row.pattern, row.state, row.probability,
+                                       dicke_family_fidelity(row.state, m_clicks))
+                         for row in run_gbsa(state, u) if _accepts(row, model, rule)])
 
 
 def wpe_sector_probabilities(state: HybridState) -> dict[int, float]:

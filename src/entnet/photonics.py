@@ -33,7 +33,7 @@ class DimensionMismatch(ValueError):
     def __init__(self, port: int, dim: int):
         self.port = port
         self.dim = dim
-        super().__init__(f"mode on port {port} exceeds interferometer dimension {dim}")
+        super().__init__(f"mode on port {port} is outside ports 1..{dim} of the interferometer")
 
 
 class RegisterMismatch(ValueError):
@@ -232,14 +232,14 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
             (or any object with ``dim`` and ``entries``).
 
     Raises:
-        DimensionMismatch: some mode's port exceeds the matrix dimension.
+        DimensionMismatch: some mode's port lies outside ``1..dim``.
         CapacityError: the expansion would exceed the term budget.
     """
     dim = inverse_matrix.dim
     entries = inverse_matrix.entries
     for mono in poly.terms:
         for m in mono:
-            if m.port > dim:
+            if not 1 <= m.port <= dim:
                 raise DimensionMismatch(m.port, dim)
     check_capacity(poly.terms, dim)
     acc: dict[Monomial, complex] = {}

@@ -17,6 +17,8 @@ import numpy as np
 NORM_TOL = 1e-9
 TANGLE_TOL = 1e-6
 PURITY_TOL = 1e-9
+#: states stacked per block of the batched classification walk
+_BLOCK_ROWS = 256
 
 
 class QubitState:
@@ -316,28 +318,64 @@ def entanglement_class(state: QubitState) -> str:
     The label is ``product`` when every qubit is pure, ``biseparable`` when
     the state is entangled but some bipartition leaves it product, and
     ``entangled`` when none does; three-qubit states split ``entangled``
-    into ``GHZ-class`` (nonzero three-tangle) and ``W-class``.  The walk
-    tests the single-qubit cuts before the larger ones, each bipartition
-    once, and stops at the first cut that settles the label.
+    into ``GHZ-class`` (nonzero three-tangle) and ``W-class``.  This is
+    the stored label, else ``entanglement_classes([state])[0]``.
     """
-    if state._label is not None:
-        return state._label
-    n = state.n_qubits
-    psi = state.vector().reshape([2] * n)
+    return state._label or entanglement_classes([state])[0]
+
+
+def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
+    """Entanglement labels of same-size pure states, in order, each stored on its state.
+
+    States that already store a label keep it.  The others are classified
+    in blocks of a fixed number of rows, which bounds the walk's temporaries
+    whatever the number of states.  See :func:`entanglement_class` for the
+    labels.
+
+    Raises:
+        ValueError: the states differ in qubit count.
+    """
+    if len({state.n_qubits for state in states}) > 1:
+        raise ValueError("states differ in qubit count")
+    todo = [state for state in states if state._label is None]
+    for start in range(0, len(todo), _BLOCK_ROWS):
+        _classify_block(todo[start:start + _BLOCK_ROWS])
+    return [state._label for state in states]
+
+
+def _classify_block(block: Sequence[QubitState]) -> None:
+    """Label every state of ``block`` in one walk over the bipartitions.
+
+    The walk tests the single-qubit cuts before the larger ones, each
+    bipartition once, one cut at a time across the rows it has not yet
+    settled; a row drops out at the first cut that settles its label.
+    """
+    n = block[0].n_qubits
+    vecs = np.stack([state.vector() for state in block])
+    basis = np.arange(2 ** n).reshape([2] * n)  # basis index by qubit values
     cuts = (cut for size in range(1, n // 2 + 1)
             for cut in itertools.combinations(range(n), size)
             if 2 * size < n or cut[0] == 0)  # a half-size cut once, not its complement
-    label = "product"  # also the label of one qubit, which has no cut
+    # "product" is also the label of one qubit, which has no cut
+    labels = np.full(len(block), "product", dtype=object)
+    live = np.arange(len(block))  # rows whose label is not settled yet
     for i, cut in enumerate(cuts):
-        if len(cut) > 1 and label == "product":
-            break  # every qubit is pure
-        pure = _purity(psi, cut) > 1 - PURITY_TOL
-        if i == 0:
-            label = "product" if pure else "entangled"
-        elif pure != (label == "product"):
-            label = "biseparable"
+        if len(cut) > 1:
+            live = live[labels[live] != "product"]  # every qubit of those is pure
+        if not live.size:
             break
-    if label == "entangled" and n == 3:
-        label = "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
-    state._label = label
-    return label
+        rest = [q for q in range(n) if q not in cut]
+        index = basis.transpose(list(cut) + rest).reshape(2 ** len(cut), -1)
+        m = vecs[live[:, None, None], index]
+        rho = m @ m.conj().transpose(0, 2, 1)
+        pure = np.einsum("rij,rij->r", rho, rho.conj()).real > 1 - PURITY_TOL
+        if i == 0:
+            labels[live[~pure]] = "entangled"
+        else:
+            settled = pure != (labels[live] == "product")
+            labels[live[settled]] = "biseparable"
+            live = live[~settled]
+    for state, label in zip(block, labels):
+        if label == "entangled" and n == 3:
+            label = "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
+        state._label = label

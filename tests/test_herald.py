@@ -42,6 +42,12 @@ def test_prepare_swap_input_shapes():
         prepare_swap_input(2, signs=[1])
 
 
+@pytest.mark.parametrize("ports", [[0, 1], [-1, 1]])
+def test_prepare_swap_input_rejects_ports_below_one(ports):
+    with pytest.raises(ValueError, match="from 1"):
+        prepare_swap_input(2, ports=ports)
+
+
 def test_prepare_swap_input_signs():
     signed = prepare_swap_input(2, signs=[1, -1])
     amps = {atoms: amp for (atoms, _), amp in signed.terms.items()}
@@ -178,6 +184,40 @@ def test_aggregates_reuse_row_classes(monkeypatch):
     assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
 
 
+def test_tables_are_returned_unlabelled():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    kept = wpe_herald(wpe_state(4, 0.2), quarter(), 2)
+    assert rows and kept
+    assert all(row.state._label is None for row in rows + kept)
+
+
+def test_default_aggregate_labels_only_accepted_rows():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    rule = HeraldRule(4, distinct_detectors_only=True)
+    aggregate_heralding(rows, THRESHOLD, rule)
+    accepted = [row for row in rows if entnet.herald._accepts(row, THRESHOLD, rule)]
+    assert 0 < len(accepted) < len(rows)
+    assert [row for row in rows if row.state._label is not None] == accepted
+
+
+@pytest.mark.parametrize("table", [
+    lambda: run_gbsa(prepare_swap_input(4), quarter()),
+    lambda: wpe_herald(wpe_state(5, 0.3), symmetric_multiport(3), 2),
+], ids=["swap", "eraser"])
+def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table):
+    rows = table()
+    walks = []
+    classes = entnet.herald.entanglement_classes
+    monkeypatch.setattr(entnet.herald, "entanglement_classes",
+                        lambda states: walks.append(len(states)) or classes(states))
+    first = rows[len(rows) // 2].state_class()
+    assert walks == [len(rows)]
+    assert all(row.state._label is not None for row in rows)
+    labels = [row.state_class() for row in rows]
+    assert walks == [len(rows)]
+    assert labels[len(rows) // 2] == first
+
+
 def test_aggregate_tritter():
     rows = run_gbsa(prepare_swap_input(3), tritter())
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(3, distinct_detectors_only=True))
@@ -264,6 +304,8 @@ def test_subnetwork_swap_guards():
         subnetwork_swap(5, quarter())
     with pytest.raises(ValueError):
         subnetwork_swap(2, quarter(), ports=[1, 7])
+    with pytest.raises(ValueError):  # port 0 must not alias port 4
+        subnetwork_swap(2, quarter(), ports=[0, 1])
 
 
 @pytest.mark.parametrize("perm", [(2, 1, 3), (2, 3, 1)])

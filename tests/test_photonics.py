@@ -63,6 +63,14 @@ def test_dimension_mismatch_names_port():
     assert err.value.port == 3
 
 
+@pytest.mark.parametrize("port", [0, -1])
+def test_dimension_mismatch_below_first_port(port):
+    # entries[port - 1] would silently read a row from the end of the matrix
+    with pytest.raises(DimensionMismatch) as err:
+        apply_mode_transform(poly_of((1.0, [Mode(port, "H")])), BS_INV)
+    assert err.value.port == port
+
+
 def test_capacity_guard_trips_before_expanding():
     big = inverse(symmetric_multiport(5))  # 32 ports
     crowded = poly_of((1.0, [Mode(1, "H")] * 8))  # C(39, 8) > 10^7 output terms

@@ -1,17 +1,21 @@
 import functools
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entnet.herald import subnetwork_swap
+from entnet.interferometers import symmetric_multiport
 from entnet.states import (PURITY_TOL, TANGLE_TOL, GhzIndex, QubitState, bell_state,
                            classify_three_qubit, dicke_state, entanglement_class,
-                           fidelity, genuinely_entangled, ghz_basis, ghz_basis_state,
-                           inner, is_product_state, reduced_purity, three_tangle,
-                           verify_pair_decomposition)
+                           entanglement_classes, fidelity, genuinely_entangled,
+                           ghz_basis, ghz_basis_state, inner, is_product_state,
+                           reduced_purity, three_tangle, verify_pair_decomposition)
 
 S2 = math.sqrt(2)
 
@@ -173,11 +177,14 @@ def _haar_state(rng, n_qubits):
 
 
 @st.composite
-def qubit_states(draw):
+def qubit_states(draw, n=None):
     """Haar-random, product, block-product, GHZ, W and phased Dicke states
-    of 1..6 qubits, with the qubits relabelled by a random permutation."""
-    kind = draw(st.sampled_from(("haar", "product", "blocks", "ghz", "w", "dicke")))
-    n = draw(st.integers(2 if kind in ("ghz", "w") else 1, 6))
+    of ``n`` qubits (drawn from 1..6 when None), with the qubits relabelled
+    by a random permutation."""
+    if n is None:
+        n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("haar", "product", "blocks", "dicke")
+                                + (("ghz", "w") if n > 1 else ())))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "haar":
         state = _haar_state(rng, n)
@@ -213,8 +220,8 @@ def _reference_class(state):
 
 
 @settings(max_examples=300, deadline=None)
-@given(qubit_states())
-def test_entanglement_class_matches_every_bipartition(state):
+@given(qubit_states(), st.data())
+def test_entanglement_class_matches_every_bipartition(state, data):
     expect = _reference_class(state)
     fresh = functools.partial(QubitState, state.n_qubits, state.amplitudes)
     assert entanglement_class(state) == expect
@@ -226,6 +233,41 @@ def test_entanglement_class_matches_every_bipartition(state):
     else:
         with pytest.raises(ValueError):
             classify_three_qubit(fresh())
+
+    # the batched walk: same-size states, some already labelled
+    n = state.n_qubits
+    batch = data.draw(st.lists(qubit_states(n), max_size=5))
+    expects = [_reference_class(s) for s in batch]
+    stored = data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch)))
+    for s, want, keep in zip(batch, expects, stored):
+        if keep:
+            s._label = want
+    built = []
+    vector = QubitState.vector
+    with mock.patch.object(QubitState, "vector",
+                           lambda self: built.append(self) or vector(self)):
+        assert entanglement_classes(batch) == expects
+    assert [s._label for s in batch] == expects
+    assert [id(s) for s in built] == [id(s) for s, keep in zip(batch, stored) if not keep]
+    other = data.draw(st.integers(1, 6).filter(lambda k: k != n))
+    with pytest.raises(ValueError):
+        entanglement_classes([fresh(), data.draw(qubit_states(other))])
+
+
+def test_batched_walk_memory_does_not_grow_with_the_table():
+    states = [row.state for row in subnetwork_swap(4, symmetric_multiport(3))]
+    assert len(states) > 2500
+
+    def traced_peak(count):
+        fresh = [QubitState(s.n_qubits, s.amplitudes, check=False) for s in states[:count]]
+        tracemalloc.start()
+        try:
+            entanglement_classes(fresh)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(len(states)) <= 2 * traced_peak(300)
 
 
 def test_reduced_purity_input_guards():
