@@ -89,8 +89,12 @@ def _parse_grid(text: str) -> list[float]:
 def _parse_m_list(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        m_list = list(range(int(lo), int(hi) + 1))
+    else:
+        m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not m_list:
+        raise ValueError(f"--m {text!r} selects no excitation number")
+    return m_list
 
 
 # ------------------------------------------------------------------ multiport
@@ -126,6 +130,8 @@ def cmd_multiport(args) -> int:
 def cmd_swap_table(args) -> int:
     if args.n not in _DEVICES:
         return _fail(f"--n must be one of {sorted(_DEVICES)}")
+    if args.max_clicks_per_detector is not None and args.max_clicks_per_detector < 0:
+        return _fail("--max-clicks-per-detector must be >= 0")
     u = _DEVICES[args.n]()
     state = herald.prepare_swap_input(args.n)
     rows = herald.run_gbsa(state, u)

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .interferometers import MultiportMatrix, inverse
-from .photonics import (FockState, HybridState, Mode, apply_mode_transform,
-                        check_capacity, expand_to_fock, fock_to_polynomial)
+from .photonics import FockState, HybridState, Mode, propagate
+# Not called here: perfbench/tracer.py wraps these two by name in this module,
+# so they stay importable from it.
+from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
 from .states import QubitState, entanglement_classes, genuinely_entangled
 
 #: pattern amplitudes below this are treated as exactly suppressed
@@ -151,21 +153,18 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
 
     Returns one row per output Fock pattern (sorted canonically) with the
     normalized projected atomic state and the exact pattern probability; the
-    probabilities of a complete input sum to 1.
+    probabilities of a complete input sum to 1.  The expansion is
+    :func:`~entnet.photonics.propagate`, whose floating-point operations run
+    in the same order as the polynomial reference (``fock_to_polynomial``,
+    ``apply_mode_transform``, ``expand_to_fock``), so every probability and
+    amplitude is bit-identical to the table built from that reference.
 
     Raises:
-        CapacityError: the whole expansion is oversize; raised before any
-            term is expanded.
+        CapacityError: the whole expansion is oversize.
+        DimensionMismatch: a photon sits on a port outside ``1..dim``.  Both
+            are raised before any term is expanded.
     """
-    inv = inverse(u)
-    inputs = [(atoms, fock_to_polynomial(fock, amp)) for atoms, fock, amp in state.items()]
-    check_capacity((mono for _, poly in inputs for mono in poly.terms), u.dim)
-    acc: dict[tuple, dict[str, complex]] = {}
-    for atoms, poly in inputs:
-        out = expand_to_fock(apply_mode_transform(poly, inv), atoms)
-        for (at, fkey), a in out.terms.items():
-            slot = acc.setdefault(fkey, {})
-            slot[at] = slot.get(at, 0j) + a
+    acc = propagate(state, inverse(u))
     rows = []
     for fkey in sorted(acc):
         amps = {at: a for at, a in acc[fkey].items() if abs(a) >= SUPPRESSION_TOL}

@@ -7,6 +7,11 @@ detection statistics).  Everything here is pure and immutable after
 construction; coefficients with magnitude below ``MERGE_TOL`` are dropped
 during canonicalisation.  :func:`check_capacity` sizes an expansion from its
 input alone, so oversize ones are refused before any term is expanded.
+
+:func:`propagate` is the expansion that detection tables use: it keys output
+patterns by integer occupations and is bit-identical to the polynomial path
+(:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
+:func:`expand_to_fock`), which stays as its reference.
 """
 
 from __future__ import annotations
@@ -257,6 +262,102 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     out = PhotonPolynomial()
     out.terms = acc
     return out
+
+
+def _pattern(key: int, modes: list[Mode], base: int) -> tuple[tuple, float]:
+    """Fock key of an occupation int and its ``prod sqrt(k!)``, in sorted-mode order."""
+    fkey = []
+    fact = 1.0
+    for m in modes:
+        if not key:
+            break
+        key, k = divmod(key, base)
+        if k:
+            fkey.append((m, k))
+            fact *= math.sqrt(math.factorial(k))
+    return tuple(fkey), fact
+
+
+def _expand(coeff: complex, steps: list[list[tuple[int, complex]]]) -> dict[int, complex]:
+    """One input monomial rewritten over the output modes, keyed by occupation ints.
+
+    Each step is one input operator as its ``(output digit weight, inverse
+    entry)`` pairs, so adding the photon to a pattern is one int addition.
+    """
+    partial = {0: coeff}
+    for step in steps:
+        nxt: dict[int, complex] = {}
+        get = nxt.get
+        for key, c in partial.items():
+            for weight, entry in step:
+                out = key + weight
+                new = get(out, 0j) + c * entry
+                if abs(new) < MERGE_TOL:
+                    nxt.pop(out, None)
+                else:
+                    nxt[out] = new
+        partial = nxt
+    return partial
+
+
+def propagate(state: HybridState, inverse_matrix) -> dict[tuple, dict[str, complex]]:
+    """Expand every term of ``state`` over the output modes, grouped by pattern.
+
+    Returns ``{Fock key: {atoms: amplitude}}``.  While expanding, an output
+    pattern is an int with one digit per output mode (in sorted :class:`Mode`
+    order) in base ``max photons + 1``; only the distinct patterns are
+    decoded at the end.
+
+    This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
+    :func:`expand_to_fock` fused, and it keeps their floating-point operations
+    in the same order, so every amplitude is bit-identical to that reference:
+    the input coefficient is ``amp / fact`` merged into zero; each photon adds
+    ``c * entry`` to a running sum that is dropped (and restarted) when its
+    magnitude falls below ``MERGE_TOL``, in dict insertion order; each
+    output term is merged into zero, times ``prod sqrt(k!)`` in sorted-mode
+    order, and merged into zero again; the input terms are summed into each
+    pattern in :meth:`HybridState.items` order.
+
+    Raises:
+        DimensionMismatch: some mode's port lies outside ``1..dim``.
+        CapacityError: the whole expansion is oversize.  Both are raised
+            before any term is expanded.
+    """
+    dim = inverse_matrix.dim
+    inputs = []
+    for atoms, fock, amp in state.items():
+        fact = 1.0
+        for m, k in fock.key:
+            if not 1 <= m.port <= dim:
+                raise DimensionMismatch(m.port, dim)
+            fact *= math.sqrt(math.factorial(k))
+        coeff = 0j + complex(amp / fact)
+        if abs(coeff) >= MERGE_TOL:
+            inputs.append((atoms, fock.monomial(), coeff))
+    check_capacity((mono for _, mono, _ in inputs), dim)
+
+    pols = sorted({m.pol for _, mono, _ in inputs for m in mono})
+    modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
+    base = max((len(mono) for _, mono, _ in inputs), default=0) + 1
+    weights = {m: base ** i for i, m in enumerate(modes)}
+    entries = inverse_matrix.entries.tolist()
+    steps = {m: [(weights[Mode(k + 1, m.pol)], entries[m.port - 1][k]) for k in range(dim)]
+             for _, mono, _ in inputs for m in mono}
+
+    patterns: dict[int, tuple[tuple, float]] = {}
+    table: dict[int, dict[str, complex]] = {}
+    for atoms, mono, coeff in inputs:
+        for key, c in _expand(coeff, [steps[m] for m in mono]).items():
+            pattern = patterns.get(key)
+            if pattern is None:
+                pattern = patterns[key] = _pattern(key, modes, base)
+            # the reference merges into zero before and after the factor
+            a = 0j + (0j + c) * pattern[1]
+            if abs(a) < MERGE_TOL:
+                continue
+            slot = table.setdefault(key, {})
+            slot[atoms] = slot.get(atoms, 0j) + a
+    return {patterns[key][0]: slot for key, slot in table.items()}
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

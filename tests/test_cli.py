@@ -104,6 +104,25 @@ def test_swap_table_max_clicks_filter(tmp_path, capsys):
     assert doc["aggregate"]["number_resolved"] == pytest.approx(7 / 8)
 
 
+def test_swap_table_rejects_negative_max_clicks(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli("swap-table", "--n", "2", "--max-clicks-per-detector", "-1",
+                                "--output", str(out), capsys=capsys)
+    assert code == 2
+    assert "--max-clicks-per-detector must be >= 0" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("m", ["3..1", ",", ""])
+def test_wpe_rejects_empty_m_list(tmp_path, capsys, m):
+    out = tmp_path / "w.csv"
+    code, stdout, err = run_cli("wpe", "--n", "4", "--m", m, "--p", "0.1",
+                                "--output", str(out), capsys=capsys)
+    assert code == 2
+    assert "selects no excitation number" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_wpe_point_and_simulate(capsys):
     code, out, _ = run_cli("wpe", "--n", "2", "--m", "1", "--p", "0.06",
                            "--simulate", capsys=capsys)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import struct
 import sys
 
 import numpy as np
@@ -7,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entnet.herald
+import entnet.photonics
 from entnet.analytics import wpe_fidelity, wpe_rate
-from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectorModel, HeraldRule,
-                           aggregate_heralding, dicke_family_fidelity,
+from entnet.herald import (NUMBER_RESOLVED, SUPPRESSION_TOL, THRESHOLD, DetectorModel,
+                           HeraldRule, aggregate_heralding, dicke_family_fidelity,
                            prepare_swap_input, run_gbsa, subnetwork_swap,
                            suppressed_patterns, wpe_fidelity_sim, wpe_herald,
                            wpe_rate_sim, wpe_sector_probabilities, wpe_state)
-from entnet.interferometers import (MultiportMatrix, beam_splitter, quarter,
+from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                                     symmetric_multiport, tritter)
-from entnet.photonics import CapacityError, FockState, Mode
+from entnet.photonics import (CapacityError, DimensionMismatch, FockState, HybridState,
+                              Mode, apply_mode_transform, expand_to_fock,
+                              fock_to_polynomial)
 from entnet.states import QubitState, dicke_state, fidelity, is_product_state
 
 S2 = math.sqrt(2)
@@ -64,17 +69,104 @@ def test_run_gbsa_probabilities_complete(n, builder):
         assert sum(abs(a) ** 2 for a in r.state.amplitudes.values()) == pytest.approx(1.0)
 
 
-def test_swap_capacity_refused_before_any_expansion(monkeypatch):
+def _count_expansions(monkeypatch):
+    """Record every input term that ``run_gbsa`` expands."""
     calls = []
-    transform = entnet.herald.apply_mode_transform
-    monkeypatch.setattr(entnet.herald, "apply_mode_transform",
-                        lambda *args: calls.append(args) or transform(*args))
+    expand = entnet.photonics._expand
+    monkeypatch.setattr(entnet.photonics, "_expand",
+                        lambda *args: calls.append(args) or expand(*args))
+    return calls
+
+
+def test_swap_capacity_refused_before_any_expansion(monkeypatch):
+    calls = _count_expansions(monkeypatch)
     run_gbsa(prepare_swap_input(2), beam_splitter())
     assert len(calls) == 4  # the counter sees every input term
     calls.clear()
     with pytest.raises(CapacityError):  # 8 pairs on 8 ports: 22.2M output terms
         run_gbsa(prepare_swap_input(8), symmetric_multiport(3))
     assert calls == []
+
+
+@pytest.mark.parametrize("port", [0, 5])
+def test_run_gbsa_refuses_ports_outside_the_multiport(monkeypatch, port):
+    calls = _count_expansions(monkeypatch)
+    state = HybridState(2, {  # the valid "00" term sorts first
+        ("00", FockState({Mode(1, "H"): 1, Mode(2, "H"): 1}).key): 1 / S2,
+        ("11", FockState({Mode(2, "V"): 1, Mode(port, "V"): 1}).key): 1 / S2})
+    with pytest.raises(DimensionMismatch, match=f"port {port} is outside ports 1..4"):
+        run_gbsa(state, quarter())
+    assert calls == []
+
+
+def _reference_table(state, u):
+    """``(pattern key, probability, amplitudes)`` rows built through the polynomial
+    API, which ``propagate`` must match bit for bit, with ``run_gbsa``'s row loop."""
+    inv = inverse(u)
+    acc = {}
+    for atoms, fock, amp in state.items():
+        out = expand_to_fock(apply_mode_transform(fock_to_polynomial(fock, amp), inv), atoms)
+        for (at, fkey), a in out.terms.items():
+            slot = acc.setdefault(fkey, {})
+            slot[at] = slot.get(at, 0j) + a
+    rows = []
+    for fkey in sorted(acc):
+        amps = {at: a for at, a in acc[fkey].items() if abs(a) >= SUPPRESSION_TOL}
+        prob = sum(abs(a) ** 2 for a in amps.values())
+        if prob < SUPPRESSION_TOL ** 2:
+            continue
+        scale = 1 / math.sqrt(prob)
+        rows.append((fkey, prob, [(at, a * scale) for at, a in sorted(amps.items())]))
+    return rows
+
+
+def _ieee(table):
+    """Pattern keys with the IEEE bits of each probability and amplitude, in order."""
+    return [(key, struct.pack("<d", prob),
+             [(at, struct.pack("<dd", a.real, a.imag)) for at, a in amps])
+            for key, prob, amps in table]
+
+
+def assert_matches_reference(rows, state, u):
+    got = [(r.pattern.key, r.probability, list(r.state.amplitudes.items())) for r in rows]
+    assert _ieee(got) == _ieee(_reference_table(state, u))
+
+
+def _shared_port_input():
+    """Two photons share a port in three terms, and atoms "00" carries two
+    photon states, so the sqrt(k!) factors and the sum over input terms run."""
+    return HybridState(2, {
+        ("00", FockState({Mode(1, "H"): 2}).key): 0.5,
+        ("00", FockState({Mode(1, "H"): 1, Mode(3, "H"): 1}).key): 0.5j,
+        ("01", FockState({Mode(1, "H"): 1, Mode(1, "V"): 1}).key): -0.5,
+        ("11", FockState({Mode(2, "V"): 2}).key): 0.5})
+
+
+def _all_signs(n):
+    return [list(signs) for signs in itertools.product((1, -1), repeat=n)]
+
+
+_REFERENCE_CASES = {
+    "swap2": lambda: [(prepare_swap_input(2, s), beam_splitter()) for s in _all_signs(2)],
+    "swap3": lambda: [(prepare_swap_input(3, s), tritter()) for s in _all_signs(3)],
+    "swap4": lambda: [(prepare_swap_input(4, s), quarter()) for s in _all_signs(4)],
+    **{f"sym2d-{''.join(map(str, ports))}":
+       lambda ports=ports, signs=signs: [(prepare_swap_input(4, signs, ports),
+                                          symmetric_multiport(3))]
+       for ports, signs in (([1, 2, 3, 4], [1, 1, 1, 1]), ([1, 3, 5, 8], [1, -1, 1, -1]),
+                            ([2, 4, 6, 7], [-1, -1, 1, 1]), ([5, 6, 7, 8], [1, 1, -1, 1]))},
+    # phased erasers; their all-zero term is the vacuum
+    **{f"eraser{n}": lambda n=n: [(wpe_state(n, 0.2, [0.3 * k + 0.1 for k in range(n)]),
+                                   symmetric_multiport(3))]
+       for n in (3, 4, 5)},
+    "shared-port": lambda: [(_shared_port_input(), quarter())],
+}
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_run_gbsa_is_bit_identical_to_the_polynomial_reference(name):
+    for state, u in _REFERENCE_CASES[name]():
+        assert_matches_reference(run_gbsa(state, u), state, u)
 
 
 def _haar_unitary(rng, n):
@@ -115,6 +207,7 @@ def test_run_gbsa_invariants_over_random_unitaries(case):
     probs = {FockState({Mode(back[mo.port], mo.pol): k for mo, k in r.pattern.key}).key:
              r.probability for r in moved}
     assert probs == pytest.approx({r.pattern.key: r.probability for r in rows}, abs=1e-12)
+    assert_matches_reference(rows, prepare_swap_input(m, signs, ports), MultiportMatrix(dim, u))
 
 
 def test_run_gbsa_deterministic():
