@@ -61,8 +61,7 @@ def _round12(value):
     return value
 
 
-def _emit_doc(doc: dict, fmt: str, output: str | None, csv_records=None,
-              csv_fields=None) -> int:
+def _emit_doc(doc: dict, fmt: str, output: str | None, csv_records, csv_fields) -> int:
     if fmt == "json":
         return _emit(json.dumps(_round12(doc), indent=1) + "\n", output)
     return _emit(tables.records_to_csv(csv_records, csv_fields), output)
@@ -114,13 +113,10 @@ def cmd_multiport(args) -> int:
         print(f"unitarity residual: {tables.fmt(interferometers.unitarity_residual(u.entries))}")
         print(f"symmetry residual:  {tables.fmt(interferometers.symmetry_residual(u))}")
     doc = {"matrix": tables.matrix_to_doc(u), "inverse": tables.matrix_to_doc(inv)}
-    records = []
-    for name, m in (("matrix", u), ("inverse", inv)):
-        for j in range(m.dim):
-            for k in range(m.dim):
-                z = m.entries[j, k]
-                records.append({"part": name, "row": j + 1, "col": k + 1,
-                                "re": tables.fmt(z.real), "im": tables.fmt(z.imag)})
+    records = [{"part": part, "row": j + 1, "col": k + 1, "re": re, "im": im}
+               for part in doc
+               for j, entries in enumerate(doc[part]["entries"])
+               for k, (re, im) in enumerate(entries)]
     return _emit_doc(doc, args.format, args.output, records,
                      ("part", "row", "col", "re", "im"))
 
@@ -165,19 +161,15 @@ def cmd_swap_table(args) -> int:
           f" ({tables.rational_label(agg_thr) or 'no small rational'})")
     print(f"p_BSA number-resolved:    {tables.fmt(agg_nr)}"
           f" ({tables.rational_label(agg_nr) or 'no small rational'})")
+    records = tables.rows_to_records(shown, suppressed)
     doc = {
         "device": u.label,
         "n_nodes": args.n,
         "aggregate": {"threshold_distinct": agg_thr, "number_resolved": agg_nr},
-        "rows": [{"pattern": r.pattern.label(),
-                  "state": tables.state_to_doc(r.state),
-                  "probability": r.probability,
-                  "probability_rational": tables.rational_label(r.probability),
-                  "class": r.state_class()} for r in shown],
+        "rows": records[:len(shown)],
         "suppressed": [p.label() for p in suppressed],
     }
-    return _emit_doc(doc, args.format, args.output,
-                     tables.rows_to_records(shown, suppressed), tables.ROW_FIELDS)
+    return _emit_doc(doc, args.format, args.output, records, tables.ROW_FIELDS)
 
 
 # ------------------------------------------------------------------ wpe
@@ -188,6 +180,8 @@ def cmd_wpe(args) -> int:
         p_grid = _parse_grid(args.sweep) if args.sweep else [args.p]
     except ValueError as exc:
         return _fail(str(exc))
+    if not p_grid:
+        return _fail(f"--sweep {args.sweep!r} selects no p")
     if args.p is None and not args.sweep:
         return _fail("need --p or --sweep")
     try:
@@ -203,13 +197,10 @@ def cmd_wpe(args) -> int:
             dev_r = max(dev_r, abs(pt.rate - herald.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)))
         print(f"max |analytic - simulated| fidelity: {tables.fmt(dev_f)}")
         print(f"max |analytic - simulated| rate:     {tables.fmt(dev_r)}")
-    records = [{"p": tables.fmt(pt.p), "m": str(pt.m),
-                "fidelity": tables.fmt(pt.fidelity), "rate": tables.fmt(pt.rate)}
-               for pt in points]
     doc = {"n_nodes": args.n, "eta_det": args.eta,
            "points": [{"p": pt.p, "m": pt.m, "fidelity": pt.fidelity,
                        "rate": pt.rate} for pt in points]}
-    return _emit_doc(doc, args.format, args.output, records,
+    return _emit_doc(doc, args.format, args.output, doc["points"],
                      ("p", "m", "fidelity", "rate"))
 
 
@@ -222,7 +213,7 @@ def cmd_compare(args) -> int:
         return _fail(str(exc))
     if not grid:
         return _fail("empty efficiency grid")
-    rows = []
+    points = []
     crossover = None
     for eta in grid:
         try:
@@ -230,33 +221,17 @@ def cmd_compare(args) -> int:
         except ValueError as exc:
             return _fail(str(exc))
         crossover = cmp4.crossover_eta
-        rows.append((eta, cmp4.r_bell_chain4, cmp4.r_quad))
+        points.append({"eta_det": eta, "r_bell_chain4": cmp4.r_bell_chain4,
+                       "r_quad": cmp4.r_quad})
     print(f"crossover eta: {tables.fmt(crossover)}")
-    records = [{"eta_det": tables.fmt(e), "r_bell_chain4": tables.fmt(b),
-                "r_quad": tables.fmt(q)} for e, b, q in rows]
-    doc = {"r_t": args.r_t, "crossover_eta": crossover,
-           "points": [{"eta_det": e, "r_bell_chain4": b, "r_quad": q}
-                      for e, b, q in rows]}
-    return _emit_doc(doc, args.format, args.output, records,
+    doc = {"r_t": args.r_t, "crossover_eta": crossover, "points": points}
+    return _emit_doc(doc, args.format, args.output, points,
                      ("eta_det", "r_bell_chain4", "r_quad"))
 
 
 # ------------------------------------------------------------------ analytics
 
-def _coerce(spec_args, pairs):
-    kwargs = {}
-    for flag, caster in spec_args:
-        key = flag.replace("-", "_")
-        if flag not in pairs:
-            raise KeyError(f"missing --{flag}")
-        kwargs[key] = caster(pairs[flag])
-    extra = set(pairs) - {flag for flag, _ in spec_args}
-    if extra:
-        raise KeyError("unknown argument(s): " + ", ".join(f"--{e}" for e in sorted(extra)))
-    return kwargs
-
-
-def cmd_analytics(args, extras) -> int:
+def cmd_analytics(args) -> int:
     if args.list or args.name is None:
         for name, spec in sorted(analytics.FORMULAS.items()):
             flags = " ".join(f"--{flag} <{caster.__name__}>" for flag, caster in spec.args)
@@ -268,24 +243,15 @@ def cmd_analytics(args, extras) -> int:
         close = difflib.get_close_matches(args.name, analytics.FORMULAS, n=3)
         hint = f"; did you mean {', '.join(close)}?" if close else ""
         return _fail(f"unknown formula {args.name!r}{hint}")
-    pairs = {}
-    key = None
-    for tok in extras:
-        if tok.startswith("--"):
-            key = tok[2:]
-        elif key is not None:
-            pairs[key] = tok
-            key = None
-        else:
-            return _fail(f"stray argument {tok!r}")
-    if key is not None:
-        return _fail(f"flag --{key} is missing a value")
+    parser = argparse.ArgumentParser(prog=f"entnet analytics {args.name}",
+                                     description=spec.description, allow_abbrev=False)
+    for flag, caster in spec.args:
+        parser.add_argument(f"--{flag}", type=caster, required=True)
+    kwargs = vars(parser.parse_args(args.flags))
     try:
-        kwargs = _coerce(spec.args, pairs)
         result = analytics.evaluate_formula(args.name, **kwargs)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        return _fail(f"{msg}")
+    except (ValueError, ZeroDivisionError) as exc:
+        return _fail(str(exc))
     marker = "proportional factor" if result.is_proportional else "absolute"
     print(f"{tables.fmt(result.value)} ({marker})")
     return EXIT_OK
@@ -300,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("multiport", help="build a symmetric multiport and its inverse")
+    p.set_defaults(handler=cmd_multiport)
     p.add_argument("kind", choices=(*_KIND_NODES, "sym2d"))
     p.add_argument("--d", type=int, default=None, help="beam-splitter depth for sym2d")
     p.add_argument("--verify", action="store_true",
@@ -308,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("swap-table", help="heralded swap detection-pattern table")
+    p.set_defaults(handler=cmd_swap_table)
     p.add_argument("--n", type=int, required=True, help="number of nodes (2, 3 or 4)")
     p.add_argument("--max-clicks-per-detector", type=int, default=None)
     p.add_argument("--golden", action="store_true",
@@ -316,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("wpe", help="which-path-erasing fidelity/rate evaluation")
+    p.set_defaults(handler=cmd_wpe)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", required=True, help="excitations, e.g. 2 or 1..3")
     p.add_argument("--p", type=float, default=None, help="excitation probability")
@@ -327,32 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("compare", help="bipartite-chain vs four-photon strategy")
+    p.set_defaults(handler=cmd_compare)
     p.add_argument("--eta-grid", required=True, help="start:stop[:num] or v1,v2,...")
     p.add_argument("--r-t", type=float, default=1.0, help="trial rate (1/s)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("analytics", help="evaluate a registered formula by name")
+    p.set_defaults(handler=cmd_analytics)
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--list", action="store_true", help="list available formulas")
+    p.add_argument("flags", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv else None
     try:
-        if command == "analytics":
-            args, extras = parser.parse_known_args(argv)
-            return cmd_analytics(args, extras)
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except SystemExit as exc:   # from argparse, or a formula's parser: --help 0, misuse 2
         return EXIT_USAGE if exc.code else EXIT_OK
-    handler = {"multiport": cmd_multiport, "swap-table": cmd_swap_table,
-               "wpe": cmd_wpe, "compare": cmd_compare}[args.command]
-    return handler(args)
 
 
 if __name__ == "__main__":

@@ -226,15 +226,12 @@ def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
 
 
 def _accepts(row: ProjectionRow, model: DetectorModel, rule: HeraldRule) -> bool:
-    m = rule.required_clicks
-    if model.kind == "number_resolved":
-        if row.n_photons != m:
-            return False
-        return not rule.distinct_detectors_only or row.max_per_detector == 1
+    key = row.pattern.key
+    if rule.distinct_detectors_only and any(k > 1 for _, k in key):
+        return False
     # threshold detectors only resolve which detectors fired
-    if rule.distinct_detectors_only:
-        return row.n_photons == m and row.max_per_detector == 1
-    return row.n_detectors == m
+    clicks = len(key) if model.kind == "threshold" else sum(k for _, k in key)
+    return clicks == rule.required_clicks
 
 
 def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,

@@ -34,52 +34,35 @@ def rational_label(x: float, max_den: int = RATIONAL_MAX_DEN) -> str:
     return ""
 
 
-def probability_cell(p: float) -> tuple[str, str]:
-    return fmt(p), rational_label(p)
-
-
-def state_cell(state: QubitState) -> str:
-    """``bits:re:im`` entries joined by ``;`` with a canonical global phase."""
-    canon = state.phase_canonical()
-    parts = []
-    for bits, a in sorted(canon.amplitudes.items()):
-        parts.append(f"{bits}:{fmt(a.real)}:{fmt(a.imag)}")
-    return ";".join(parts)
-
-
 ROW_FIELDS = ("pattern", "state", "probability", "probability_rational", "class")
 
 
 def rows_to_records(rows: Sequence[ProjectionRow],
-                    suppressed: Iterable[DetectionPattern] = ()) -> list[dict]:
-    records = []
-    for row in rows:
-        dec, rat = probability_cell(row.probability)
-        rec = {
-            "pattern": row.pattern.label(),
-            "state": state_cell(row.state),
-            "probability": dec,
-            "probability_rational": rat,
-            "class": row.state_class(),
-        }
-        if row.dicke_fidelity is not None:
-            rec["dicke_fidelity"] = fmt(row.dicke_fidelity)
-        records.append(rec)
-    for pat in suppressed:
-        records.append({"pattern": pat.label(), "state": "", "probability": fmt(0.0),
-                        "probability_rational": "0", "class": "suppressed"})
-    return records
+                    suppressed: Iterable[DetectionPattern]) -> list[dict]:
+    """One record of raw values per row, then one per suppressed pattern."""
+    records = [{"pattern": row.pattern.label(), "state": state_to_doc(row.state),
+                "probability": row.probability,
+                "probability_rational": rational_label(row.probability),
+                "class": row.state_class()} for row in rows]
+    return records + [{"pattern": pat.label(), "state": {}, "probability": 0.0,
+                       "probability_rational": "0", "class": "suppressed"}
+                      for pat in suppressed]
 
 
-def records_to_csv(records: Sequence[dict], fieldnames: Sequence[str] | None = None) -> str:
-    if fieldnames is None:
-        fieldnames = list(records[0].keys()) if records else list(ROW_FIELDS)
+def _cell(value):
+    """A float through :func:`fmt`; a state document as ``bits:re:im`` joined by ``;``."""
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, dict):
+        return ";".join(f"{bits}:{fmt(re)}:{fmt(im)}" for bits, (re, im) in value.items())
+    return value
+
+
+def records_to_csv(records: Sequence[dict], fieldnames: Sequence[str]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, extrasaction="ignore",
-                            lineterminator="\r\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(rec)
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    writer.writerows([_cell(rec[name]) for name in fieldnames] for rec in records)
     return buf.getvalue()
 
 
@@ -97,5 +80,6 @@ def matrix_to_doc(u: MultiportMatrix) -> dict:
 
 
 def state_to_doc(state: QubitState) -> dict:
+    """``{bits: [re, im]}`` in bit order, with a canonical global phase."""
     canon = state.phase_canonical()
     return {bits: complex_pair(a) for bits, a in sorted(canon.amplitudes.items())}

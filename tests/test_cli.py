@@ -1,14 +1,17 @@
 import csv
 import io
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import entnet.golden
 from entnet.cli import main
+from entnet.tables import fmt
 
 
 def run_cli(*argv, capsys=None):
@@ -231,3 +234,64 @@ def test_console_script_entry():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.9025 (absolute)"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wpe_rejects_empty_sweep(tmp_path, capsys, fmt):
+    out = tmp_path / "w.out"
+    code, stdout, err = run_cli("wpe", "--n", "4", "--m", "1", "--sweep", ",",
+                                "--format", fmt, "--output", str(out), capsys=capsys)
+    assert code == 2
+    assert "selects no p" in err
+    assert stdout == "" and not out.exists()
+
+
+def test_analytics_accepts_flag_equals_value(capsys):
+    code, out, err = run_cli("analytics", "st-fidelity-2", "--eta=0.81", capsys=capsys)
+    assert code == 0, err
+    assert out == "0.9025 (absolute)\n"
+
+
+def test_analytics_formula_help(capsys):
+    code, out, _ = run_cli("analytics", "st-fidelity-2", "--help", capsys=capsys)
+    assert code == 0
+    assert "--eta" in out
+
+
+def _state_parts(cell):
+    return {bits: (re, im) for bits, re, im in
+            (part.split(":") for part in cell.split(";") if part)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swap_table_csv_and_json_agree(tmp_path, capsys, n):
+    csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+    assert run_cli("swap-table", "--n", str(n), "--output", str(csv_out), capsys=capsys)[0] == 0
+    assert run_cli("swap-table", "--n", str(n), "--format", "json",
+                   "--output", str(json_out), capsys=capsys)[0] == 0
+    records = list(csv.DictReader(io.StringIO(csv_out.read_text(), newline="")))
+    doc = json.loads(json_out.read_text())
+    shown = [r for r in records if r["class"] != "suppressed"]
+    assert records[:len(shown)] == shown
+    assert [r["pattern"] for r in records[len(shown):]] == doc["suppressed"]
+    assert [r["pattern"] for r in shown] == [row["pattern"] for row in doc["rows"]]
+    for rec, row in zip(shown, doc["rows"]):
+        assert rec["class"] == row["class"]
+        assert rec["probability_rational"] == row["probability_rational"]
+        assert rec["probability"] == fmt(row["probability"])
+        assert _state_parts(rec["state"]) == {
+            bits: (fmt(re), fmt(im)) for bits, (re, im) in row["state"].items()}
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("entnet ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line, comments=True)[1:]
+    want = 4 if argv == ["swap-table", "--n", "3", "--golden"] else 0
+    assert run_cli(*argv, capsys=capsys)[0] == want

@@ -261,6 +261,26 @@ def test_aggregate_quarter():
     assert nr == pytest.approx(7 / 8, abs=1e-9)
 
 
+@pytest.mark.parametrize("model, distinct, accepted", [
+    (THRESHOLD, False, [8, 60, 144, 46, 0, 0, 0, 0]),
+    (THRESHOLD, True, [0, 0, 0, 46, 0, 0, 0, 0]),
+    (NUMBER_RESOLVED, False, [0, 0, 0, 258, 0, 0, 0, 0]),
+    (NUMBER_RESOLVED, True, [0, 0, 0, 46, 0, 0, 0, 0]),
+])
+def test_accepts_counts_clicks_read_from_the_pattern(model, distinct, accepted):
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    for m in range(1, 9):
+        rule = HeraldRule(m, distinct_detectors_only=distinct)
+        kept = 0
+        for r in rows:
+            counts = [k for _, k in r.pattern.key]
+            clicks = len(counts) if model == THRESHOLD else sum(counts)
+            want = clicks == m and not (distinct and max(counts) > 1)
+            assert entnet.herald._accepts(r, model, rule) == want, (r.pattern.label(), m)
+            kept += want
+        assert kept == accepted[m - 1]
+
+
 def test_aggregates_reuse_row_classes(monkeypatch):
     rows = run_gbsa(prepare_swap_input(4), quarter())
     builds = []
