@@ -241,6 +241,8 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     ``m`` photons: emissions beyond ``m`` survive threshold heralding via
     photon loss and contribute orthogonal excitation sectors.
     """
+    if n_nodes < 1:
+        raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
     if not 1 <= m <= n_nodes:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
     if not 0 < p < 1:
@@ -251,6 +253,8 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
 
 def wpe_rate(m: int, n_nodes: int, p: float, eta_det: float = 1.0) -> FidelityResult:
     """Heralding-rate factor ``eta^m P(>= m photons emitted)``."""
+    if n_nodes < 1:
+        raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
     if not 1 <= m <= n_nodes:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
     if not 0 < p < 1:

@@ -138,7 +138,7 @@ def cmd_swap_table(args) -> int:
             return _fail("no golden table ships for --n 2")
         try:
             golden = load_golden(name)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             return _fail(f"cannot read golden table: {exc}", EXIT_IO)
         problems = diff_against_golden(rows, suppressed, golden)
         if problems:
@@ -177,13 +177,11 @@ def cmd_swap_table(args) -> int:
 def cmd_wpe(args) -> int:
     try:
         m_list = _parse_m_list(args.m)
-        p_grid = _parse_grid(args.sweep) if args.sweep else [args.p]
+        p_grid = [args.p] if args.sweep is None else _parse_grid(args.sweep)
     except ValueError as exc:
         return _fail(str(exc))
     if not p_grid:
         return _fail(f"--sweep {args.sweep!r} selects no p")
-    if args.p is None and not args.sweep:
-        return _fail("need --p or --sweep")
     try:
         points = analytics.wpe_fidelity_sweep(args.n, m_list, p_grid, args.eta)
     except ValueError as exc:
@@ -287,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_wpe)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", required=True, help="excitations, e.g. 2 or 1..3")
-    p.add_argument("--p", type=float, default=None, help="excitation probability")
-    p.add_argument("--sweep", default=None, help="p grid start:stop[:num]")
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--p", type=float, help="excitation probability")
+    points.add_argument("--sweep", help="p grid start:stop[:num]")
     p.add_argument("--eta", type=float, default=1.0, help="detection efficiency")
     p.add_argument("--simulate", action="store_true",
                    help="cross-check against the exact enumeration")

@@ -51,18 +51,27 @@ def golden_path(device: str) -> Path:
 
 
 def load_golden(device: str) -> GoldenTable:
+    """Parse a golden table.
+
+    Raises:
+        OSError: the file cannot be read.
+        ValueError: the file is not a golden table.
+    """
     path = golden_path(device)
-    doc = json.loads(path.read_text())
-    n_atoms = len(next(iter(doc["rows"][0]["state"])))
-    rows = []
-    for r in doc["rows"]:
-        amps = {bits: complex(re, im) for bits, (re, im) in r["state"].items()}
-        state = QubitState(n_atoms, amps, normalize=True)
-        rows.append(GoldenRow(r["pattern"], state, r["norm_sq"], r["probability"],
-                              r["probability_value"], r["max_per_detector"],
-                              r["n_photons"]))
-    return GoldenTable(doc["device"], doc["ports"], tuple(rows),
-                       frozenset(doc["suppressed"]))
+    try:
+        doc = json.loads(path.read_text())
+        n_atoms = len(next(iter(doc["rows"][0]["state"])))
+        rows = []
+        for r in doc["rows"]:
+            amps = {bits: complex(re, im) for bits, (re, im) in r["state"].items()}
+            state = QubitState(n_atoms, amps, normalize=True)
+            rows.append(GoldenRow(r["pattern"], state, r["norm_sq"], r["probability"],
+                                  r["probability_value"], r["max_per_detector"],
+                                  r["n_photons"]))
+        return GoldenTable(doc["device"], doc["ports"], tuple(rows),
+                           frozenset(doc["suppressed"]))
+    except (LookupError, TypeError, ValueError, AttributeError, StopIteration) as exc:
+        raise ValueError(f"{path} is not a golden table ({type(exc).__name__}: {exc})") from exc
 
 
 def diff_against_golden(rows: list[ProjectionRow],

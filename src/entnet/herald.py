@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -114,6 +115,20 @@ def _share_table(rows: list[ProjectionRow]) -> list[ProjectionRow]:
     return rows
 
 
+def _product_state(amp: complex, branches: Sequence[tuple[tuple, tuple]]) -> HybridState:
+    """Product over nodes of two-branch atom-photon states.
+
+    ``branches[k]`` is node ``k``'s ``(factor, mode or None)`` for bit 0 and
+    for bit 1; each term's factors multiply ``amp`` in node order.
+    """
+    terms = {}
+    for bits in itertools.product((0, 1), repeat=len(branches)):
+        picked = [node[b] for node, b in zip(branches, bits)]
+        fkey = tuple(sorted((mode, 1) for _, mode in picked if mode is not None))
+        terms[("".join(map(str, bits)), fkey)] = math.prod((f for f, _ in picked), start=amp)
+    return HybridState(len(branches), terms)
+
+
 def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
                        ports: Sequence[int] | None = None) -> HybridState:
     """``n_nodes`` atom-photon Bell pairs with polarization-encoded photons.
@@ -130,22 +145,13 @@ def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
         raise ValueError("signs must be +/-1, one per node")
     if ports is None:
         ports = list(range(1, n_nodes + 1))
-    if len(set(ports)) != n_nodes:
+    if len(ports) != n_nodes or len(set(ports)) != n_nodes:
         raise ValueError("ports must be distinct, one per node")
     if min(ports) < 1:
         raise ValueError(f"ports are numbered from 1, got {min(ports)}")
-    amp0 = 2 ** (-n_nodes / 2)
-    terms = {}
-    for bits in itertools.product("01", repeat=n_nodes):
-        atoms = "".join(bits)
-        amp = amp0
-        occ = {}
-        for k, b in enumerate(bits):
-            if b == "1":
-                amp *= signs[k]
-            occ[Mode(ports[k], "V" if b == "1" else "H")] = 1
-        terms[(atoms, FockState(occ).key)] = amp
-    return HybridState(n_nodes, terms)
+    return _product_state(2 ** (-n_nodes / 2),
+                          [((1, Mode(port, "H")), (sign, Mode(port, "V")))
+                           for sign, port in zip(signs, ports)])
 
 
 def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
@@ -178,19 +184,6 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     return _share_table(rows)
 
 
-def _polarization_census(state: HybridState, total: int) -> set[tuple]:
-    """Per-polarization photon counts achievable by ``total``-photon terms."""
-    census = set()
-    for _, fock, _ in state.items():
-        if fock.total() != total:
-            continue
-        counts: dict[str, int] = {}
-        for m, k in fock.key:
-            counts[m.pol] = counts.get(m.pol, 0) + k
-        census.add(tuple(sorted(counts.items())))
-    return census
-
-
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
                         total_clicks: int) -> list[DetectionPattern]:
     """Patterns reachable by photon bookkeeping whose amplitude cancels.
@@ -205,23 +198,22 @@ def suppressed_patterns(state: HybridState, u: MultiportMatrix,
 
 def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
                 total_clicks: int) -> list[DetectionPattern]:
-    """:func:`suppressed_patterns` against rows already enumerated from ``state``."""
-    feasible = _polarization_census(state, total_clicks)
-    if not feasible:
-        return []
-    pols = sorted({pol for counts in feasible for pol, _ in counts})
-    modes = [Mode(port, pol) for pol in pols for port in range(1, dim + 1)]
+    """:func:`suppressed_patterns` against rows already enumerated from ``state``.
+
+    Each feasible polarization sector is enumerated directly, as the product
+    over polarizations of the multisets of that polarization's output modes.
+    """
+    sectors = {tuple(sorted(Counter(m.pol for m, k in fkey for _ in range(k)).items()))
+               for _, fkey in state.terms if sum(k for _, k in fkey) == total_clicks}
     realized = {row.pattern.key for row in rows if row.n_photons == total_clicks}
     out = []
-    for combo in itertools.combinations_with_replacement(modes, total_clicks):
-        fock = FockState.from_monomial(tuple(sorted(combo)))
-        counts: dict[str, int] = {}
-        for m, k in fock.key:
-            counts[m.pol] = counts.get(m.pol, 0) + k
-        if tuple(sorted(counts.items())) not in feasible:
-            continue
-        if fock.key not in realized:
-            out.append(fock)
+    for sector in sectors:
+        per_pol = [itertools.combinations_with_replacement(
+            [Mode(port, pol) for port in range(1, dim + 1)], k) for pol, k in sector]
+        for parts in itertools.product(*per_pol):
+            fock = FockState.from_monomial(tuple(itertools.chain(*parts)))
+            if fock.key not in realized:
+                out.append(fock)
     return sorted(out, key=lambda f: f.key)
 
 
@@ -257,10 +249,6 @@ def subnetwork_swap(m: int, u: MultiportMatrix,
     """
     if not 2 <= m <= u.dim:
         raise ValueError(f"m must be in 2..{u.dim}, got {m}")
-    if ports is None:
-        ports = list(range(1, m + 1))
-    if max(ports) > u.dim:
-        raise ValueError("a chosen port exceeds the multiport dimension")
     return run_gbsa(prepare_swap_input(m, ports=ports), u)
 
 
@@ -280,19 +268,10 @@ def wpe_state(n_nodes: int, p: float,
         phases = [0.0] * n_nodes
     if len(phases) != n_nodes:
         raise ValueError("need one phase per node")
-    terms = {}
-    for bits in itertools.product("01", repeat=n_nodes):
-        atoms = "".join(bits)
-        amp = complex(1.0)
-        occ = {}
-        for k, b in enumerate(bits):
-            if b == "1":
-                amp *= math.sqrt(p) * complex(math.cos(phases[k]), math.sin(phases[k]))
-                occ[Mode(k + 1)] = 1
-            else:
-                amp *= math.sqrt(1 - p)
-        terms[(atoms, FockState(occ).key)] = amp
-    return HybridState(n_nodes, terms)
+    return _product_state(complex(1.0), [
+        ((math.sqrt(1 - p), None),
+         (math.sqrt(p) * complex(math.cos(phi), math.sin(phi)), Mode(k + 1)))
+        for k, phi in enumerate(phases)])
 
 
 def dicke_family_fidelity(state: QubitState, m: int) -> float:
@@ -323,9 +302,6 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     """
     if m_clicks < 1:
         raise ValueError("m_clicks must be >= 1")
-    ports = {mode.port for (_, fkey) in state.terms for mode, _ in fkey}
-    if ports and max(ports) > u.dim:
-        raise ValueError(f"input occupies port {max(ports)} > multiport dim {u.dim}")
     rule = HeraldRule(m_clicks)
     return _share_table([ProjectionRow(row.pattern, row.state, row.probability,
                                        dicke_family_fidelity(row.state, m_clicks))

@@ -35,9 +35,6 @@ class MultiportMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
 
 def unitarity_residual(entries: np.ndarray) -> float:
     """max-norm of ``U U_dag - I``."""

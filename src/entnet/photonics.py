@@ -124,15 +124,10 @@ class FockState:
 
     __slots__ = ("key",)
 
-    def __init__(self, occupations: Mapping[Mode, int] | Iterable[tuple[Mode, int]] = ()):
-        items = occupations.items() if isinstance(occupations, Mapping) else occupations
-        occ = {}
-        for m, k in items:
-            if k < 0:
-                raise ValueError("occupation numbers must be nonnegative")
-            if k:
-                occ[m] = occ.get(m, 0) + k
-        self.key = tuple(sorted(occ.items()))
+    def __init__(self, occupations: Mapping[Mode, int]):
+        if any(k < 0 for k in occupations.values()):
+            raise ValueError("occupation numbers must be nonnegative")
+        self.key = tuple(sorted((m, k) for m, k in occupations.items() if k))
 
     @classmethod
     def from_key(cls, key) -> "FockState":

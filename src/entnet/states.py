@@ -24,6 +24,9 @@ _BLOCK_ROWS = 256
 class QubitState:
     """Pure state of ``n_qubits`` qubits as a sparse bitstring-amplitude map.
 
+    The amplitudes must be normalized to within ``NORM_TOL``, unless
+    ``normalize`` asks for them to be rescaled.
+
     The state stores its :func:`entanglement_class` after the first query;
     the label derives from the amplitudes alone, so concurrent first queries
     store the same value.
@@ -32,7 +35,7 @@ class QubitState:
     __slots__ = ("n_qubits", "amplitudes", "_label")
 
     def __init__(self, n_qubits: int, amplitudes: Mapping[str, complex],
-                 normalize: bool = False, check: bool = True):
+                 normalize: bool = False):
         amps = {}
         for bits, a in amplitudes.items():
             if len(bits) != n_qubits or set(bits) - {"0", "1"}:
@@ -44,7 +47,7 @@ class QubitState:
             if norm == 0:
                 raise ValueError("cannot normalize the zero state")
             amps = {b: a / norm for b, a in amps.items()}
-        elif check:
+        else:
             norm_sq = sum(abs(a) ** 2 for a in amps.values())
             if abs(norm_sq - 1.0) > NORM_TOL:
                 raise ValueError(f"state is not normalized (norm^2 = {norm_sq})")
@@ -71,14 +74,13 @@ class QubitState:
         for b1, a1 in self.amplitudes.items():
             for b2, a2 in other.amplitudes.items():
                 amps[b1 + b2] = a1 * a2
-        return QubitState(self.n_qubits + other.n_qubits, amps, check=False)
+        return QubitState(self.n_qubits + other.n_qubits, amps)
 
     def phase_canonical(self) -> "QubitState":
         """Rotate the first nonzero amplitude (lexicographic) to positive real."""
         first = min(self.amplitudes)
         phase = self.amplitudes[first] / abs(self.amplitudes[first])
-        return QubitState(self.n_qubits,
-                          {b: a / phase for b, a in self.amplitudes.items()}, check=False)
+        return QubitState(self.n_qubits, {b: a / phase for b, a in self.amplitudes.items()})
 
     def __repr__(self) -> str:
         parts = [f"({a:.4g})|{b}>" for b, a in sorted(self.amplitudes.items())]
@@ -116,7 +118,7 @@ def bell_state(kind: str) -> QubitState:
     if key not in _BELL:
         raise ValueError(f"unknown Bell state {kind!r}; expected one of {sorted(_BELL)}")
     s = 1 / math.sqrt(2)
-    return QubitState(2, {b: a * s for b, a in _BELL[key].items()}, check=False)
+    return QubitState(2, {b: a * s for b, a in _BELL[key].items()})
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,7 @@ def ghz_basis_state(n: int, sign: str, n_qubits: int) -> QubitState:
     idx = GhzIndex(n, sign, n_qubits)
     s = 1 / math.sqrt(2)
     return QubitState(n_qubits, {idx.bits(): s,
-                                 idx.complement_bits(): s if sign == "+" else -s},
-                      check=False)
+                                 idx.complement_bits(): s if sign == "+" else -s})
 
 
 def ghz_basis(n_qubits: int) -> list[QubitState]:
@@ -184,7 +185,7 @@ def dicke_state(m: int, n_qubits: int, phases: Sequence[float] | None = None) ->
     for excited in itertools.combinations(range(n_qubits), m):
         bits = "".join("1" if q in excited else "0" for q in range(n_qubits))
         amps[bits] = coeff * np.exp(1j * sum(phases[q] for q in excited))
-    return QubitState(n_qubits, amps, check=False)
+    return QubitState(n_qubits, amps)
 
 
 def pair_basis_coefficients(signs: Sequence[int]) -> list[tuple[float, float]]:

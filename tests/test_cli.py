@@ -139,6 +139,22 @@ def test_wpe_point_and_simulate(capsys):
 def test_wpe_requires_p_or_sweep(capsys):
     code, _, err = run_cli("wpe", "--n", "2", "--m", "1", capsys=capsys)
     assert code == 2
+    code, out, err = run_cli("wpe", "--n", "4", "--m", "1", "--p", "0.5", "--sweep", "0.1",
+                             capsys=capsys)
+    assert code == 2
+    assert "not allowed with argument" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("wpe", "--n", "0", "--m", "1", "--p", "0.1"),
+    ("analytics", "wpe-fidelity", "--m", "1", "--n", "0", "--p", "0.1"),
+    ("analytics", "wpe-rate", "--m", "1", "--n", "0", "--p", "0.1", "--eta", "1"),
+])
+def test_wpe_zero_nodes_blames_the_node_count(capsys, argv):
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert err == "error: need at least 1 node, got n_nodes=0\n"
 
 
 def test_wpe_range_error(capsys):
@@ -219,6 +235,18 @@ def test_golden_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(entnet.golden.GOLDEN_ENV, str(tmp_path / "missing"))
     code, _, err = run_cli("swap-table", "--n", "4", "--golden", capsys=capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("text,cause", [('{"rows": []}', "IndexError"),
+                                        ("not json", "JSONDecodeError")])
+def test_malformed_golden_table_is_an_io_failure(tmp_path, monkeypatch, capsys, text, cause):
+    (tmp_path / "quarter.json").write_text(text)
+    monkeypatch.setenv(entnet.golden.GOLDEN_ENV, str(tmp_path))
+    code, out, err = run_cli("swap-table", "--n", "4", "--golden", capsys=capsys)
+    assert code == 3
+    assert err.startswith("error: cannot read golden table: ")
+    assert cause in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_output_io_failure(tmp_path, capsys):

@@ -45,6 +45,8 @@ def test_prepare_swap_input_shapes():
         prepare_swap_input(9)
     with pytest.raises(ValueError):
         prepare_swap_input(2, signs=[1])
+    with pytest.raises(ValueError, match="one per node"):  # two nodes on port 1 drop a photon
+        prepare_swap_input(2, ports=[1, 1, 2])
 
 
 @pytest.mark.parametrize("ports", [[0, 1], [-1, 1]])
@@ -253,6 +255,24 @@ def test_suppressed_patterns_tritter():
         "v1^2 v2", "v1^2 v3", "v1 v2^2", "v1 v3^2", "v2^2 v3", "v2 v3^2"}
 
 
+def test_suppressed_patterns_scan_only_the_input_sectors():
+    # two excitations of four: every term is 2H2V, so 1-3H sectors are infeasible
+    full = prepare_swap_input(4)
+    state = HybridState(4, {key: amp * 4 / math.sqrt(6) for key, amp in full.terms.items()
+                            if key[0].count("1") == 2})
+    rows = run_gbsa(state, quarter())
+    modes = [Mode(port, pol) for pol in "HV" for port in range(1, 5)]
+    candidates = {FockState.from_monomial(combo).key
+                  for combo in itertools.combinations_with_replacement(modes, 4)
+                  if sum(m.pol == "H" for m in combo) == 2}
+    realized = {row.pattern.key for row in rows}
+    assert (len(candidates), len(rows)) == (100, 76)
+    expect = sorted(candidates - realized)
+    assert len(expect) == 24
+    assert [p.key for p in suppressed_patterns(state, quarter(), 4)] == expect
+    assert suppressed_patterns(state, quarter(), 3) == []
+
+
 def test_aggregate_quarter():
     rows = run_gbsa(prepare_swap_input(4), quarter())
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
@@ -419,6 +439,8 @@ def test_subnetwork_swap_guards():
         subnetwork_swap(2, quarter(), ports=[1, 7])
     with pytest.raises(ValueError):  # port 0 must not alias port 4
         subnetwork_swap(2, quarter(), ports=[0, 1])
+    with pytest.raises(ValueError, match="one per node"):
+        subnetwork_swap(2, quarter(), ports=[1, 1, 2])
 
 
 @pytest.mark.parametrize("perm", [(2, 1, 3), (2, 3, 1)])

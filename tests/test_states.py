@@ -202,7 +202,7 @@ def qubit_states(draw, n=None):
         state = dicke_state(draw(st.integers(0, n)), n, list(rng.uniform(0, 2 * np.pi, n)))
     perm = draw(st.permutations(range(n)))
     return QubitState(n, {"".join(bits[q] for q in perm): a
-                          for bits, a in state.amplitudes.items()}, check=False)
+                          for bits, a in state.amplitudes.items()})
 
 
 def _reference_class(state):
@@ -259,7 +259,7 @@ def test_batched_walk_memory_does_not_grow_with_the_table():
     assert len(states) > 2500
 
     def traced_peak(count):
-        fresh = [QubitState(s.n_qubits, s.amplitudes, check=False) for s in states[:count]]
+        fresh = [QubitState(s.n_qubits, s.amplitudes) for s in states[:count]]
         tracemalloc.start()
         try:
             entanglement_classes(fresh)
@@ -280,8 +280,7 @@ def test_reduced_purity_input_guards():
 
 
 def test_phase_canonical_rotation():
-    st = QubitState(2, {"01": 0.5j, "10": -0.5 + 0.5j, "11": 0.5},
-                    normalize=True, check=False)
+    st = QubitState(2, {"01": 0.5j, "10": -0.5 + 0.5j, "11": 0.5}, normalize=True)
     canon = st.phase_canonical()
     first = canon.amplitudes["01"]
     assert first.imag == pytest.approx(0.0, abs=1e-12)

@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps entnet callables by name; every name must resolve."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import entnet.herald
+from entnet.interferometers import beam_splitter
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_instruments_and_restores_every_name():
+    tracing = _load_tracer()
+    targets = [(importlib.import_module(f"entnet.{module}"), attr)
+               for _, module, attr, _ in tracing.LAYERS]
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        assert all(getattr(owner, attr) is not orig
+                   for (owner, attr), orig in zip(targets, originals))
+        entnet.herald.run_gbsa(entnet.herald.prepare_swap_input(2), beam_splitter())
+    finally:
+        tracer.restore()
+    assert [getattr(owner, attr) for owner, attr in targets] == originals
+    assert {name for _, _, name, _, _ in tracer.spans} >= {"herald.prepare", "herald.assemble"}
