@@ -2,7 +2,9 @@
 
 Feeds atom-photon entangled inputs through a multiport, expands the exact
 output Fock statistics, and groups them into detection-pattern rows carrying
-the projected (normalized) atomic state and the pattern probability.  Losses
+the projected (normalized) atomic state and the pattern probability.  Each
+table is built as columns (:class:`DetectionTable`), and its rows are views
+of them.  Losses
 are never simulated here; detector efficiency enters only through the
 analytic rate factors in :mod:`entnet.analytics`.
 """
@@ -12,15 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .interferometers import MultiportMatrix, inverse
 from .photonics import FockState, HybridState, Mode, propagate
-# Not called here: perfbench/tracer.py wraps these two by name in this module,
-# so they stay importable from it.
+# Not called here: perfbench/tracer.py wraps these three by name in this
+# module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
-from .states import QubitState, entanglement_classes, genuinely_entangled
+from .states import genuinely_entangled  # noqa: F401
+from .states import GENUINE_CLASSES, NORM_TOL, QubitState, entanglement_classes_csr
 
 #: pattern amplitudes below this are treated as exactly suppressed
 SUPPRESSION_TOL = 1e-12
@@ -63,56 +68,170 @@ class HeraldRule:
             raise ValueError("required_clicks must be >= 1")
 
 
-@dataclass(frozen=True)
-class ProjectionRow:
-    """One detection pattern with its projected atomic state and probability."""
+def _gather(offsets: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets of the CSR rows ``rows`` stacked in that order, and their entry indices."""
+    rows = np.asarray(rows, dtype=int)
+    sizes = offsets[rows + 1] - offsets[rows]
+    stacked = np.concatenate(([0], np.cumsum(sizes)))
+    return stacked, np.repeat(offsets[rows] - stacked[:-1], sizes) + np.arange(stacked[-1])
 
+
+class DetectionTable:
+    """The columns of one detection table, one entry per row.
+
+    ``keys`` are the rows' Fock keys in canonical order and
+    ``probabilities`` their float probabilities; ``n_detectors``,
+    ``n_photons`` and ``max_per_detector`` count each row's clicks.  The
+    normalized projected amplitudes are one CSR block: row ``i`` has
+    ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
+    ``atoms[...]`` (bitstrings as binary integers, ascending).  ``labels``
+    holds each row's entanglement class once a walk has set it, and
+    ``dicke`` an eraser table's :func:`dicke_family_fidelity` column.
+
+    A row's :class:`QubitState` is built from its CSR slice the first time
+    it is read; it carries the row's label, now or when a walk sets it.
+    """
+
+    def __init__(self, n_atoms: int, keys: list[tuple], probabilities: list[float],
+                 counts: tuple[list[int], list[int], list[int]], offsets: np.ndarray,
+                 atoms: np.ndarray, amplitudes: np.ndarray, labels: list | None = None):
+        self.n_atoms = n_atoms
+        self.keys = keys
+        self.probabilities = probabilities
+        self.n_detectors, self.n_photons, self.max_per_detector = counts
+        self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
+        self.labels = labels or [None] * len(keys)
+        self.dicke: list[float] | None = None
+        self._states: list[QubitState | None] = [None] * len(keys)
+        self._entries = None  # the CSR block as Python lists, made for the first state
+
+    def rows(self) -> list["ProjectionRow"]:
+        view = ProjectionRow._view
+        return [view(self, i) for i in range(len(self.keys))]
+
+    def state(self, i: int) -> QubitState:
+        state = self._states[i]
+        if state is None:
+            if self._entries is None:
+                names = [format(v, f"0{self.n_atoms}b") for v in range(2 ** self.n_atoms)]
+                self._entries = (self.offsets.tolist(),
+                                 [names[v] for v in self.atoms.tolist()],
+                                 self.amplitudes.tolist())
+            offsets, bits, amps = self._entries
+            lo, hi = offsets[i], offsets[i + 1]
+            state = self._states[i] = QubitState._trusted(
+                self.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])), self.labels[i])
+        return state
+
+    def classify(self, rows: Sequence[int]) -> None:
+        """Label the unlabelled rows among ``rows`` in one walk."""
+        todo = [i for i in rows if self.labels[i] is None]
+        if not todo:
+            return
+        offsets, entries = _gather(self.offsets, todo)
+        walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
+                                          self.amplitudes[entries])
+        for i, label in zip(todo, walked):
+            self.labels[i] = label
+            if self._states[i] is not None:
+                self._states[i]._label = label
+
+    def take(self, rows: Sequence[int]) -> "DetectionTable":
+        """A table of the rows ``rows`` of this one, in that order."""
+        offsets, entries = _gather(self.offsets, rows)
+
+        def pick(column: list) -> list:
+            return [column[i] for i in rows]
+
+        return DetectionTable(
+            self.n_atoms, pick(self.keys), pick(self.probabilities),
+            (pick(self.n_detectors), pick(self.n_photons), pick(self.max_per_detector)),
+            offsets, self.atoms[entries], self.amplitudes[entries], pick(self.labels))
+
+
+@dataclass(init=False, repr=False, eq=False)
+class ProjectionRow:
+    """One detection pattern with its projected atomic state and probability.
+
+    A row of a table returned by :func:`run_gbsa` or :func:`wpe_herald` is a
+    view of one row of its :class:`DetectionTable`; its pattern and state
+    are built when read.  A row built by hand is a one-row table of its own.
+    Rows compare by identity.
+    """
+
+    # Dataclass fields, so that ``dataclasses.replace`` copies a row into a
+    # hand-built one; each is a property reading the row's table.
     pattern: DetectionPattern
     state: QubitState
     probability: float
     #: best-phase overlap with the equal-weight excitation manifold matching
     #: the herald (set by :func:`wpe_herald` only)
-    dicke_fidelity: float | None = None
-    #: states of every row of the table this row belongs to, labelled
-    #: together by the first :meth:`state_class` on any of them
-    _table_states: tuple[QubitState, ...] = field(
-        default=(), init=False, repr=False, compare=False)
+    dicke_fidelity: float | None
+
+    __slots__ = ("_table", "_index")
+
+    def __init__(self, pattern: DetectionPattern, state: QubitState, probability: float,
+                 dicke_fidelity: float | None = None):
+        counts = [k for _, k in pattern.key]
+        bits, amps = zip(*sorted(state.amplitudes.items()))
+        table = DetectionTable(
+            state.n_qubits, [pattern.key], [probability],
+            ([len(counts)], [sum(counts)], [max(counts, default=0)]),
+            np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
+            np.array(amps, dtype=complex), [state._label])
+        table._states[0] = state
+        table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
+        self._table, self._index = table, 0
+
+    @classmethod
+    def _view(cls, table: DetectionTable, index: int) -> "ProjectionRow":
+        row = cls.__new__(cls)
+        row._table, row._index = table, index
+        return row
+
+    @property
+    def pattern(self) -> DetectionPattern:
+        return FockState.from_key(self._table.keys[self._index])
+
+    @property
+    def state(self) -> QubitState:
+        return self._table.state(self._index)
+
+    @property
+    def probability(self) -> float:
+        return self._table.probabilities[self._index]
+
+    @property
+    def dicke_fidelity(self) -> float | None:
+        dicke = self._table.dicke
+        return None if dicke is None else dicke[self._index]
 
     @property
     def n_photons(self) -> int:
-        return self.pattern.total()
+        return self._table.n_photons[self._index]
 
     @property
     def n_detectors(self) -> int:
-        return len(self.pattern.key)
+        return self._table.n_detectors[self._index]
 
     @property
     def max_per_detector(self) -> int:
-        return max((k for _, k in self.pattern.key), default=0)
+        return self._table.max_per_detector[self._index]
 
     def state_class(self) -> str:
         """Entanglement class of the projected state.
 
-        The first query on any row of a table returned by :func:`run_gbsa`
-        or :func:`wpe_herald` classifies the states of all its rows in one
-        batched walk and stores each label on its state; later queries
-        read the stored label.  A row built by hand is classified alone.
+        The first query on any row of a table classifies all its rows in
+        one batched walk and stores each label in the table; later queries
+        read the stored label.
         """
-        if self.state._label is None:
-            entanglement_classes(self._table_states or (self.state,))
-        return self.state._label
+        table = self._table
+        if table.labels[self._index] is None:
+            table.classify(range(len(table.keys)))
+        return table.labels[self._index]
 
-
-def _share_table(rows: list[ProjectionRow]) -> list[ProjectionRow]:
-    """Give each row the tuple of all the rows' states, so they are labelled together.
-
-    The tuple holds states, not rows, so that no row refers back to its
-    table and a dropped table is freed at once.
-    """
-    states = tuple(row.state for row in rows)
-    for row in rows:
-        object.__setattr__(row, "_table_states", states)
-    return rows
+    def __repr__(self) -> str:
+        return f"ProjectionRow({self.pattern.label()}, p={self.probability!r})"
 
 
 def _product_state(amp: complex, branches: Sequence[tuple[tuple, tuple]]) -> HybridState:
@@ -165,23 +284,50 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     ``apply_mode_transform``, ``expand_to_fock``), so every probability and
     amplitude is bit-identical to the table built from that reference.
 
+    The rows are views of one :class:`DetectionTable`, built as columns:
+    amplitudes below ``SUPPRESSION_TOL`` are dropped, each pattern's
+    probability is CPython's ``sum(abs(a) ** 2 ...)`` over the rest, and
+    the amplitudes are scaled by ``1 / sqrt(p)`` and checked to be
+    normalized, all rows at once.  The probabilities stay CPython floats
+    summed in row order, since numpy's ``x ** 2`` is ``x * x`` (it differs
+    from libm's ``pow`` on about 0.09% of values) and numpy sums pairwise;
+    ``abs`` is ``hypot``, which matches CPython where numpy's complex
+    ``abs`` does not.  The scaling is CPython's complex-times-float as
+    separate float operations, since numpy's complex multiply may fuse
+    them.  A row's state is built the first time it is read.
+
     Raises:
         CapacityError: the whole expansion is oversize.
         DimensionMismatch: a photon sits on a port outside ``1..dim``.  Both
             are raised before any term is expanded.
+        ValueError: an amplitude is not finite, so a row cannot be normalized.
     """
-    acc = propagate(state, inverse(u))
-    rows = []
-    for fkey in sorted(acc):
-        amps = {at: a for at, a in acc[fkey].items() if abs(a) >= SUPPRESSION_TOL}
-        prob = sum(abs(a) ** 2 for a in amps.values())
-        if prob < SUPPRESSION_TOL ** 2:
-            continue
-        scale = 1 / math.sqrt(prob)
-        qstate = QubitState(state.n_atoms,
-                            {at: a * scale for at, a in sorted(amps.items())})
-        rows.append(ProjectionRow(FockState.from_key(fkey), qstate, prob))
-    return _share_table(rows)
+    out = propagate(state, inverse(u))
+    mag = np.hypot(out.amplitudes.real, out.amplitudes.imag)  # CPython's abs(complex)
+    kept = np.flatnonzero(~(mag < SUPPRESSION_TOL))  # a NaN stays, to fail the norm check
+    row = np.repeat(np.arange(len(out.keys)), np.diff(out.offsets))[kept]
+    bounds = np.searchsorted(row, np.arange(len(out.keys) + 1))  # kept entries per row
+    squares = [m ** 2 for m in mag[kept].tolist()]
+    probs = [sum(squares[a:b]) for a, b in itertools.pairwise(bounds.tolist())]
+    live = [i for i, prob in enumerate(probs) if not prob < SUPPRESSION_TOL ** 2]
+    probs = [probs[i] for i in live]
+
+    offsets, entries = _gather(bounds, live)
+    entries = kept[entries]
+    owner = np.repeat(np.arange(len(live)), np.diff(offsets))
+    scale = (1 / np.sqrt(np.array(probs)))[owner]
+    re, im = out.amplitudes.real[entries], out.amplitudes.imag[entries]
+    amplitudes = np.empty(len(entries), complex)
+    amplitudes.real = re * scale - im * 0.0
+    amplitudes.imag = re * 0.0 + im * scale
+    norms = np.bincount(owner, weights=np.abs(amplitudes) ** 2, minlength=len(live))
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
+    occupations = out.occupations[live]
+    counts = ((occupations > 0).sum(axis=1).tolist(), occupations.sum(axis=1).tolist(),
+              occupations.max(axis=1, initial=0).tolist())
+    return DetectionTable(state.n_atoms, [out.keys[i] for i in live], probs, counts,
+                          offsets, out.atoms[entries], amplitudes).rows()
 
 
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
@@ -218,26 +364,33 @@ def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
 
 
 def _accepts(row: ProjectionRow, model: DetectorModel, rule: HeraldRule) -> bool:
-    key = row.pattern.key
-    if rule.distinct_detectors_only and any(k > 1 for _, k in key):
+    """Whether ``rule`` accepts the row's pattern, read from its table's click columns."""
+    table, i = row._table, row._index
+    if rule.distinct_detectors_only and table.max_per_detector[i] > 1:
         return False
     # threshold detectors only resolve which detectors fired
-    clicks = len(key) if model.kind == "threshold" else sum(k for _, k in key)
-    return clicks == rule.required_clicks
+    clicks = table.n_detectors if model.kind == "threshold" else table.n_photons
+    return clicks[i] == rule.required_clicks
 
 
 def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,
                         rule: HeraldRule) -> float:
     """Total probability of accepted patterns whose state passes the filter.
 
-    Under the default filter the accepted rows' states are classified in
-    one batched walk before the sum; a custom filter sees only accepted rows.
+    Under the default filter the accepted rows of each table are classified
+    in one batched walk and their labels read from the table; a custom
+    filter sees only accepted rows.
     """
     accepted = [row for row in rows if _accepts(row, model, rule)]
-    if rule.entanglement_filter is None:
-        entanglement_classes([row.state for row in accepted])
-    passes = rule.entanglement_filter or (lambda row: genuinely_entangled(row.state))
-    return sum(row.probability for row in accepted if passes(row))
+    if rule.entanglement_filter is not None:
+        return sum(row.probability for row in accepted if rule.entanglement_filter(row))
+    by_table: dict[DetectionTable, list[int]] = {}
+    for row in accepted:
+        by_table.setdefault(row._table, []).append(row._index)
+    for table, index in by_table.items():
+        table.classify(index)
+    return sum(row.probability for row in accepted
+               if row._table.labels[row._index] in GENUINE_CLASSES)
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,
@@ -303,9 +456,12 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     if m_clicks < 1:
         raise ValueError("m_clicks must be >= 1")
     rule = HeraldRule(m_clicks)
-    return _share_table([ProjectionRow(row.pattern, row.state, row.probability,
-                                       dicke_family_fidelity(row.state, m_clicks))
-                         for row in run_gbsa(state, u) if _accepts(row, model, rule)])
+    kept = [row for row in run_gbsa(state, u) if _accepts(row, model, rule)]
+    if not kept:
+        return []
+    table = kept[0]._table.take([row._index for row in kept])
+    table.dicke = [dicke_family_fidelity(table.state(i), m_clicks) for i in range(len(kept))]
+    return table.rows()
 
 
 def wpe_sector_probabilities(state: HybridState) -> dict[int, float]:
@@ -326,9 +482,10 @@ def wpe_fidelity_sim(n_nodes: int, p: float, m: int) -> float:
     ``m``-photon sector weight over the at-least-``m`` tail.  Both weights
     are summed term by term from the expanded product state.
     """
+    state = wpe_state(n_nodes, p)
     if not 1 <= m <= n_nodes:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
-    sectors = wpe_sector_probabilities(wpe_state(n_nodes, p))
+    sectors = wpe_sector_probabilities(state)
     good = sectors.get(m, 0.0)
     tail = sum(prob for n, prob in sectors.items() if n >= m)
     return good / tail

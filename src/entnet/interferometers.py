@@ -30,7 +30,7 @@ class MultiportMatrix:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {m.shape}")
-        if unitarity_residual(m) >= UNITARITY_TOL:
+        if not unitarity_residual(m) < UNITARITY_TOL:  # a NaN residual fails too
             raise ValueError(f"matrix {self.label or m} is not unitary")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)

@@ -9,9 +9,10 @@ during canonicalisation.  :func:`check_capacity` sizes an expansion from its
 input alone, so oversize ones are refused before any term is expanded.
 
 :func:`propagate` is the expansion that detection tables use: it keys output
-patterns by integer occupations and is bit-identical to the polynomial path
-(:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
-:func:`expand_to_fock`), which stays as its reference.
+patterns by integer occupations, returns their amplitudes as arrays, and is
+bit-identical to the polynomial path (:func:`fock_to_polynomial`,
+:func:`apply_mode_transform`, :func:`expand_to_fock`), which stays as its
+reference.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 MERGE_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -180,7 +183,12 @@ class HybridState:
             if len(atoms) != n_atoms:
                 raise RegisterMismatch(
                     f"atomic bitstring {atoms!r} does not have length {n_atoms}")
-            _merge(acc, (atoms, tuple(fkey)), complex(amp))
+            if set(atoms) - {"0", "1"}:
+                raise ValueError(f"atomic bitstring {atoms!r} is not made of 0 and 1")
+            amp = complex(amp)
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ValueError(f"amplitude {amp!r} of {atoms!r} is not finite")
+            _merge(acc, (atoms, tuple(fkey)), amp)
         self.terms = acc
 
     def norm_sq(self) -> float:
@@ -259,20 +267,6 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     return out
 
 
-def _pattern(key: int, modes: list[Mode], base: int) -> tuple[tuple, float]:
-    """Fock key of an occupation int and its ``prod sqrt(k!)``, in sorted-mode order."""
-    fkey = []
-    fact = 1.0
-    for m in modes:
-        if not key:
-            break
-        key, k = divmod(key, base)
-        if k:
-            fkey.append((m, k))
-            fact *= math.sqrt(math.factorial(k))
-    return tuple(fkey), fact
-
-
 def _expand(coeff: complex, steps: list[list[tuple[int, complex]]]) -> dict[int, complex]:
     """One input monomial rewritten over the output modes, keyed by occupation ints.
 
@@ -295,13 +289,50 @@ def _expand(coeff: complex, steps: list[list[tuple[int, complex]]]) -> dict[int,
     return partial
 
 
-def propagate(state: HybridState, inverse_matrix) -> dict[tuple, dict[str, complex]]:
+class Propagation(NamedTuple):
+    """Output amplitudes of :func:`propagate`, one row per distinct output pattern.
+
+    Rows are in canonical order, the order of their sorted Fock keys.  Row
+    ``i`` holds ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic
+    registers ``atoms[offsets[i]:offsets[i + 1]]``, each bitstring read as a
+    binary integer, ascending.
+    """
+
+    #: Fock key of each row
+    keys: list[tuple]
+    #: photons in each output mode (sorted :class:`Mode` order), one row per key
+    occupations: np.ndarray
+    offsets: np.ndarray
+    atoms: np.ndarray
+    amplitudes: np.ndarray
+
+
+def _decode(occupations: np.ndarray, modes: list[Mode], base: int) -> tuple[np.ndarray, list]:
+    """Canonical order of the rows of ``occupations``, and each row's Fock key in it.
+
+    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
+    so two keys compare by the first pair they differ in, a prefix first.
+    Each pair is coded as ``mode index * base + k`` and a missing one as -1;
+    each key is read once from a table of the pairs.
+    """
+    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
+    counts = occupations[rows, cols]
+    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
+    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
+    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + counts
+    order = np.lexsort(code.T[::-1])
+    pairs = [[(m, k) for k in range(base)] for m in modes]
+    flat = [pairs[j][k] for j, k in zip(cols.tolist(), counts.tolist())]
+    bounds = start.tolist()
+    return order, [tuple(flat[bounds[i]:bounds[i + 1]]) for i in order.tolist()]
+
+
+def propagate(state: HybridState, inverse_matrix) -> Propagation:
     """Expand every term of ``state`` over the output modes, grouped by pattern.
 
-    Returns ``{Fock key: {atoms: amplitude}}``.  While expanding, an output
-    pattern is an int with one digit per output mode (in sorted :class:`Mode`
-    order) in base ``max photons + 1``; only the distinct patterns are
-    decoded at the end.
+    While expanding, an output pattern is an int with one digit per output
+    mode (in sorted :class:`Mode` order) in base ``max photons + 1``; the
+    distinct patterns are decoded together at the end.
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused, and it keeps their floating-point operations
@@ -311,7 +342,11 @@ def propagate(state: HybridState, inverse_matrix) -> dict[tuple, dict[str, compl
     magnitude falls below ``MERGE_TOL``, in dict insertion order; each
     output term is merged into zero, times ``prod sqrt(k!)`` in sorted-mode
     order, and merged into zero again; the input terms are summed into each
-    pattern in :meth:`HybridState.items` order.
+    pattern in :meth:`HybridState.items` order.  The last three steps run on
+    arrays, spelled as CPython's complex arithmetic in separate float
+    operations (numpy's own complex multiply may fuse them) and with ``abs``
+    as ``hypot``.  A term the reference drops adds zero here, so an
+    amplitude may be exactly 0 where the reference has none.
 
     Raises:
         DimensionMismatch: some mode's port lies outside ``1..dim``.
@@ -339,20 +374,41 @@ def propagate(state: HybridState, inverse_matrix) -> dict[tuple, dict[str, compl
     steps = {m: [(weights[Mode(k + 1, m.pol)], entries[m.port - 1][k]) for k in range(dim)]
              for _, mono, _ in inputs for m in mono}
 
-    patterns: dict[int, tuple[tuple, float]] = {}
-    table: dict[int, dict[str, complex]] = {}
+    dtype = np.int64 if base ** len(modes) <= 2 ** 63 else object  # wider keys stay ints
+    keys, coeffs, registers = [np.empty(0, dtype)], [np.empty(0, complex)], [np.empty(0, int)]
     for atoms, mono, coeff in inputs:
-        for key, c in _expand(coeff, [steps[m] for m in mono]).items():
-            pattern = patterns.get(key)
-            if pattern is None:
-                pattern = patterns[key] = _pattern(key, modes, base)
-            # the reference merges into zero before and after the factor
-            a = 0j + (0j + c) * pattern[1]
-            if abs(a) < MERGE_TOL:
-                continue
-            slot = table.setdefault(key, {})
-            slot[atoms] = slot.get(atoms, 0j) + a
-    return {patterns[key][0]: slot for key, slot in table.items()}
+        out = _expand(coeff, [steps[m] for m in mono])
+        keys.append(np.fromiter(out, dtype, len(out)))
+        coeffs.append(np.fromiter(out.values(), complex, len(out)))
+        registers.append(np.full(len(out), int("0" + atoms, 2)))
+    rest, pattern = np.unique(np.concatenate(keys), return_inverse=True)
+    sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(base)])
+    occupations = np.empty((len(rest), len(modes)), dtype=np.min_scalar_type(base - 1))
+    fact = np.ones(len(rest))
+    for i in range(len(modes)):  # sorted-mode order; the factor is 1.0 for k <= 1
+        occupations[:, i] = rest % base
+        rest = rest // base
+        fact = fact * sqrt_fact[occupations[:, i]]
+    # a = 0j + (0j + c) * fact: complex + complex adds the parts, and
+    # complex * float multiplies by complex(fact, 0.0)
+    c = np.concatenate(coeffs)
+    f = fact[pattern]
+    re, im = 0.0 + c.real, 0.0 + c.imag
+    re, im = 0.0 + (re * f - im * 0.0), 0.0 + (re * 0.0 + im * f)
+    dropped = np.hypot(re, im) < MERGE_TOL
+    re[dropped] = im[dropped] = 0.0
+
+    order, fock_keys = _decode(occupations, modes, base)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    n = state.n_atoms
+    cells, cell = np.unique(rank[pattern] << n | np.concatenate(registers), return_inverse=True)
+    amplitudes = np.empty(len(cells), complex)
+    # bincount adds each cell's terms in input order, starting from zero
+    amplitudes.real = np.bincount(cell, weights=re, minlength=len(cells))
+    amplitudes.imag = np.bincount(cell, weights=im, minlength=len(cells))
+    offsets = np.searchsorted(cells >> n, np.arange(len(order) + 1))
+    return Propagation(fock_keys, occupations[order], offsets, cells & (1 << n) - 1, amplitudes)
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

@@ -17,15 +17,18 @@ import numpy as np
 NORM_TOL = 1e-9
 TANGLE_TOL = 1e-6
 PURITY_TOL = 1e-9
+#: the labels of states no bipartition leaves product
+GENUINE_CLASSES = ("entangled", "W-class", "GHZ-class")
 #: states stacked per block of the batched classification walk
 _BLOCK_ROWS = 256
+_BITS3 = tuple("".join(t) for t in itertools.product("01", repeat=3))
 
 
 class QubitState:
     """Pure state of ``n_qubits`` qubits as a sparse bitstring-amplitude map.
 
-    The amplitudes must be normalized to within ``NORM_TOL``, unless
-    ``normalize`` asks for them to be rescaled.
+    The amplitudes must be finite and normalized to within ``NORM_TOL``,
+    unless ``normalize`` asks for them to be rescaled.
 
     The state stores its :func:`entanglement_class` after the first query;
     the label derives from the amplitudes alone, so concurrent first queries
@@ -40,8 +43,11 @@ class QubitState:
         for bits, a in amplitudes.items():
             if len(bits) != n_qubits or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad basis label {bits!r} for {n_qubits} qubits")
+            a = complex(a)
+            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                raise ValueError(f"amplitude {a!r} of {bits!r} is not finite")
             if abs(a) > 0:
-                amps[bits] = complex(a)
+                amps[bits] = a
         if normalize:
             norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
             if norm == 0:
@@ -49,11 +55,19 @@ class QubitState:
             amps = {b: a / norm for b, a in amps.items()}
         else:
             norm_sq = sum(abs(a) ** 2 for a in amps.values())
-            if abs(norm_sq - 1.0) > NORM_TOL:
+            if not abs(norm_sq - 1.0) <= NORM_TOL:
                 raise ValueError(f"state is not normalized (norm^2 = {norm_sq})")
         self.n_qubits = n_qubits
         self.amplitudes = amps
         self._label = None
+
+    @classmethod
+    def _trusted(cls, n_qubits: int, amplitudes: dict[str, complex],
+                 label: str | None = None) -> "QubitState":
+        """A state of amplitudes already checked and normalized, kept as given."""
+        state = cls.__new__(cls)
+        state.n_qubits, state.amplitudes, state._label = n_qubits, amplitudes, label
+        return state
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, n_qubits: int, **kw) -> "QubitState":
@@ -275,7 +289,7 @@ def is_product_state(state: QubitState) -> bool:
 
 def genuinely_entangled(state: QubitState) -> bool:
     """True when no bipartition of the qubits leaves the state product."""
-    return entanglement_class(state) in ("entangled", "W-class", "GHZ-class")
+    return entanglement_class(state) in GENUINE_CLASSES
 
 
 def three_tangle(state: QubitState) -> float:
@@ -286,8 +300,11 @@ def three_tangle(state: QubitState) -> float:
     """
     if state.n_qubits != 3:
         raise ValueError("three_tangle needs exactly 3 qubits")
-    a = {bits: state.amplitudes.get(bits, 0j)
-         for bits in ("".join(t) for t in itertools.product("01", repeat=3))}
+    return _three_tangle({bits: state.amplitudes.get(bits, 0j) for bits in _BITS3})
+
+
+def _three_tangle(a: Mapping[str, complex]) -> float:
+    """:func:`three_tangle` of the amplitudes ``a`` of all eight 3-bit strings."""
     d1 = (a["000"] ** 2 * a["111"] ** 2 + a["001"] ** 2 * a["110"] ** 2
           + a["010"] ** 2 * a["101"] ** 2 + a["100"] ** 2 * a["011"] ** 2)
     d2 = (a["000"] * a["111"] * a["011"] * a["100"]
@@ -340,26 +357,47 @@ def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
         raise ValueError("states differ in qubit count")
     todo = [state for state in states if state._label is None]
     for start in range(0, len(todo), _BLOCK_ROWS):
-        _classify_block(todo[start:start + _BLOCK_ROWS])
+        block = todo[start:start + _BLOCK_ROWS]
+        for state, label in zip(block, _classify_block(np.stack([s.vector() for s in block]))):
+            state._label = label
     return [state._label for state in states]
 
 
-def _classify_block(block: Sequence[QubitState]) -> None:
-    """Label every state of ``block`` in one walk over the bipartitions.
+def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarray,
+                             amplitudes: np.ndarray) -> list[str]:
+    """Entanglement labels of the states stored as the rows of a CSR block.
+
+    Row ``i`` has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the basis
+    states ``atoms[...]`` (bitstrings as binary integers).  Each block of
+    rows is scattered into dense vectors and walked as
+    :func:`entanglement_classes` walks loose states.
+    """
+    labels: list[str] = []
+    for start in range(0, len(offsets) - 1, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(offsets) - 1)
+        lo, hi = offsets[start], offsets[stop]
+        vecs = np.zeros((stop - start, 2 ** n_qubits), dtype=complex)
+        row = np.repeat(np.arange(stop - start), np.diff(offsets[start:stop + 1]))
+        vecs[row, atoms[lo:hi]] = amplitudes[lo:hi]
+        labels += _classify_block(vecs)
+    return labels
+
+
+def _classify_block(vecs: np.ndarray) -> list[str]:
+    """Labels of the state vectors ``vecs`` (one per row) in one walk over the bipartitions.
 
     The walk tests the single-qubit cuts before the larger ones, each
     bipartition once, one cut at a time across the rows it has not yet
     settled; a row drops out at the first cut that settles its label.
     """
-    n = block[0].n_qubits
-    vecs = np.stack([state.vector() for state in block])
+    n = vecs.shape[1].bit_length() - 1
     basis = np.arange(2 ** n).reshape([2] * n)  # basis index by qubit values
     cuts = (cut for size in range(1, n // 2 + 1)
             for cut in itertools.combinations(range(n), size)
             if 2 * size < n or cut[0] == 0)  # a half-size cut once, not its complement
     # "product" is also the label of one qubit, which has no cut
-    labels = np.full(len(block), "product", dtype=object)
-    live = np.arange(len(block))  # rows whose label is not settled yet
+    labels = np.full(len(vecs), "product", dtype=object)
+    live = np.arange(len(vecs))  # rows whose label is not settled yet
     for i, cut in enumerate(cuts):
         if len(cut) > 1:
             live = live[labels[live] != "product"]  # every qubit of those is pure
@@ -376,7 +414,8 @@ def _classify_block(block: Sequence[QubitState]) -> None:
             settled = pure != (labels[live] == "product")
             labels[live[settled]] = "biseparable"
             live = live[~settled]
-    for state, label in zip(block, labels):
-        if label == "entangled" and n == 3:
-            label = "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
-        state._label = label
+    if n == 3:
+        for r in np.flatnonzero(labels == "entangled"):
+            tangle = _three_tangle(dict(zip(_BITS3, vecs[r].tolist())))
+            labels[r] = "GHZ-class" if tangle > TANGLE_TOL else "W-class"
+    return labels.tolist()

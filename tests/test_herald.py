@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import struct
@@ -21,7 +22,8 @@ from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, qua
 from entnet.photonics import (CapacityError, DimensionMismatch, FockState, HybridState,
                               Mode, apply_mode_transform, expand_to_fock,
                               fock_to_polynomial)
-from entnet.states import QubitState, dicke_state, fidelity, is_product_state
+from entnet.states import (QubitState, dicke_state, entanglement_classes, fidelity,
+                           is_product_state)
 
 S2 = math.sqrt(2)
 EPS = sys.float_info.epsilon
@@ -171,6 +173,12 @@ def test_run_gbsa_is_bit_identical_to_the_polynomial_reference(name):
         assert_matches_reference(run_gbsa(state, u), state, u)
 
 
+def test_pattern_keys_wider_than_int64_match_the_reference():
+    # 3 photons on 32 output modes: patterns are base-4 ints of 64 bits
+    state, u = prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4)
+    assert_matches_reference(run_gbsa(state, u), state, u)
+
+
 def _haar_unitary(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
@@ -301,19 +309,26 @@ def test_accepts_counts_clicks_read_from_the_pattern(model, distinct, accepted):
         assert kept == accepted[m - 1]
 
 
+def _count_walked_rows(monkeypatch):
+    """Record the number of rows each table walk labels."""
+    walks = []
+    walk = entnet.herald.entanglement_classes_csr
+    monkeypatch.setattr(entnet.herald, "entanglement_classes_csr",
+                        lambda n, offsets, *cols: walks.append(len(offsets) - 1)
+                        or walk(n, offsets, *cols))
+    return walks
+
+
 def test_aggregates_reuse_row_classes(monkeypatch):
     rows = run_gbsa(prepare_swap_input(4), quarter())
-    builds = []
-    vector = QubitState.vector
-    monkeypatch.setattr(QubitState, "vector",
-                        lambda self: builds.append(self) or vector(self))
+    walks = _count_walked_rows(monkeypatch)
     for row in rows:
         row.state_class()
-    assert len(builds) == len(rows)  # one state vector per row, however many cuts
-    builds.clear()
+    assert sum(walks) == len(rows)  # each row enters the walk once
+    walks.clear()
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
     nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
-    assert builds == []
+    assert sum(walks) == 0
     assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
 
 
@@ -339,16 +354,64 @@ def test_default_aggregate_labels_only_accepted_rows():
 ], ids=["swap", "eraser"])
 def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table):
     rows = table()
-    walks = []
-    classes = entnet.herald.entanglement_classes
-    monkeypatch.setattr(entnet.herald, "entanglement_classes",
-                        lambda states: walks.append(len(states)) or classes(states))
+    walks = _count_walked_rows(monkeypatch)
     first = rows[len(rows) // 2].state_class()
     assert walks == [len(rows)]
     assert all(row.state._label is not None for row in rows)
     labels = [row.state_class() for row in rows]
     assert walks == [len(rows)]
     assert labels[len(rows) // 2] == first
+
+
+def test_nan_multiport_is_refused_before_any_table():
+    with pytest.raises(ValueError, match="not unitary"):
+        run_gbsa(prepare_swap_input(2), MultiportMatrix(2, [[math.nan, 0], [0, 1]]))
+
+
+def test_table_norm_check_refuses_a_nan_amplitude(monkeypatch):
+    real = entnet.herald.propagate
+
+    def poisoned(state, inv):
+        out = real(state, inv)
+        out.amplitudes[0] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(entnet.herald, "propagate", poisoned)
+    with pytest.raises(ValueError, match="cannot be normalized"):
+        run_gbsa(prepare_swap_input(2), beam_splitter())
+
+
+def _assert_labels_match_loose_walk(rows):
+    loose = [QubitState(row.state.n_qubits, row.state.amplitudes) for row in rows]
+    assert [row.state_class() for row in rows] == entanglement_classes(loose)
+
+
+def test_table_labels_match_the_loose_walk_on_the_eight_node_herald(eraser_8):
+    p, _ = eraser_8
+    heralded = wpe_herald(wpe_state(8, p), symmetric_multiport(3), 3)
+    assert len(heralded) == 2128
+    _assert_labels_match_loose_walk(heralded)
+
+
+def test_table_labels_match_the_loose_walk_across_blocks():
+    rows = subnetwork_swap(5, symmetric_multiport(3))
+    assert len(rows) == 15056  # 59 blocks of 256 rows, the last one partial
+    _assert_labels_match_loose_walk(rows)
+
+
+def test_hand_built_row_is_a_table_of_its_own(monkeypatch):
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    row = rows[len(rows) // 2]
+    copy = dataclasses.replace(row, probability=0.25)
+    assert (copy.pattern, copy.state, copy.probability) == (row.pattern, row.state, 0.25)
+    assert (copy.n_photons, copy.n_detectors, copy.max_per_detector, copy.dicke_fidelity) == \
+        (row.n_photons, row.n_detectors, row.max_per_detector, None)
+    walks = _count_walked_rows(monkeypatch)
+    assert copy.state_class() == entanglement_classes(
+        [QubitState(4, row.state.amplitudes)])[0]
+    assert walks == [1]
+    genuine = copy.state_class() not in ("product", "biseparable")
+    assert aggregate_heralding([copy], NUMBER_RESOLVED, HeraldRule(4)) == 0.25 * genuine
 
 
 def test_aggregate_tritter():
@@ -492,6 +555,13 @@ def test_wpe_state_sectors_are_collective_states():
         norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
         sector = QubitState(n, {b: a / norm for b, a in amps.items()})
         assert fidelity(sector, dicke_state(m, n)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wpe_fidelity_sim_checks_the_node_count_first():
+    with pytest.raises(ValueError, match="n_nodes must be in 1..8, got 0"):
+        wpe_fidelity_sim(0, 0.1, 1)
+    with pytest.raises(ValueError, match=r"need 1 <= m <= 3, got m=4"):
+        wpe_fidelity_sim(3, 0.1, 4)
 
 
 def test_wpe_state_guards():

@@ -59,6 +59,12 @@ def test_constructors_are_unitary_and_symmetric(builder):
     assert np.allclose(np.abs(u.entries) ** 2, 1.0 / u.dim, atol=1e-12)
 
 
+def test_nan_matrix_is_not_unitary():
+    # its residual is NaN, which no tolerance comparison accepts
+    with pytest.raises(ValueError, match="not unitary"):
+        MultiportMatrix(2, [[math.nan, 0], [0, 1]])
+
+
 def test_verify_symmetric_rejects_identity():
     eye = MultiportMatrix(2, np.eye(2), "id")
     assert not verify_symmetric(eye)

@@ -174,6 +174,16 @@ def test_hybrid_state_register_mismatch():
         HybridState(2, {("0", ()): 1.0})
 
 
+@pytest.mark.parametrize("atoms, amp, match", [
+    ("0x", 1.0, "not made of 0 and 1"),
+    ("01", math.nan, "not finite"),
+    ("01", complex(1, math.inf), "not finite"),
+])
+def test_hybrid_state_refuses_bad_terms(atoms, amp, match):
+    with pytest.raises(ValueError, match=match):
+        HybridState(2, {(atoms, ((H1, 1),)): amp})
+
+
 def test_projected_coincidence_amplitude_through_quarter():
     # four Bell pairs in, project on one photon at each H detector: the
     # overlap with the all-ground atomic term has weight exactly 1/64

@@ -37,6 +37,15 @@ def test_normalization_checks():
         QubitState(2, {"012": 1.0})
 
 
+@pytest.mark.parametrize("amps", [{"00": math.nan, "11": 1.0},
+                                  {"00": complex(0, math.nan)},
+                                  {"01": math.inf}])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_non_finite_amplitudes_are_refused(amps, normalize):
+    with pytest.raises(ValueError, match="not finite"):
+        QubitState(2, amps, normalize=normalize)
+
+
 def test_ghz_index_validation():
     with pytest.raises(ValueError):
         GhzIndex(4, "+", 3)  # needs leading-zero binary label
