@@ -25,7 +25,8 @@ from .photonics import FockState, HybridState, Mode, propagate
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
 from .states import genuinely_entangled  # noqa: F401
-from .states import GENUINE_CLASSES, NORM_TOL, QubitState, entanglement_classes_csr
+from .bipartitions import _gather, entanglement_classes_csr
+from .states import GENUINE_CLASSES, NORM_TOL, QubitState
 
 #: pattern amplitudes below this are treated as exactly suppressed
 SUPPRESSION_TOL = 1e-12
@@ -66,14 +67,6 @@ class HeraldRule:
     def __post_init__(self):
         if self.required_clicks < 1:
             raise ValueError("required_clicks must be >= 1")
-
-
-def _gather(offsets: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets of the CSR rows ``rows`` stacked in that order, and their entry indices."""
-    rows = np.asarray(rows, dtype=int)
-    sizes = offsets[rows + 1] - offsets[rows]
-    stacked = np.concatenate(([0], np.cumsum(sizes)))
-    return stacked, np.repeat(offsets[rows] - stacked[:-1], sizes) + np.arange(stacked[-1])
 
 
 class DetectionTable:
@@ -128,9 +121,14 @@ class DetectionTable:
         todo = [i for i in rows if self.labels[i] is None]
         if not todo:
             return
-        offsets, entries = _gather(self.offsets, todo)
-        walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
-                                          self.amplitudes[entries])
+        if len(todo) == len(self.keys):  # every row: walk the block itself
+            todo = range(len(self.keys))
+            walked = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
+                                              self.amplitudes)
+        else:
+            offsets, entries = _gather(self.offsets, todo)
+            walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
+                                              self.amplitudes[entries])
         for i, label in zip(todo, walked):
             self.labels[i] = label
             if self._states[i] is not None:

@@ -3,6 +3,10 @@
 Bitstring convention: the leftmost character is qubit 1 (the first tensor
 factor).  Ground/horizontal maps to ``0`` and excited/vertical to ``1``
 throughout.
+
+Entanglement labels come from the one bipartition walk of
+:mod:`entnet.bipartitions`, whose :func:`entanglement_classes` and
+:func:`entanglement_classes_csr` this module re-exports.
 """
 
 from __future__ import annotations
@@ -14,14 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# PURITY_TOL, TANGLE_TOL and entanglement_classes_csr stay importable from here
+from .bipartitions import (_BITS3, PURITY_TOL, TANGLE_TOL, _three_tangle,  # noqa: F401
+                           entanglement_classes, entanglement_classes_csr)
+
 NORM_TOL = 1e-9
-TANGLE_TOL = 1e-6
-PURITY_TOL = 1e-9
 #: the labels of states no bipartition leaves product
 GENUINE_CLASSES = ("entangled", "W-class", "GHZ-class")
-#: states stacked per block of the batched classification walk
-_BLOCK_ROWS = 256
-_BITS3 = tuple("".join(t) for t in itertools.product("01", repeat=3))
 
 
 class QubitState:
@@ -303,21 +306,6 @@ def three_tangle(state: QubitState) -> float:
     return _three_tangle({bits: state.amplitudes.get(bits, 0j) for bits in _BITS3})
 
 
-def _three_tangle(a: Mapping[str, complex]) -> float:
-    """:func:`three_tangle` of the amplitudes ``a`` of all eight 3-bit strings."""
-    d1 = (a["000"] ** 2 * a["111"] ** 2 + a["001"] ** 2 * a["110"] ** 2
-          + a["010"] ** 2 * a["101"] ** 2 + a["100"] ** 2 * a["011"] ** 2)
-    d2 = (a["000"] * a["111"] * a["011"] * a["100"]
-          + a["000"] * a["111"] * a["101"] * a["010"]
-          + a["000"] * a["111"] * a["110"] * a["001"]
-          + a["011"] * a["100"] * a["101"] * a["010"]
-          + a["011"] * a["100"] * a["110"] * a["001"]
-          + a["101"] * a["010"] * a["110"] * a["001"])
-    d3 = (a["000"] * a["110"] * a["101"] * a["011"]
-          + a["111"] * a["001"] * a["010"] * a["100"])
-    return float(4 * abs(d1 - 2 * d2 + 4 * d3))
-
-
 def classify_three_qubit(state: QubitState) -> str:
     """Entanglement class of a pure 3-qubit state.
 
@@ -340,82 +328,3 @@ def entanglement_class(state: QubitState) -> str:
     the stored label, else ``entanglement_classes([state])[0]``.
     """
     return state._label or entanglement_classes([state])[0]
-
-
-def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
-    """Entanglement labels of same-size pure states, in order, each stored on its state.
-
-    States that already store a label keep it.  The others are classified
-    in blocks of a fixed number of rows, which bounds the walk's temporaries
-    whatever the number of states.  See :func:`entanglement_class` for the
-    labels.
-
-    Raises:
-        ValueError: the states differ in qubit count.
-    """
-    if len({state.n_qubits for state in states}) > 1:
-        raise ValueError("states differ in qubit count")
-    todo = [state for state in states if state._label is None]
-    for start in range(0, len(todo), _BLOCK_ROWS):
-        block = todo[start:start + _BLOCK_ROWS]
-        for state, label in zip(block, _classify_block(np.stack([s.vector() for s in block]))):
-            state._label = label
-    return [state._label for state in states]
-
-
-def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarray,
-                             amplitudes: np.ndarray) -> list[str]:
-    """Entanglement labels of the states stored as the rows of a CSR block.
-
-    Row ``i`` has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the basis
-    states ``atoms[...]`` (bitstrings as binary integers).  Each block of
-    rows is scattered into dense vectors and walked as
-    :func:`entanglement_classes` walks loose states.
-    """
-    labels: list[str] = []
-    for start in range(0, len(offsets) - 1, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(offsets) - 1)
-        lo, hi = offsets[start], offsets[stop]
-        vecs = np.zeros((stop - start, 2 ** n_qubits), dtype=complex)
-        row = np.repeat(np.arange(stop - start), np.diff(offsets[start:stop + 1]))
-        vecs[row, atoms[lo:hi]] = amplitudes[lo:hi]
-        labels += _classify_block(vecs)
-    return labels
-
-
-def _classify_block(vecs: np.ndarray) -> list[str]:
-    """Labels of the state vectors ``vecs`` (one per row) in one walk over the bipartitions.
-
-    The walk tests the single-qubit cuts before the larger ones, each
-    bipartition once, one cut at a time across the rows it has not yet
-    settled; a row drops out at the first cut that settles its label.
-    """
-    n = vecs.shape[1].bit_length() - 1
-    basis = np.arange(2 ** n).reshape([2] * n)  # basis index by qubit values
-    cuts = (cut for size in range(1, n // 2 + 1)
-            for cut in itertools.combinations(range(n), size)
-            if 2 * size < n or cut[0] == 0)  # a half-size cut once, not its complement
-    # "product" is also the label of one qubit, which has no cut
-    labels = np.full(len(vecs), "product", dtype=object)
-    live = np.arange(len(vecs))  # rows whose label is not settled yet
-    for i, cut in enumerate(cuts):
-        if len(cut) > 1:
-            live = live[labels[live] != "product"]  # every qubit of those is pure
-        if not live.size:
-            break
-        rest = [q for q in range(n) if q not in cut]
-        index = basis.transpose(list(cut) + rest).reshape(2 ** len(cut), -1)
-        m = vecs[live[:, None, None], index]
-        rho = m @ m.conj().transpose(0, 2, 1)
-        pure = np.einsum("rij,rij->r", rho, rho.conj()).real > 1 - PURITY_TOL
-        if i == 0:
-            labels[live[~pure]] = "entangled"
-        else:
-            settled = pure != (labels[live] == "product")
-            labels[live[settled]] = "biseparable"
-            live = live[~settled]
-    if n == 3:
-        for r in np.flatnonzero(labels == "entangled"):
-            tangle = _three_tangle(dict(zip(_BITS3, vecs[r].tolist())))
-            labels[r] = "GHZ-class" if tangle > TANGLE_TOL else "W-class"
-    return labels.tolist()

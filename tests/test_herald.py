@@ -3,6 +3,7 @@ import itertools
 import math
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, qua
 from entnet.photonics import (CapacityError, DimensionMismatch, FockState, HybridState,
                               Mode, apply_mode_transform, expand_to_fock,
                               fock_to_polynomial)
-from entnet.states import (QubitState, dicke_state, entanglement_classes, fidelity,
-                           is_product_state)
+from entnet.states import (PURITY_TOL, TANGLE_TOL, QubitState, dicke_state,
+                           entanglement_classes, fidelity, ghz_basis_state, is_product_state,
+                           reduced_purity, three_tangle)
 
 S2 = math.sqrt(2)
 EPS = sys.float_info.epsilon
@@ -386,17 +388,91 @@ def _assert_labels_match_loose_walk(rows):
     assert [row.state_class() for row in rows] == entanglement_classes(loose)
 
 
-def test_table_labels_match_the_loose_walk_on_the_eight_node_herald(eraser_8):
-    p, _ = eraser_8
-    heralded = wpe_herald(wpe_state(8, p), symmetric_multiport(3), 3)
+def test_table_labels_match_the_loose_walk_on_the_eight_node_herald(herald_8):
+    heralded = herald_8
     assert len(heralded) == 2128
     _assert_labels_match_loose_walk(heralded)
 
 
 def test_table_labels_match_the_loose_walk_across_blocks():
     rows = subnetwork_swap(5, symmetric_multiport(3))
-    assert len(rows) == 15056  # 59 blocks of 256 rows, the last one partial
+    assert len(rows) == 15056  # many dense blocks in each Hamming-weight sector
     _assert_labels_match_loose_walk(rows)
+
+
+def _reference_label(state):
+    """Label from ``reduced_purity`` on every bipartition, plus the 3-qubit tangle."""
+    n = state.n_qubits
+    bound = (1 - PURITY_TOL) * sum(abs(a) ** 2 for a in state.amplitudes.values()) ** 2
+    pure = [reduced_purity(state, cut) > bound
+            for size in range(1, n // 2 + 1) for cut in itertools.combinations(range(n), size)
+            if 2 * size < n or cut[0] == 0]  # each bipartition once
+    if all(pure[:n]):  # the single qubits come first (one of them for n = 2)
+        return "product"
+    if any(pure):
+        return "biseparable"
+    if n == 3:
+        return "GHZ-class" if three_tangle(state) > TANGLE_TOL else "W-class"
+    return "entangled"
+
+
+def _swap_tables_under_every_sign(n, u):
+    for signs in itertools.product((1, -1), repeat=n):
+        yield run_gbsa(prepare_swap_input(n, signs=list(signs)), u)
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: [subnetwork_swap(4, symmetric_multiport(3))],
+    lambda: _swap_tables_under_every_sign(3, tritter()),
+    lambda: _swap_tables_under_every_sign(4, quarter()),
+], ids=["sym2d-m4", "tritter", "quarter"])
+def test_table_labels_match_the_bipartition_reference(tables):
+    for rows in tables():
+        assert [row.state_class() for row in rows] == \
+            [_reference_label(row.state) for row in rows]
+
+
+def test_eight_node_labels_match_the_bipartition_reference(eraser_8, herald_8):
+    for table in (eraser_8[1], herald_8):
+        sample = table[::32]  # the first read labels the whole table
+        assert [row.state_class() for row in sample] == \
+            [_reference_label(row.state) for row in sample]
+
+
+def test_walks_build_no_dense_state_vectors(monkeypatch):
+    tables = [run_gbsa(prepare_swap_input(3), tritter()),
+              run_gbsa(prepare_swap_input(4), quarter()),
+              wpe_herald(wpe_state(5, 0.3), symmetric_multiport(3), 2)]
+    rng = np.random.default_rng(5)
+    mixed = [ghz_basis_state(1, "-", 4), QubitState.from_vector(
+        rng.normal(size=2 ** 4) + 1j * rng.normal(size=2 ** 4), 4, normalize=True)]
+    built = []
+    vector = QubitState.vector
+    monkeypatch.setattr(QubitState, "vector", lambda self: built.append(self) or vector(self))
+    for rows in tables:
+        rows[len(rows) // 2].state_class()
+        assert all(row.state._label is not None for row in rows)
+        entanglement_classes([QubitState(row.state.n_qubits, row.state.amplitudes)
+                              for row in rows])
+    entanglement_classes(mixed)
+    assert built == []
+
+
+def test_eight_qubit_walk_memory_does_not_grow_with_the_table(eraser_8):
+    states = [row.state for row in eraser_8[1]]
+    assert len(states) == 7270
+
+    def traced_peak(count):
+        fresh = [QubitState(s.n_qubits, s.amplitudes) for s in states[:count]]
+        tracemalloc.start()
+        try:
+            entanglement_classes(fresh)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(300)  # the first rows span every weight sector: build their cached plans
+    assert traced_peak(len(states)) <= 2 * traced_peak(300)
 
 
 def test_hand_built_row_is_a_table_of_its_own(monkeypatch):
@@ -636,6 +712,12 @@ def eraser_8():
     """Full table of the 8-node eraser through the 8-port butterfly."""
     p = 0.2
     return p, run_gbsa(wpe_state(8, p), symmetric_multiport(3))
+
+
+@pytest.fixture(scope="module")
+def herald_8(eraser_8):
+    """The 3-click herald of the 8-node eraser through the 8-port butterfly."""
+    return wpe_herald(wpe_state(8, eraser_8[0]), symmetric_multiport(3), 3)
 
 
 def test_eight_node_eraser_table(eraser_8):

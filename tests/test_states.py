@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entnet.bipartitions
 from entnet.herald import subnetwork_swap
 from entnet.interferometers import symmetric_multiport
 from entnet.states import (PURITY_TOL, TANGLE_TOL, GhzIndex, QubitState, bell_state,
@@ -185,23 +186,38 @@ def _haar_state(rng, n_qubits):
     return QubitState.from_vector(vec / np.linalg.norm(vec), n_qubits)
 
 
+def _weight_state(rng, n_qubits, weight):
+    """Random complex amplitudes on every string of ``weight`` excitations."""
+    strings = [bits for bits in map("".join, itertools.product("01", repeat=n_qubits))
+               if bits.count("1") == weight]
+    amps = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+    return QubitState(n_qubits, dict(zip(strings, amps)), normalize=True)
+
+
+KINDS = ("haar", "product", "blocks", "dicke", "weight", "weights", "ghz", "w")
+
+
 @st.composite
-def qubit_states(draw, n=None):
+def qubit_states(draw, n=None, kinds=KINDS):
     """Haar-random, product, block-product, GHZ, W and phased Dicke states
-    of ``n`` qubits (drawn from 1..6 when None), with the qubits relabelled
-    by a random permutation."""
+    of ``n`` qubits (drawn from 1..6 when None), random states on the strings
+    of one Hamming weight and tensor products of such states, with the qubits
+    relabelled by a random permutation; ``kinds`` narrows the families."""
     if n is None:
         n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(("haar", "product", "blocks", "dicke")
-                                + (("ghz", "w") if n > 1 else ())))
+    kind = draw(st.sampled_from([k for k in kinds if n > 1 or k not in ("ghz", "w")]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "haar":
         state = _haar_state(rng, n)
-    elif kind in ("product", "blocks"):
+    elif kind == "weight":
+        state = _weight_state(rng, n, draw(st.integers(0, n)))
+    elif kind in ("product", "blocks", "weights"):
         sizes = []
         while sum(sizes) < n:
             sizes.append(1 if kind == "product" else draw(st.integers(1, n - sum(sizes))))
-        state = functools.reduce(QubitState.tensor, [_haar_state(rng, k) for k in sizes])
+        pieces = [_weight_state(rng, k, draw(st.integers(0, k))) if kind == "weights"
+                  else _haar_state(rng, k) for k in sizes]
+        state = functools.reduce(QubitState.tensor, pieces)
     elif kind == "ghz":
         state = ghz_basis_state(draw(st.integers(0, 2 ** (n - 1) - 1)),
                                 draw(st.sampled_from("+-")), n)
@@ -215,9 +231,13 @@ def qubit_states(draw, n=None):
 
 
 def _reference_class(state):
-    """Label from the purity of every bipartition, plus the 3-qubit tangle."""
+    """Label from the purity of every bipartition, plus the 3-qubit tangle.
+
+    A cut is pure when its purity exceeds ``1 - PURITY_TOL`` times the
+    purity ``||psi||^4`` of a product state of the same norm."""
     n = state.n_qubits
-    pure = {cut: reduced_purity(state, cut) > 1 - PURITY_TOL
+    bound = (1 - PURITY_TOL) * sum(abs(a) ** 2 for a in state.amplitudes.values()) ** 2
+    pure = {cut: reduced_purity(state, cut) > bound
             for size in range(1, n) for cut in itertools.combinations(range(n), size)}
     if n == 1 or all(pure[(q,)] for q in range(n)):
         return "product"
@@ -243,21 +263,29 @@ def test_entanglement_class_matches_every_bipartition(state, data):
         with pytest.raises(ValueError):
             classify_three_qubit(fresh())
 
-    # the batched walk: same-size states, some already labelled
+    # the batched walk: same-size states, some already labelled, spanning the
+    # sector of all strings and sectors of one Hamming weight
     n = state.n_qubits
-    batch = data.draw(st.lists(qubit_states(n), max_size=5))
+    batch = data.draw(st.permutations(
+        data.draw(st.lists(qubit_states(n), max_size=2))
+        + [data.draw(qubit_states(n, ("haar", "ghz"))),
+           data.draw(qubit_states(n, ("weight", "weights")))]))
     expects = [_reference_class(s) for s in batch]
     stored = data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch)))
     for s, want, keep in zip(batch, expects, stored):
         if keep:
             s._label = want
-    built = []
-    vector = QubitState.vector
+    built, walked = [], []
+    vector, walk = QubitState.vector, entnet.bipartitions.entanglement_classes_csr
     with mock.patch.object(QubitState, "vector",
-                           lambda self: built.append(self) or vector(self)):
+                           lambda self: built.append(self) or vector(self)), \
+            mock.patch.object(entnet.bipartitions, "entanglement_classes_csr",
+                              lambda k, offsets, *cols: walked.append(len(offsets) - 1)
+                              or walk(k, offsets, *cols)):
         assert entanglement_classes(batch) == expects
     assert [s._label for s in batch] == expects
-    assert [id(s) for s in built] == [id(s) for s, keep in zip(batch, stored) if not keep]
+    assert built == []  # no dense state vector
+    assert sum(walked) == stored.count(False)  # stored labels are not walked again
     other = data.draw(st.integers(1, 6).filter(lambda k: k != n))
     with pytest.raises(ValueError):
         entanglement_classes([fresh(), data.draw(qubit_states(other))])
@@ -277,6 +305,18 @@ def test_batched_walk_memory_does_not_grow_with_the_table():
             tracemalloc.stop()
 
     assert traced_peak(len(states)) <= 2 * traced_peak(300)
+
+
+@pytest.mark.parametrize("state, label", [
+    (QubitState(2, {"00": math.sqrt(1 - 9e-10)}), "product"),
+    (QubitState(3, {"000": math.sqrt(1 - 9e-10)}), "product"),
+    (QubitState(4, {"0000": math.sqrt(1 - 9e-10) / S2, "0011": math.sqrt(1 - 9e-10) / S2}),
+     "biseparable"),
+], ids=["2-qubit", "3-qubit", "qubits-times-bell-pair"])
+def test_purity_test_scales_with_the_norm(state, label):
+    # inside NORM_TOL of unit norm, and every cut's purity is ||psi||^4 < 1 - PURITY_TOL
+    assert entanglement_class(state) == label
+    assert _reference_class(state) == label
 
 
 def test_reduced_purity_input_guards():
