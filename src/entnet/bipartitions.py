@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +32,10 @@ TANGLE_TOL = 1e-6
 PURITY_TOL = 1e-9
 #: amplitudes per dense block of the walk (rows x sector size)
 _BLOCK_AMPS = 1024
-#: the walk sums the row pairs of blocks of up to this many
-#: rows, at (rows - 1) / 2 products per entry; it multiplies larger ones out,
-#: where numpy's cost per matrix product is spread over more entries
-_PAIR_ROWS = 6
+#: plans of up to this many qubits keep their steps once built (0.64 MB
+#: for every sector of 8 qubits); the steps of a larger one are built as the
+#: walk reaches them and dropped after, as a full plan grows as 4^n
+_KEPT_QUBITS = 8
 _BITS3 = tuple("".join(t) for t in itertools.product("01", repeat=3))
 #: the labels of the walk's codes
 _LABELS = np.array(["product", "biseparable", "entangled", "W-class", "GHZ-class"], dtype=object)
@@ -107,8 +107,11 @@ def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarr
     ``C(|A|, w_A) x C(|B|, w - w_A)`` matrix of the row's amplitudes on the
     block; a block with one row (or column) gives the square of its weight.
     A row with several weights has coordinates on all ``2^n`` strings, one
-    block per cut.  The rows of a sector are scattered into dense blocks of
-    at most ``_BLOCK_AMPS`` amplitudes (one row at least), which bounds the
+    block per cut.  A sector's blocks are built when the walk first
+    reaches their cuts, and kept for later walks up to ``_KEPT_QUBITS``
+    qubits, so rows that the single-qubit cuts settle build no more.  The
+    rows of a sector are scattered into dense blocks of at most
+    ``_BLOCK_AMPS`` amplitudes (one row at least), which bounds the
     temporaries whatever the number of rows.  A cut leaves a row product
     when its purity exceeds ``(1 - PURITY_TOL) ||psi||^4``; the single-qubit
     cuts come first, and a row leaves the walk once its label is settled.
@@ -124,7 +127,7 @@ def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarr
     sizes = np.bincount(sectors)
     ends = np.cumsum(sizes)
     for sector in np.flatnonzero(sizes).tolist():
-        plan = _sector_plan(n_qubits, sector - 1)
+        plan = _plan(n_qubits, sector - 1)
         step = max(1, _BLOCK_AMPS // len(plan.atoms))
         for first in range(ends[sector] - sizes[sector], ends[sector], step):
             last = min(first + step, ends[sector])
@@ -148,29 +151,15 @@ def _gather(offsets: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.nd
 class _Step(NamedTuple):
     """Cuts of one size that the walk tests together, as coordinates of a sector.
 
-    A block ``M`` of a cut adds ``||M M^+||_F^2`` to the cut's purity.  For
-    a block of at most ``_PAIR_ROWS`` rows that is the sum of its squared
-    row weights plus twice ``|<m_i, m_j>|^2`` over its pairs of rows
-    ``i < j``; a larger block is multiplied out.
+    ``blocks`` holds the cuts' blocks, one ``(cuts x blocks x rows x
+    columns)`` array per block shape.  A block ``M`` adds ``||M M^+||_F^2``
+    to its cut's purity: the sum of its squared row weights plus twice
+    ``|<m_i, m_j>|^2`` over its pairs of rows ``i < j``.
     """
 
     size: int  # qubits on each cut's side A
     cuts: int
-    #: the coordinates of the small blocks of each cut, row after row, and
-    #: the position where each of those rows starts
-    members: np.ndarray
-    starts: np.ndarray
-    #: coordinates of the rows i and j of the small blocks' pairs of rows,
-    #: (cuts x pairs x columns) each, one entry per number of columns
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    #: the large blocks, (cuts x blocks x rows x columns), one entry per shape
-    grams: list[np.ndarray]
-
-
-class _Sector(NamedTuple):
-    atoms: np.ndarray  # the sector's basis states, ascending
-    coords: np.ndarray  # each basis state's coordinate in the sector (-1 outside it)
-    steps: list[_Step]  # in walk order
+    blocks: list[np.ndarray]
 
 
 def _ones(values: np.ndarray, n_bits: int) -> np.ndarray:
@@ -183,93 +172,103 @@ def _config_bits(k: int) -> np.ndarray:
     return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
 
 
-def _step(size: int, blocks: list[np.ndarray]) -> _Step:
-    """The step of the cuts whose blocks are ``blocks``, each (cuts x rows x columns)."""
-    n_cuts = len(blocks[0])
-    small = [block for block in blocks if block.shape[1] <= _PAIR_ROWS]
-    rows = [block[:, i] for block in small for i in range(block.shape[1])]  # (cuts x columns)
-    ends = np.cumsum([0] + [row.shape[1] for row in rows])
-    members = np.concatenate([np.empty((n_cuts, 0), dtype=int)] + rows, axis=1)
-    starts = np.arange(n_cuts)[:, None] * ends[-1] + ends[:-1]
-    pairs, grams = {}, {}
-    for block in small:
-        i, j = np.triu_indices(block.shape[1], 1)
-        if len(i):
-            pairs.setdefault(block.shape[2], []).append((block[:, i], block[:, j]))
-    for block in blocks:
-        if block.shape[1] > _PAIR_ROWS:
-            grams.setdefault(block.shape, []).append(block)
-    return _Step(size, n_cuts, members.ravel(), starts.ravel(),
-                 [tuple(np.concatenate(side, axis=1) for side in zip(*group))
-                  for group in pairs.values()],
-                 [np.stack(group, axis=1) for group in grams.values()])
+def _sides(n_qubits: int) -> Iterator[list[tuple[int, ...]]]:
+    """Side A of each cut in walk order, ``n_qubits`` cuts at a time, each cut of one size.
+
+    The single qubits come first, then the larger sides in size order, each
+    bipartition once (a half-size side only when it holds qubit 0).
+    """
+    for size in range(1, n_qubits // 2 + 1):
+        sides = (side for side in itertools.combinations(range(n_qubits), size)
+                 if 2 * size < n_qubits or side[0] == 0)
+        while chunk := list(itertools.islice(sides, n_qubits)):
+            yield chunk
+
+
+class _Plan:
+    """The walk's cuts over the strings of ``weight`` excitations, or over all strings for -1.
+
+    Every cut of one size has the same blocks: one per weight ``w_A`` on
+    side A, or a single ``2^|A| x 2^|B|`` block over all strings, each
+    oriented with no more rows than columns.  A step is built when a walk
+    first reaches it, so a walk whose states settle early builds no more.
+    A plan that keeps its steps shares them with later walks, so nothing
+    writes to their arrays; one that does not drops each step after use.
+    """
+
+    def __init__(self, n_qubits: int, weight: int, keep: bool):
+        values = np.arange(2 ** n_qubits)
+        self.n_qubits, self.weight = n_qubits, weight
+        #: the sector's basis states, ascending, and each basis state's
+        #: coordinate in the sector (-1 outside it)
+        self.atoms = values if weight < 0 else np.flatnonzero(_ones(values, n_qubits) == weight)
+        self.coords = np.full(2 ** n_qubits, -1)
+        self.coords[self.atoms] = np.arange(len(self.atoms))
+        self._kept: dict[int, _Step] | None = {} if keep else None
+
+    def steps(self) -> Iterator[_Step]:
+        """The steps in walk order."""
+        for i, sides in enumerate(_sides(self.n_qubits)):
+            if self._kept is None:
+                yield self._step(sides)
+            else:  # concurrent first walks may each build an equal step
+                yield self._kept.get(i) or self._kept.setdefault(i, self._step(sides))
+
+    def _step(self, sides: list[tuple[int, ...]]) -> _Step:
+        n, size = self.n_qubits, len(sides[0])
+        rests = [[q for q in range(n) if q not in side] for side in sides]
+        # the basis state of each configuration of each cut's side A, and of its side B
+        spread = [_config_bits(qubits.shape[1]) @ (1 << (n - 1 - qubits)).T
+                  for qubits in (np.array(sides), np.array(rests))]
+        if self.weight < 0:
+            splits = [(slice(None), slice(None))]
+        else:
+            ones = [_ones(np.arange(2 ** k), k) for k in (size, n - size)]
+            splits = [(ones[0] == w, ones[1] == self.weight - w) for w in range(size + 1)
+                      if 0 <= self.weight - w <= n - size]
+        shapes: dict[tuple[int, ...], list[np.ndarray]] = {}
+        for on_a, on_b in splits:
+            block = self.coords[spread[0][on_a].T[:, :, None]
+                                + spread[1][on_b].T[:, None, :]]  # (cuts x rows x columns)
+            if block.shape[1] > block.shape[2]:
+                block = block.swapaxes(1, 2)
+            shapes.setdefault(block.shape, []).append(block)
+        return _Step(size, len(sides), [np.stack(group, axis=1) for group in shapes.values()])
 
 
 @functools.lru_cache(maxsize=None)
-def _sector_plan(n_qubits: int, weight: int) -> _Sector:
-    """The walk's cuts over the strings of ``weight`` excitations, or over all strings for -1.
+def _kept_plan(n_qubits: int, weight: int) -> _Plan:
+    return _Plan(n_qubits, weight, keep=True)
 
-    The cuts are the single qubits first, then the larger sides in size
-    order, each bipartition once (a half-size side only when it holds
-    qubit 0); the cuts of one size are tested at most ``n_qubits`` at a
-    time.  Every cut of one size has the same blocks: one per weight
-    ``w_A`` on side A, or a single ``2^|A| x 2^|B|`` block over all strings,
-    each oriented with no more rows than columns.  Plans are cached and
-    shared, so nothing writes to their arrays.
-    """
-    values = np.arange(2 ** n_qubits)
-    atoms = values if weight < 0 else np.flatnonzero(_ones(values, n_qubits) == weight)
-    coords = np.full(2 ** n_qubits, -1)
-    coords[atoms] = np.arange(len(atoms))
-    steps = []
-    for size in range(1, n_qubits // 2 + 1):
-        sides = np.array([side for side in itertools.combinations(range(n_qubits), size)
-                          if 2 * size < n_qubits or side[0] == 0])
-        rests = np.array([[q for q in range(n_qubits) if q not in side] for side in sides])
-        # the basis state of each configuration of each cut's side A, and of its side B
-        spread = [_config_bits(qubits.shape[1]) @ (1 << (n_qubits - 1 - qubits)).T
-                  for qubits in (sides, rests)]
-        if weight < 0:
-            splits = [(slice(None), slice(None))]
-        else:
-            ones = [_ones(np.arange(2 ** k), k) for k in (size, n_qubits - size)]
-            splits = [(ones[0] == w, ones[1] == weight - w) for w in range(size + 1)
-                      if 0 <= weight - w <= n_qubits - size]
-        for first in range(0, len(sides), n_qubits):
-            cut = slice(first, first + n_qubits)
-            blocks = []
-            for on_a, on_b in splits:
-                block = coords[spread[0][on_a, cut].T[:, :, None]
-                               + spread[1][on_b, cut].T[:, None, :]]  # (cuts x rows x columns)
-                blocks.append(block if block.shape[1] <= block.shape[2] else block.swapaxes(1, 2))
-            steps.append(_step(size, blocks))
-    return _Sector(atoms, coords, steps)
+
+def _plan(n_qubits: int, weight: int) -> _Plan:
+    """The plan of a sector, kept for later walks up to ``_KEPT_QUBITS`` qubits."""
+    if n_qubits <= _KEPT_QUBITS:
+        return _kept_plan(n_qubits, weight)
+    return _Plan(n_qubits, weight, keep=False)
 
 
 def _purities(step: _Step, vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``tr rho_A^2`` on each cut of ``step`` (rows) of each state of ``vecs`` (columns).
 
     ``vecs`` holds one state per column, on the coordinates of the step's
-    sector, and ``weights`` is ``|vecs|^2``.
+    sector, and ``weights`` is ``|vecs|^2``.  Only sums, no matrix product:
+    the walk makes no BLAS call, whose first use costs a quarter MB of
+    resident buffers.
     """
     purity = np.zeros((step.cuts, vecs.shape[1]))
-    if len(step.starts):
-        # sums, not a matmul with an indicator: the walk then makes no real
-        # BLAS call, whose first use costs a quarter MB of resident buffers
-        row_weights = np.add.reduceat(weights[step.members], step.starts)
-        purity += (row_weights.reshape(step.cuts, -1, vecs.shape[1]) ** 2).sum(axis=1)
-    conj = vecs.conj()
-    for left, right in step.pairs:
-        overlap = (vecs[left] * conj[right]).sum(axis=2)
-        purity += 2 * (overlap.real ** 2 + overlap.imag ** 2).sum(axis=1)
-    for index in step.grams:
-        m = np.moveaxis(vecs[index], -1, 0)
-        rho = m @ m.conj().swapaxes(3, 4)
-        purity += np.einsum("rcbij,rcbij->cr", rho, rho.conj()).real
+    for index in step.blocks:  # (cuts x blocks x rows x columns)
+        purity += (weights[index].sum(axis=3) ** 2).sum(axis=(1, 2))
+        if index.shape[2] > 1:
+            m = vecs[index]
+            conj = m.conj()
+            for d in range(1, index.shape[2]):  # the pairs of rows i and i + d
+                overlap = (m[:, :, d:] * conj[:, :, :-d]).sum(axis=3)
+                purity += 2 * (overlap.real ** 2 + overlap.imag ** 2).sum(axis=(1, 2))
     return purity
 
 
-def _walk_sector(n_qubits: int, plan: _Sector, vecs: np.ndarray) -> np.ndarray:
+def _walk_sector(n_qubits: int, plan: _Plan, vecs: np.ndarray) -> np.ndarray:
     """Label codes (into ``_LABELS``) of the states ``vecs``, one per column, on ``plan``'s sector.
 
     The walk tests the single-qubit cuts before the larger ones, each
@@ -283,7 +282,7 @@ def _walk_sector(n_qubits: int, plan: _Sector, vecs: np.ndarray) -> np.ndarray:
     # 0 = "product", also the label of one qubit, which has no cut
     codes = np.zeros(vecs.shape[1], dtype=np.int8)
     live = np.arange(vecs.shape[1])  # states whose label is not settled yet
-    for step in plan.steps:
+    for step in plan.steps():
         pure = (_purities(step, vecs[:, live], weights[:, live]) > bounds[live]).sum(axis=0)
         if step.size == 1:
             # 0 "product" if every qubit is pure, 1 "biseparable" if some are,

@@ -121,14 +121,9 @@ class DetectionTable:
         todo = [i for i in rows if self.labels[i] is None]
         if not todo:
             return
-        if len(todo) == len(self.keys):  # every row: walk the block itself
-            todo = range(len(self.keys))
-            walked = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
-                                              self.amplitudes)
-        else:
-            offsets, entries = _gather(self.offsets, todo)
-            walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
-                                              self.amplitudes[entries])
+        offsets, entries = _gather(self.offsets, todo)
+        walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
+                                          self.amplitudes[entries])
         for i, label in zip(todo, walked):
             self.labels[i] = label
             if self._states[i] is not None:

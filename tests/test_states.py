@@ -307,6 +307,25 @@ def test_batched_walk_memory_does_not_grow_with_the_table():
     assert traced_peak(len(states)) <= 2 * traced_peak(300)
 
 
+def test_walk_beyond_eight_qubits_builds_only_the_cuts_it_reaches():
+    rng = np.random.default_rng(12)
+    product = functools.reduce(QubitState.tensor, [_haar_state(rng, 1) for _ in range(12)])
+    tracemalloc.start()
+    try:
+        assert entanglement_class(product) == "product"
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the single-qubit cuts settle it; the index arrays of every cut over
+    # all 2^12 strings would take about 75 MB, and nothing stays behind
+    assert peak < 8e6
+    assert held < 1e6
+    # walks that reach the larger cuts, over all strings and over one weight
+    for state in (_haar_state(rng, 4).tensor(_weight_state(rng, 5, 2)),
+                  ghz_basis_state(3, "-", 9), _weight_state(rng, 9, 4)):
+        assert entanglement_class(state) == _reference_class(state)
+
+
 @pytest.mark.parametrize("state, label", [
     (QubitState(2, {"00": math.sqrt(1 - 9e-10)}), "product"),
     (QubitState(3, {"000": math.sqrt(1 - 9e-10)}), "product"),
