@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from entnet import analytics
 from entnet.analytics import (FidelityResult, SchemeParams, compare_4node,
                               em_false_herald, em_fidelity, em_success,
                               evaluate_formula, itinerant_fidelity_2,
+                              itinerant_depolarizing_strength,
                               itinerant_ghz_fidelity_formula,
                               itinerant_ghz_fidelity_sim, itinerant_success,
                               st_fidelity_2, st_n_node, st_rate_2, swap_rate,
@@ -98,10 +101,52 @@ def test_itinerant_sim_monotone_decreasing():
 
 
 @pytest.mark.parametrize("f_pa", [0.8, 0.9, 0.99])
-@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
 def test_itinerant_sim_matches_channel_expansion(n, f_pa):
     assert itinerant_ghz_fidelity_sim(n, f_pa) == pytest.approx(
         itinerant_ghz_fidelity_formula(n, f_pa), abs=1e-12)
+
+
+def _itinerant_density_by_kron(n_nodes, lam):
+    """The same circuit on 2^(n+1) matrices: CNOT unitaries and Pauli-sum channels."""
+    q = n_nodes + 1
+    eye = np.eye(2)
+    x = np.array([[0, 1], [1, 0]])
+    paulis = (eye, x, np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+    def on(ops):  # {qubit: operator}, identity elsewhere; the photon is qubit 0
+        return functools.reduce(np.kron, [ops.get(k, eye) for k in range(q)])
+
+    psi = np.zeros(2 ** q)
+    psi[0] = psi[2 ** n_nodes] = 1 / math.sqrt(2)  # |+>|0...0>
+    rho = np.outer(psi, psi).astype(complex)
+    for atom in range(1, q):
+        cnot = on({0: np.diag([1, 0])}) + on({0: np.diag([0, 1]), atom: x})
+        rho = cnot @ rho @ cnot.T
+        rho = (1 - lam) * rho + lam / 4 * sum(on({atom: p}) @ rho @ on({atom: p})
+                                              for p in paulis)
+    return rho
+
+
+@pytest.mark.parametrize("f_pa", [0.8, 0.95])
+@pytest.mark.parametrize("n", [2, 3])
+def test_itinerant_sim_state_matches_kron_construction(n, f_pa):
+    # the fidelity alone cannot see a CNOT applied on the wrong bra axis
+    lam = itinerant_depolarizing_strength(f_pa)
+    rho = analytics._itinerant_density(n, lam)
+    assert rho.shape == (2,) * (2 * n + 2)
+    np.testing.assert_allclose(rho.reshape(2 ** (n + 1), -1),
+                               _itinerant_density_by_kron(n, lam), rtol=0, atol=1e-14)
+
+
+def test_itinerant_sim_memory_at_the_cli_size():
+    tracemalloc.start()
+    try:
+        itinerant_ghz_fidelity_sim(8, 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20  # the 4 MiB tensor plus a flipped half and a trace
 
 
 def test_itinerant_sim_regression_point():
@@ -140,6 +185,11 @@ def test_em_fidelity():
     assert em_fidelity(2, 0.95, 1e-13, 1e-13) == pytest.approx(0.6)
     with pytest.raises(ZeroDivisionError):
         em_fidelity(2, 0.95, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="p_em"):
+            em_fidelity(2, 0.9, bad, 0.1)
+        with pytest.raises(ValueError, match="p_false"):
+            em_fidelity(2, 0.9, 0.1, bad)
 
 
 # -------------------------------------------------------------- which-path erasing
@@ -201,6 +251,9 @@ def test_compare_4node():
     assert cmp4.crossover_eta == pytest.approx(0.75593, abs=1e-4)
     zero = compare_4node(0.0, 1.0)
     assert zero.r_bell == 0.0 and zero.r_quad == 0.0
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="r_t"):
+            compare_4node(0.5, bad)
 
 
 def test_compare_crossover_balances_rates():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shlex
@@ -190,6 +191,13 @@ def test_compare_empty_grid(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("r_t", ["nan", "inf"])
+def test_compare_refuses_non_finite_trial_rate(capsys, r_t):
+    code, out, err = run_cli("compare", "--eta-grid", "0:1:5", "--r-t", r_t, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert f"r_t must be finite and nonnegative, got {r_t}" in err
+
+
 def test_analytics_list_and_eval(capsys):
     code, out, _ = run_cli("analytics", "--list", capsys=capsys)
     assert code == 0
@@ -323,3 +331,24 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, line):
     argv = shlex.split(line, comments=True)[1:]
     want = 4 if argv == ["swap-table", "--n", "3", "--golden"] else 0
     assert run_cli(*argv, capsys=capsys)[0] == want
+
+
+def _cli_session_record():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    return json.loads(path.read_text())["cli_session"]
+
+
+def _sha256(data):
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+# the benchmark's seven cli_session commands in-process, so a byte change fails here too
+@pytest.mark.parametrize("want", _cli_session_record(),
+                         ids=lambda want: " ".join(want["argv"]))
+def test_cli_session_matches_the_benchmark_record(tmp_path, capsys, want):
+    argv = [arg.format(work=tmp_path) for arg in want["argv"]]
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    data = Path(argv[argv.index("--output") + 1]).read_bytes() if "--output" in argv else None
+    assert code == want["exit"]
+    assert _sha256(out.encode()) == want["stdout_sha256"]
+    assert _sha256(data) == want["output_sha256"]
