@@ -22,6 +22,19 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
+def _comb(n_nodes: int, k: int) -> float:
+    """``C(n_nodes, k)`` as the float that ``int * float`` would convert it to.
+
+    Refused with ``ValueError`` when it is too large for a float; the
+    central ``C(n, n // 2)`` is from ``n = 1030`` on.
+    """
+    try:
+        return float(math.comb(n_nodes, k))
+    except OverflowError:
+        raise ValueError(f"n_nodes={n_nodes} is too large: C({n_nodes}, {k}) "
+                         "does not fit in a float") from None
+
+
 @dataclass(frozen=True)
 class SchemeParams:
     """Named efficiencies and probabilities consumed by the rate formulas."""
@@ -173,7 +186,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
     total = 0.0
     for s in range(n + 1):
         w = 1.0 if s == 0 else (2.0 ** -n if s == n else 2.0 ** -(s + 1))
-        total += math.comb(n, s) * lam ** s * (1 - lam) ** (n - s) * w
+        total += _comb(n, s) * lam ** s * (1 - lam) ** (n - s) * w
     return total
 
 
@@ -199,7 +212,7 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
         raise ValueError("need at least 1 detector")
     _check_unit("p_real", p_real)
     _check_unit("p_dark", p_dark)
-    return sum(math.comb(n_nodes, n) * p_real ** n * p_dark ** (n_nodes - n)
+    return sum(_comb(n_nodes, n) * p_real ** n * p_dark ** (n_nodes - n)
                for n in range(n_nodes))
 
 
@@ -219,7 +232,7 @@ def em_fidelity(n_nodes: int, f_ph: float, p_em: float, p_false: float) -> float
 # ---------------------------------------------------------------- which-path erasing
 
 def _binom_tail(n: int, m: int, p: float) -> float:
-    return sum(math.comb(n, k) * p ** k * (1 - p) ** (n - k)
+    return sum(_comb(n, k) * p ** k * (1 - p) ** (n - k)
                for k in range(m, n + 1))
 
 
@@ -236,7 +249,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    good = math.comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
+    good = _comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
     return good / _binom_tail(n_nodes, m, p)
 
 

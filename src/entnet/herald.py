@@ -4,9 +4,8 @@ Feeds atom-photon entangled inputs through a multiport, expands the exact
 output Fock statistics, and groups them into detection-pattern rows carrying
 the projected (normalized) atomic state and the pattern probability.  Each
 table is built as columns (:class:`DetectionTable`), and its rows are views
-of them.  Losses
-are never simulated here; detector efficiency enters only through the
-analytic rate factors in :mod:`entnet.analytics`.
+of them.  Losses are never simulated here; detector efficiency enters only
+through the analytic rate factors in :mod:`entnet.analytics`.
 """
 
 from __future__ import annotations
@@ -53,11 +52,11 @@ NUMBER_RESOLVED = DetectorModel("number_resolved")
 class HeraldRule:
     """Acceptance rule for heralding events.
 
-    ``entanglement_filter`` defaults to "the projected atomic state is
-    genuinely multipartite" (no bipartition leaves it product), which
-    reproduces the published analyser efficiencies; any predicate on a
-    :class:`ProjectionRow` may be substituted, e.g. one keeping every
-    non-product state.
+    ``entanglement_filter`` sees accepted rows only.  It defaults to "the
+    projected atomic state is genuinely multipartite" (no bipartition
+    leaves it product), which reproduces the published analyser
+    efficiencies; any predicate on a :class:`ProjectionRow` may be
+    substituted, e.g. one keeping every non-product state.
     """
 
     required_clicks: int
@@ -78,8 +77,9 @@ class DetectionTable:
     normalized projected amplitudes are one CSR block: row ``i`` has
     ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
     ``atoms[...]`` (bitstrings as binary integers, ascending).  ``labels``
-    holds each row's entanglement class once a walk has set it, and
-    ``dicke`` an eraser table's :func:`dicke_family_fidelity` column.
+    holds each row's entanglement class, for every row or for none: a walk
+    of the whole table sets them all at once.  ``dicke`` is an eraser
+    table's :func:`dicke_family_fidelity` column.
 
     A row's :class:`QubitState` is built from its CSR slice the first time
     it is read; it carries the row's label, now or when a walk sets it.
@@ -116,18 +116,16 @@ class DetectionTable:
                 self.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])), self.labels[i])
         return state
 
-    def classify(self, rows: Sequence[int]) -> None:
-        """Label the unlabelled rows among ``rows`` in one walk."""
-        todo = [i for i in rows if self.labels[i] is None]
-        if not todo:
-            return
-        offsets, entries = _gather(self.offsets, todo)
-        walked = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
-                                          self.amplitudes[entries])
-        for i, label in zip(todo, walked):
-            self.labels[i] = label
-            if self._states[i] is not None:
-                self._states[i]._label = label
+    def classify(self) -> None:
+        """Label every row in one walk of the table's own CSR block.
+
+        The states already built take their row's label too.
+        """
+        self.labels = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
+                                               self.amplitudes)
+        for state, label in zip(self._states, self.labels):
+            if state is not None:
+                state._label = label
 
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order."""
@@ -214,13 +212,13 @@ class ProjectionRow:
     def state_class(self) -> str:
         """Entanglement class of the projected state.
 
-        The first query on any row of a table classifies all its rows in
-        one batched walk and stores each label in the table; later queries
-        read the stored label.
+        The first query on any row of a table, an aggregate's included,
+        labels all its rows in one walk (:meth:`DetectionTable.classify`);
+        later queries read the stored label.
         """
         table = self._table
         if table.labels[self._index] is None:
-            table.classify(range(len(table.keys)))
+            table.classify()
         return table.labels[self._index]
 
     def __repr__(self) -> str:
@@ -291,8 +289,8 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
 
     Raises:
         CapacityError: the whole expansion is oversize.
-        DimensionMismatch: a photon sits on a port outside ``1..dim``.  Both
-            are raised before any term is expanded.
+        DimensionMismatch: a photon sits on a port that is not an integer in
+            ``1..dim``.  Both are raised before any term is expanded.
         ValueError: an amplitude is not finite, so a row cannot be normalized.
     """
     out = propagate(state, inverse(u))
@@ -370,20 +368,12 @@ def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,
                         rule: HeraldRule) -> float:
     """Total probability of accepted patterns whose state passes the filter.
 
-    Under the default filter the accepted rows of each table are classified
-    in one batched walk and their labels read from the table; a custom
-    filter sees only accepted rows.
+    One sum in row order.  The filter sees accepted rows only; the default
+    one reads :meth:`ProjectionRow.state_class`, so the first label it asks
+    for walks the row's whole table.
     """
-    accepted = [row for row in rows if _accepts(row, model, rule)]
-    if rule.entanglement_filter is not None:
-        return sum(row.probability for row in accepted if rule.entanglement_filter(row))
-    by_table: dict[DetectionTable, list[int]] = {}
-    for row in accepted:
-        by_table.setdefault(row._table, []).append(row._index)
-    for table, index in by_table.items():
-        table.classify(index)
-    return sum(row.probability for row in accepted
-               if row._table.labels[row._index] in GENUINE_CLASSES)
+    keep = rule.entanglement_filter or (lambda row: row.state_class() in GENUINE_CLASSES)
+    return sum(row.probability for row in rows if _accepts(row, model, rule) and keep(row))
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,
@@ -488,6 +478,9 @@ def wpe_rate_sim(n_nodes: int, p: float, m: int, eta_det: float = 1.0) -> float:
     """Brute-force heralding-rate factor ``eta^m P(>= m photons)``."""
     if not 0 <= eta_det <= 1:
         raise ValueError("eta_det must be in [0, 1]")
-    sectors = wpe_sector_probabilities(wpe_state(n_nodes, p))
+    state = wpe_state(n_nodes, p)
+    if not 1 <= m <= n_nodes:
+        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
+    sectors = wpe_sector_probabilities(state)
     tail = sum(prob for n, prob in sectors.items() if n >= m)
     return eta_det ** m * tail

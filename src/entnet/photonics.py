@@ -18,6 +18,7 @@ reference.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
@@ -36,12 +37,18 @@ class CapacityError(RuntimeError):
 
 
 class DimensionMismatch(ValueError):
-    """A mode refers to a port outside the interferometer."""
+    """A mode's port is not one of the interferometer's ports, the integers ``1..dim``."""
 
-    def __init__(self, port: int, dim: int):
+    def __init__(self, port, dim: int):
         self.port = port
         self.dim = dim
         super().__init__(f"mode on port {port} is outside ports 1..{dim} of the interferometer")
+
+
+def _check_port(port, dim: int) -> None:
+    """Refuse a port that is not an integer in ``1..dim`` (numpy integers are)."""
+    if not (isinstance(port, numbers.Integral) and 1 <= port <= dim):
+        raise DimensionMismatch(port, dim)
 
 
 class RegisterMismatch(ValueError):
@@ -240,15 +247,14 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
             (or any object with ``dim`` and ``entries``).
 
     Raises:
-        DimensionMismatch: some mode's port lies outside ``1..dim``.
+        DimensionMismatch: some mode's port is not an integer in ``1..dim``.
         CapacityError: the expansion would exceed the term budget.
     """
     dim = inverse_matrix.dim
     entries = inverse_matrix.entries
     for mono in poly.terms:
         for m in mono:
-            if not 1 <= m.port <= dim:
-                raise DimensionMismatch(m.port, dim)
+            _check_port(m.port, dim)
     check_capacity(poly.terms, dim)
     acc: dict[Monomial, complex] = {}
     for mono, coeff in poly.terms.items():
@@ -349,7 +355,7 @@ def propagate(state: HybridState, inverse_matrix) -> Propagation:
     amplitude may be exactly 0 where the reference has none.
 
     Raises:
-        DimensionMismatch: some mode's port lies outside ``1..dim``.
+        DimensionMismatch: some mode's port is not an integer in ``1..dim``.
         CapacityError: the whole expansion is oversize.  Both are raised
             before any term is expanded.
     """
@@ -358,8 +364,7 @@ def propagate(state: HybridState, inverse_matrix) -> Propagation:
     for atoms, fock, amp in state.items():
         fact = 1.0
         for m, k in fock.key:
-            if not 1 <= m.port <= dim:
-                raise DimensionMismatch(m.port, dim)
+            _check_port(m.port, dim)
             fact *= math.sqrt(math.factorial(k))
         coeff = 0j + complex(amp / fact)
         if abs(coeff) >= MERGE_TOL:

@@ -158,6 +158,17 @@ def test_wpe_zero_nodes_blames_the_node_count(capsys, argv):
     assert err == "error: need at least 1 node, got n_nodes=0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("wpe", "--n", "2000", "--m", "1", "--p", "0.5"),
+    ("analytics", "wpe-fidelity", "--m", "1", "--n", "2000", "--p", "0.5"),
+    ("analytics", "em-false-herald", "--n", "2000", "--p-real", "0.5", "--p-dark", "0.5"),
+])
+def test_closed_forms_refuse_a_binomial_past_float_range(capsys, argv):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n_nodes=2000 is too large: C(2000, ")
+
+
 def test_wpe_range_error(capsys):
     code, _, err = run_cli("wpe", "--n", "2", "--m", "1", "--p", "1.5", capsys=capsys)
     assert code == 2

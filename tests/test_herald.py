@@ -94,12 +94,12 @@ def test_swap_capacity_refused_before_any_expansion(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("port", [0, 5])
+@pytest.mark.parametrize("port", [0, 5, 1.5, 2.0])
 def test_run_gbsa_refuses_ports_outside_the_multiport(monkeypatch, port):
     calls = _count_expansions(monkeypatch)
     state = HybridState(2, {  # the valid "00" term sorts first
         ("00", FockState({Mode(1, "H"): 1, Mode(2, "H"): 1}).key): 1 / S2,
-        ("11", FockState({Mode(2, "V"): 1, Mode(port, "V"): 1}).key): 1 / S2})
+        ("11", FockState({Mode(3, "V"): 1, Mode(port, "V"): 1}).key): 1 / S2})
     with pytest.raises(DimensionMismatch, match=f"port {port} is outside ports 1..4"):
         run_gbsa(state, quarter())
     assert calls == []
@@ -341,13 +341,15 @@ def test_tables_are_returned_unlabelled():
     assert all(row.state._label is None for row in rows + kept)
 
 
-def test_default_aggregate_labels_only_accepted_rows():
+def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monkeypatch):
     rows = run_gbsa(prepare_swap_input(4), quarter())
+    walks = _count_walked_rows(monkeypatch)
     rule = HeraldRule(4, distinct_detectors_only=True)
-    aggregate_heralding(rows, THRESHOLD, rule)
+    assert aggregate_heralding(rows, THRESHOLD, rule) == pytest.approx(7 / 32, abs=1e-9)
     accepted = [row for row in rows if entnet.herald._accepts(row, THRESHOLD, rule)]
-    assert 0 < len(accepted) < len(rows)
-    assert [row for row in rows if row.state._label is not None] == accepted
+    assert 0 < len(accepted) < len(rows) == 258
+    assert walks == [258]
+    assert all(row.state._label is not None for row in rows)
 
 
 @pytest.mark.parametrize("table", [
@@ -634,10 +636,12 @@ def test_wpe_state_sectors_are_collective_states():
 
 
 def test_wpe_fidelity_sim_checks_the_node_count_first():
-    with pytest.raises(ValueError, match="n_nodes must be in 1..8, got 0"):
-        wpe_fidelity_sim(0, 0.1, 1)
-    with pytest.raises(ValueError, match=r"need 1 <= m <= 3, got m=4"):
-        wpe_fidelity_sim(3, 0.1, 4)
+    for sim in (wpe_fidelity_sim, wpe_rate_sim):
+        with pytest.raises(ValueError, match="n_nodes must be in 1..8, got 0"):
+            sim(0, 0.1, 1)
+        for m in (-1, 0, 4, 9):
+            with pytest.raises(ValueError, match=rf"need 1 <= m <= 3, got m={m}"):
+                sim(3, 0.1, m)
 
 
 def test_wpe_state_guards():

@@ -71,6 +71,18 @@ def test_dimension_mismatch_below_first_port(port):
     assert err.value.port == port
 
 
+@pytest.mark.parametrize("port", [1.5, 2.0])
+def test_dimension_mismatch_non_integer_port(port):
+    with pytest.raises(DimensionMismatch) as err:
+        apply_mode_transform(poly_of((1.0, [Mode(port, "H")])), BS_INV)
+    assert err.value.port == port
+
+
+def test_numpy_integer_ports_are_ports():
+    numpy_port = apply_mode_transform(poly_of((1.0, [Mode(np.int64(2), "H")])), BS_INV)
+    assert numpy_port == apply_mode_transform(poly_of((1.0, [H2])), BS_INV)
+
+
 def test_capacity_guard_trips_before_expanding():
     big = inverse(symmetric_multiport(5))  # 32 ports
     crowded = poly_of((1.0, [Mode(1, "H")] * 8))  # C(39, 8) > 10^7 output terms

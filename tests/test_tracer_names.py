@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import entnet.cli
 import entnet.herald
 from entnet.interferometers import beam_splitter
 
@@ -32,3 +33,26 @@ def test_tracer_instruments_and_restores_every_name():
         tracer.restore()
     assert [getattr(owner, attr) for owner, attr in targets] == originals
     assert {name for _, _, name, _, _ in tracer.spans} >= {"herald.prepare", "herald.assemble"}
+
+
+def test_cli_table_walk_is_booked_inside_state_class(monkeypatch, tmp_path):
+    """A CLI swap table is labelled in one walk, under the ``states.classify`` span."""
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    walk = entnet.herald.entanglement_classes_csr
+    booked = []
+
+    def innermost_span(*args):
+        # spans close last-in first-out, so the last one still open is the innermost
+        booked.append(next((name for _, _, name, _, end in reversed(tracer.spans)
+                            if end is None), None))
+        return walk(*args)
+
+    monkeypatch.setattr(entnet.herald, "entanglement_classes_csr", innermost_span)
+    tracing.instrument(tracer)
+    try:
+        assert entnet.cli.main(["swap-table", "--n", "4", "--output",
+                                str(tmp_path / "table.csv")]) == 0
+    finally:
+        tracer.restore()
+    assert booked == ["states.classify"]
