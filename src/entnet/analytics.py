@@ -8,6 +8,7 @@ absolute.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -241,7 +242,9 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
 
     ``C(N, m) p^m (1-p)^(N-m)`` over the probability of emitting at least
     ``m`` photons: emissions beyond ``m`` survive threshold heralding via
-    photon loss and contribute orthogonal excitation sectors.
+    photon loss and contribute orthogonal excitation sectors.  When either
+    underflows, the fidelity is one over the sum of the terms' ratios to the
+    ``m``-term, ``C(N, k) / C(N, m) (p / (1 - p))^(k - m)``.
     """
     if n_nodes < 1:
         raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
@@ -250,7 +253,14 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
     good = _comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
-    return good / _binom_tail(n_nodes, m, p)
+    tail = _binom_tail(n_nodes, m, p)
+    if min(good, tail) < sys.float_info.min:
+        odds, ratio, total = p / (1 - p), 1.0, 1.0
+        for k in range(m, n_nodes):
+            ratio *= (n_nodes - k) / (k + 1) * odds
+            total += ratio
+        return 1 / total
+    return good / tail
 
 
 def wpe_rate(m: int, n_nodes: int, p: float, eta_det: float = 1.0) -> FidelityResult:

@@ -189,10 +189,13 @@ def cmd_wpe(args) -> int:
     if args.simulate:
         if args.n > 8:
             return _fail("--simulate supports up to 8 nodes")
-        dev_f = dev_r = 0.0
-        for pt in points:
-            dev_f = max(dev_f, abs(pt.fidelity - herald.wpe_fidelity_sim(args.n, pt.p, pt.m)))
-            dev_r = max(dev_r, abs(pt.rate - herald.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)))
+        try:
+            sims = [(herald.wpe_fidelity_sim(args.n, pt.p, pt.m),
+                     herald.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]
+        except ValueError as exc:
+            return _fail(str(exc))
+        dev_f = max(abs(pt.fidelity - f) for pt, (f, _) in zip(points, sims))
+        dev_r = max(abs(pt.rate - r) for pt, (_, r) in zip(points, sims))
         print(f"max |analytic - simulated| fidelity: {tables.fmt(dev_f)}")
         print(f"max |analytic - simulated| rate:     {tables.fmt(dev_r)}")
     doc = {"n_nodes": args.n, "eta_det": args.eta,

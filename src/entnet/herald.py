@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,9 +27,6 @@ from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
 from .states import genuinely_entangled  # noqa: F401
 from .bipartitions import _gather, entanglement_classes_csr
 from .states import GENUINE_CLASSES, NORM_TOL, QubitState
-
-#: pattern amplitudes below this are treated as exactly suppressed
-SUPPRESSION_TOL = 1e-12
 
 DetectionPattern = FockState
 
@@ -71,8 +69,9 @@ class HeraldRule:
 class DetectionTable:
     """The columns of one detection table, one entry per row.
 
-    ``keys`` are the rows' Fock keys in canonical order and
-    ``probabilities`` their float probabilities; ``n_detectors``,
+    Row ``i``'s pattern has ``occupations[i, j]`` photons in output mode
+    ``modes[j]``, rows in canonical (Fock key) order; a key is built when read.
+    ``probabilities`` are the rows' float probabilities; ``n_detectors``,
     ``n_photons`` and ``max_per_detector`` count each row's clicks.  The
     normalized projected amplitudes are one CSR block: row ``i`` has
     ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
@@ -85,22 +84,24 @@ class DetectionTable:
     it is read; it carries the row's label, now or when a walk sets it.
     """
 
-    def __init__(self, n_atoms: int, keys: list[tuple], probabilities: list[float],
-                 counts: tuple[list[int], list[int], list[int]], offsets: np.ndarray,
-                 atoms: np.ndarray, amplitudes: np.ndarray, labels: list | None = None):
+    def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
+                 probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
+                 amplitudes: np.ndarray, labels: list | None = None):
         self.n_atoms = n_atoms
-        self.keys = keys
+        self.modes, self.occupations = modes, occupations
         self.probabilities = probabilities
-        self.n_detectors, self.n_photons, self.max_per_detector = counts
+        self.n_detectors = (occupations > 0).sum(axis=1).tolist()
+        self.n_photons = occupations.sum(axis=1).tolist()
+        self.max_per_detector = occupations.max(axis=1, initial=0).tolist()
         self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
-        self.labels = labels or [None] * len(keys)
+        self.labels = labels or [None] * len(probabilities)
         self.dicke: list[float] | None = None
-        self._states: list[QubitState | None] = [None] * len(keys)
+        self._states: list[QubitState | None] = [None] * len(probabilities)
         self._entries = None  # the CSR block as Python lists, made for the first state
 
     def rows(self) -> list["ProjectionRow"]:
         view = ProjectionRow._view
-        return [view(self, i) for i in range(len(self.keys))]
+        return [view(self, i) for i in range(len(self.probabilities))]
 
     def state(self, i: int) -> QubitState:
         state = self._states[i]
@@ -130,14 +131,10 @@ class DetectionTable:
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order."""
         offsets, entries = _gather(self.offsets, rows)
-
-        def pick(column: list) -> list:
-            return [column[i] for i in rows]
-
         return DetectionTable(
-            self.n_atoms, pick(self.keys), pick(self.probabilities),
-            (pick(self.n_detectors), pick(self.n_photons), pick(self.max_per_detector)),
-            offsets, self.atoms[entries], self.amplitudes[entries], pick(self.labels))
+            self.n_atoms, self.modes, self.occupations[rows],
+            [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
+            self.amplitudes[entries], [self.labels[i] for i in rows])
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -163,11 +160,10 @@ class ProjectionRow:
 
     def __init__(self, pattern: DetectionPattern, state: QubitState, probability: float,
                  dicke_fidelity: float | None = None):
-        counts = [k for _, k in pattern.key]
         bits, amps = zip(*sorted(state.amplitudes.items()))
         table = DetectionTable(
-            state.n_qubits, [pattern.key], [probability],
-            ([len(counts)], [sum(counts)], [max(counts, default=0)]),
+            state.n_qubits, [m for m, _ in pattern.key],
+            np.array([[k for _, k in pattern.key]], dtype=int), [probability],
             np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
             np.array(amps, dtype=complex), [state._label])
         table._states[0] = state
@@ -182,7 +178,9 @@ class ProjectionRow:
 
     @property
     def pattern(self) -> DetectionPattern:
-        return FockState.from_key(self._table.keys[self._index])
+        table = self._table
+        counts = table.occupations[self._index].tolist()
+        return FockState.from_key([(m, k) for m, k in zip(table.modes, counts) if k])
 
     @property
     def state(self) -> QubitState:
@@ -264,28 +262,39 @@ def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
                            for sign, port in zip(signs, ports)])
 
 
+def _canonical_order(occupations: np.ndarray) -> np.ndarray:
+    """The order of the rows of ``occupations`` by their Fock keys.
+
+    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
+    so two keys compare by the first pair they differ in, a prefix first.
+    Each pair is coded as ``mode index * base + k`` and a missing one as -1.
+    """
+    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
+    base = int(occupations.max(initial=0)) + 1
+    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
+    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
+    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + occupations[rows, cols]
+    return np.lexsort(code.T[::-1])
+
+
 def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     """Propagate through ``u`` and enumerate every detection pattern.
 
     Returns one row per output Fock pattern (sorted canonically) with the
     normalized projected atomic state and the exact pattern probability; the
-    probabilities of a complete input sum to 1.  The expansion is
-    :func:`~entnet.photonics.propagate`, whose floating-point operations run
-    in the same order as the polynomial reference (``fock_to_polynomial``,
-    ``apply_mode_transform``, ``expand_to_fock``), so every probability and
-    amplitude is bit-identical to the table built from that reference.
-
-    The rows are views of one :class:`DetectionTable`, built as columns:
-    amplitudes below ``SUPPRESSION_TOL`` are dropped, each pattern's
-    probability is CPython's ``sum(abs(a) ** 2 ...)`` over the rest, and
-    the amplitudes are scaled by ``1 / sqrt(p)`` and checked to be
-    normalized, all rows at once.  The probabilities stay CPython floats
-    summed in row order, since numpy's ``x ** 2`` is ``x * x`` (it differs
-    from libm's ``pow`` on about 0.09% of values) and numpy sums pairwise;
-    ``abs`` is ``hypot``, which matches CPython where numpy's complex
-    ``abs`` does not.  The scaling is CPython's complex-times-float as
-    separate float operations, since numpy's complex multiply may fuse
-    them.  A row's state is built the first time it is read.
+    probabilities of a complete input sum to 1.  The rows are views of one
+    :class:`DetectionTable`, built in one pass over the nonzero cells of
+    :func:`~entnet.photonics.propagate`: one lexsort orders the patterns and
+    one stable argsort puts the cells into rows.  Every probability and
+    amplitude is bit-identical to the table built from the polynomial
+    reference (``fock_to_polynomial``, ``apply_mode_transform``,
+    ``expand_to_fock``).  So the probabilities are CPython floats,
+    ``sum(abs(a) ** 2 ...)`` in row order with ``abs`` as ``hypot``, since
+    numpy's ``x ** 2`` is ``x * x`` (it differs from libm's ``pow`` on about
+    0.09% of values) and numpy sums pairwise; the amplitudes are scaled by
+    ``1 / sqrt(p)`` as CPython's complex-times-float in separate float
+    operations, since numpy's complex multiply may fuse them, and checked
+    to be normalized, all rows at once.
 
     Raises:
         CapacityError: the whole expansion is oversize.
@@ -294,31 +303,24 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
         ValueError: an amplitude is not finite, so a row cannot be normalized.
     """
     out = propagate(state, inverse(u))
-    mag = np.hypot(out.amplitudes.real, out.amplitudes.imag)  # CPython's abs(complex)
-    kept = np.flatnonzero(~(mag < SUPPRESSION_TOL))  # a NaN stays, to fail the norm check
-    row = np.repeat(np.arange(len(out.keys)), np.diff(out.offsets))[kept]
-    bounds = np.searchsorted(row, np.arange(len(out.keys) + 1))  # kept entries per row
-    squares = [m ** 2 for m in mag[kept].tolist()]
-    probs = [sum(squares[a:b]) for a, b in itertools.pairwise(bounds.tolist())]
-    live = [i for i, prob in enumerate(probs) if not prob < SUPPRESSION_TOL ** 2]
-    probs = [probs[i] for i in live]
+    order = _canonical_order(out.occupations)
+    owner = np.argsort(order)[out.pattern]  # each cell's row
+    cells = np.argsort(owner, kind="stable")  # keeps each pattern's cells in register order
+    owner = owner[cells]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(order)))))
+    re, im = out.amplitudes.real[cells], out.amplitudes.imag[cells]
+    squares = [m ** 2 for m in np.hypot(re, im).tolist()]  # CPython's abs(complex)
+    probs = [sum(squares[a:b]) for a, b in itertools.pairwise(offsets.tolist())]
 
-    offsets, entries = _gather(bounds, live)
-    entries = kept[entries]
-    owner = np.repeat(np.arange(len(live)), np.diff(offsets))
     scale = (1 / np.sqrt(np.array(probs)))[owner]
-    re, im = out.amplitudes.real[entries], out.amplitudes.imag[entries]
-    amplitudes = np.empty(len(entries), complex)
+    amplitudes = np.empty(len(cells), complex)
     amplitudes.real = re * scale - im * 0.0
     amplitudes.imag = re * 0.0 + im * scale
-    norms = np.bincount(owner, weights=np.abs(amplitudes) ** 2, minlength=len(live))
+    norms = np.bincount(owner, weights=np.abs(amplitudes) ** 2, minlength=len(order))
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
-    occupations = out.occupations[live]
-    counts = ((occupations > 0).sum(axis=1).tolist(), occupations.sum(axis=1).tolist(),
-              occupations.max(axis=1, initial=0).tolist())
-    return DetectionTable(state.n_atoms, [out.keys[i] for i in live], probs, counts,
-                          offsets, out.atoms[entries], amplitudes).rows()
+    return DetectionTable(state.n_atoms, out.modes, out.occupations[order], probs,
+                          offsets, out.registers[cells], amplitudes).rows()
 
 
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
@@ -420,6 +422,8 @@ def dicke_family_fidelity(state: QubitState, m: int) -> float:
     by per-node phases, so this is the fidelity to the matching
     generalized collective state.
     """
+    if not 0 <= m <= state.n_qubits:
+        raise ValueError(f"need 0 <= m <= {state.n_qubits}, got m={m}")
     total = sum(abs(a) for bits, a in state.amplitudes.items()
                 if bits.count("1") == m)
     return total ** 2 / math.comb(state.n_qubits, m)
@@ -456,6 +460,15 @@ def wpe_sector_probabilities(state: HybridState) -> dict[int, float]:
     return probs
 
 
+def _wpe_tail(n_nodes: int, p: float, m: int) -> tuple[dict[int, float], float]:
+    """The eraser's photon-number weights, and the weight of at least ``m`` photons."""
+    state = wpe_state(n_nodes, p)
+    if not 1 <= m <= n_nodes:
+        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
+    sectors = wpe_sector_probabilities(state)
+    return sectors, sum(prob for n, prob in sectors.items() if n >= m)
+
+
 def wpe_fidelity_sim(n_nodes: int, p: float, m: int) -> float:
     """Brute-force heralded fidelity of the ``m``-excitation target.
 
@@ -463,24 +476,17 @@ def wpe_fidelity_sim(n_nodes: int, p: float, m: int) -> float:
     heralds once photons are lost, and their atomic states live in
     orthogonal excitation sectors, so the heralded fidelity is the
     ``m``-photon sector weight over the at-least-``m`` tail.  Both weights
-    are summed term by term from the expanded product state.
+    are summed term by term from the expanded product state; a tail that
+    underflows is refused with ``ValueError``.
     """
-    state = wpe_state(n_nodes, p)
-    if not 1 <= m <= n_nodes:
-        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
-    sectors = wpe_sector_probabilities(state)
-    good = sectors.get(m, 0.0)
-    tail = sum(prob for n, prob in sectors.items() if n >= m)
-    return good / tail
+    sectors, tail = _wpe_tail(n_nodes, p, m)
+    if tail < sys.float_info.min:
+        raise ValueError(f"the weight of {m} or more photons underflows to {tail!r} at p={p}")
+    return sectors.get(m, 0.0) / tail
 
 
 def wpe_rate_sim(n_nodes: int, p: float, m: int, eta_det: float = 1.0) -> float:
     """Brute-force heralding-rate factor ``eta^m P(>= m photons)``."""
     if not 0 <= eta_det <= 1:
         raise ValueError("eta_det must be in [0, 1]")
-    state = wpe_state(n_nodes, p)
-    if not 1 <= m <= n_nodes:
-        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
-    sectors = wpe_sector_probabilities(state)
-    tail = sum(prob for n, prob in sectors.items() if n >= m)
-    return eta_det ** m * tail
+    return eta_det ** m * _wpe_tail(n_nodes, p, m)[1]

@@ -9,8 +9,8 @@ during canonicalisation.  :func:`check_capacity` sizes an expansion from its
 input alone, so oversize ones are refused before any term is expanded.
 
 :func:`propagate` is the expansion that detection tables use: it keys output
-patterns by integer occupations, returns their amplitudes as arrays, and is
-bit-identical to the polynomial path (:func:`fock_to_polynomial`,
+patterns by integer occupations, returns their nonzero cells as arrays, and
+is bit-identical to the polynomial path (:func:`fock_to_polynomial`,
 :func:`apply_mode_transform`, :func:`expand_to_fock`), which stays as its
 reference.
 """
@@ -295,50 +295,30 @@ def _expand(coeff: complex, steps: list[list[tuple[int, complex]]]) -> dict[int,
     return partial
 
 
-class Propagation(NamedTuple):
-    """Output amplitudes of :func:`propagate`, one row per distinct output pattern.
+class Cells(NamedTuple):
+    """The nonzero cells of :func:`propagate`, one per (pattern, register) pair.
 
-    Rows are in canonical order, the order of their sorted Fock keys.  Row
-    ``i`` holds ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic
-    registers ``atoms[offsets[i]:offsets[i + 1]]``, each bitstring read as a
-    binary integer, ascending.
+    Pattern ``j`` has ``occupations[j, i]`` photons in output mode
+    ``modes[i]``, in no canonical order.  Cell ``c`` is ``amplitudes[c]`` on
+    pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as
+    a binary integer); cells are sorted by pattern, then by register.
     """
 
-    #: Fock key of each row
-    keys: list[tuple]
-    #: photons in each output mode (sorted :class:`Mode` order), one row per key
+    modes: list[Mode]  # sorted
     occupations: np.ndarray
-    offsets: np.ndarray
-    atoms: np.ndarray
+    pattern: np.ndarray
+    registers: np.ndarray
     amplitudes: np.ndarray
 
 
-def _decode(occupations: np.ndarray, modes: list[Mode], base: int) -> tuple[np.ndarray, list]:
-    """Canonical order of the rows of ``occupations``, and each row's Fock key in it.
-
-    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
-    so two keys compare by the first pair they differ in, a prefix first.
-    Each pair is coded as ``mode index * base + k`` and a missing one as -1;
-    each key is read once from a table of the pairs.
-    """
-    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
-    counts = occupations[rows, cols]
-    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
-    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
-    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + counts
-    order = np.lexsort(code.T[::-1])
-    pairs = [[(m, k) for k in range(base)] for m in modes]
-    flat = [pairs[j][k] for j, k in zip(cols.tolist(), counts.tolist())]
-    bounds = start.tolist()
-    return order, [tuple(flat[bounds[i]:bounds[i + 1]]) for i in order.tolist()]
-
-
-def propagate(state: HybridState, inverse_matrix) -> Propagation:
-    """Expand every term of ``state`` over the output modes, grouped by pattern.
+def propagate(state: HybridState, inverse_matrix) -> Cells:
+    """Expand every term of ``state`` over the output modes, summed into cells.
 
     While expanding, an output pattern is an int with one digit per output
     mode (in sorted :class:`Mode` order) in base ``max photons + 1``; the
-    distinct patterns are decoded together at the end.
+    distinct patterns are decoded together at the end.  A cell whose summed
+    amplitude is below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm
+    check), and so is a pattern left with no cell.
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused, and it keeps their floating-point operations
@@ -348,11 +328,10 @@ def propagate(state: HybridState, inverse_matrix) -> Propagation:
     magnitude falls below ``MERGE_TOL``, in dict insertion order; each
     output term is merged into zero, times ``prod sqrt(k!)`` in sorted-mode
     order, and merged into zero again; the input terms are summed into each
-    pattern in :meth:`HybridState.items` order.  The last three steps run on
+    cell in :meth:`HybridState.items` order.  The last three steps run on
     arrays, spelled as CPython's complex arithmetic in separate float
     operations (numpy's own complex multiply may fuse them) and with ``abs``
-    as ``hypot``.  A term the reference drops adds zero here, so an
-    amplitude may be exactly 0 where the reference has none.
+    as ``hypot``.  A term the reference drops adds zero here.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -403,17 +382,16 @@ def propagate(state: HybridState, inverse_matrix) -> Propagation:
     dropped = np.hypot(re, im) < MERGE_TOL
     re[dropped] = im[dropped] = 0.0
 
-    order, fock_keys = _decode(occupations, modes, base)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     n = state.n_atoms
-    cells, cell = np.unique(rank[pattern] << n | np.concatenate(registers), return_inverse=True)
+    cells, cell = np.unique(pattern << n | np.concatenate(registers), return_inverse=True)
     amplitudes = np.empty(len(cells), complex)
     # bincount adds each cell's terms in input order, starting from zero
     amplitudes.real = np.bincount(cell, weights=re, minlength=len(cells))
     amplitudes.imag = np.bincount(cell, weights=im, minlength=len(cells))
-    offsets = np.searchsorted(cells >> n, np.arange(len(order) + 1))
-    return Propagation(fock_keys, occupations[order], offsets, cells & (1 << n) - 1, amplitudes)
+    kept = ~(np.hypot(amplitudes.real, amplitudes.imag) < MERGE_TOL)  # a NaN stays
+    cells = cells[kept]
+    live, pattern = np.unique(cells >> n, return_inverse=True)
+    return Cells(modes, occupations[live], pattern, cells & (1 << n) - 1, amplitudes[kept])
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

@@ -213,6 +213,19 @@ def test_wpe_fidelity_limits_and_monotonicity():
         wpe_fidelity(1, 3, 0.0)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.52, 0.53, 0.9])
+def test_wpe_fidelity_past_the_underflow_of_its_terms(p):
+    # m = N - 1: the fidelity is N (1 - p) / (N (1 - p) + p); p^1099 underflows
+    # below p = 0.525, so the lower two points sum ratios and the upper two do not
+    n = 1100
+    assert wpe_fidelity(n - 1, n, p) == pytest.approx(n * (1 - p) / (n * (1 - p) + p),
+                                                      rel=1e-13)
+
+
+def test_wpe_fidelity_is_one_where_every_term_underflows():
+    assert wpe_fidelity(5, 10, 1e-200) == 1.0
+
+
 def test_wpe_rate_closed_forms():
     p, eta = 0.21, 0.4
     expect = eta * (2 * p * (1 - p) + p ** 2)

@@ -169,6 +169,24 @@ def test_closed_forms_refuse_a_binomial_past_float_range(capsys, argv):
     assert err.startswith("error: n_nodes=2000 is too large: C(2000, ")
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("wpe", "--n", "10", "--m", "5", "--p", "1e-200"), "p,m,fidelity,rate\r\n1e-200,5,1,0\r\n"),
+    (("analytics", "wpe-fidelity", "--m", "1099", "--n", "1100", "--p", "0.5"),
+     "0.999091734787 (absolute)\n"),
+    (("analytics", "wpe-fidelity", "--m", "5", "--n", "10", "--p", "1e-200"),
+     "1 (absolute)\n"),
+])
+def test_wpe_fidelity_with_an_underflowing_tail(capsys, argv, want):
+    assert run_cli(*argv, capsys=capsys)[:2] == (0, want)
+
+
+def test_wpe_simulation_refuses_an_underflowing_tail(capsys):
+    code, out, err = run_cli("wpe", "--n", "8", "--m", "4", "--p", "1e-200", "--simulate",
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the weight of 4 or more photons underflows to 0 at p=1e-200\n"
+
+
 def test_wpe_range_error(capsys):
     code, _, err = run_cli("wpe", "--n", "2", "--m", "1", "--p", "1.5", capsys=capsys)
     assert code == 2

@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import json
 import math
 import struct
 import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +16,15 @@ from hypothesis import strategies as st
 import entnet.herald
 import entnet.photonics
 from entnet.analytics import wpe_fidelity, wpe_rate
-from entnet.herald import (NUMBER_RESOLVED, SUPPRESSION_TOL, THRESHOLD, DetectorModel,
-                           HeraldRule, aggregate_heralding, dicke_family_fidelity,
+from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectorModel, HeraldRule,
+                           aggregate_heralding, dicke_family_fidelity,
                            prepare_swap_input, run_gbsa, subnetwork_swap,
                            suppressed_patterns, wpe_fidelity_sim, wpe_herald,
                            wpe_rate_sim, wpe_sector_probabilities, wpe_state)
 from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                                     symmetric_multiport, tritter)
-from entnet.photonics import (CapacityError, DimensionMismatch, FockState, HybridState,
-                              Mode, apply_mode_transform, expand_to_fock,
+from entnet.photonics import (MERGE_TOL, CapacityError, DimensionMismatch, FockState,
+                              HybridState, Mode, apply_mode_transform, expand_to_fock,
                               fock_to_polynomial)
 from entnet.states import (PURITY_TOL, TANGLE_TOL, QubitState, dicke_state,
                            entanglement_classes, fidelity, ghz_basis_state, is_product_state,
@@ -117,9 +120,9 @@ def _reference_table(state, u):
             slot[at] = slot.get(at, 0j) + a
     rows = []
     for fkey in sorted(acc):
-        amps = {at: a for at, a in acc[fkey].items() if abs(a) >= SUPPRESSION_TOL}
+        amps = {at: a for at, a in acc[fkey].items() if abs(a) >= MERGE_TOL}
         prob = sum(abs(a) ** 2 for a in amps.values())
-        if prob < SUPPRESSION_TOL ** 2:
+        if prob < MERGE_TOL ** 2:
             continue
         scale = 1 / math.sqrt(prob)
         rows.append((fkey, prob, [(at, a * scale) for at, a in sorted(amps.items())]))
@@ -220,6 +223,25 @@ def test_run_gbsa_invariants_over_random_unitaries(case):
              r.probability for r in moved}
     assert probs == pytest.approx({r.pattern.key: r.probability for r in rows}, abs=1e-12)
     assert_matches_reference(rows, prepare_swap_input(m, signs, ports), MultiportMatrix(dim, u))
+
+
+def _sym2d_swap_record():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    return json.loads(path.read_text())["sym2d_swap"]
+
+
+# every port set of the benchmark's sym2d_swap workload, unsigned, against its record
+@pytest.mark.parametrize("ports,want", sorted(_sym2d_swap_record().items()))
+def test_sym2d_swap_tables_match_the_benchmark_record(ports, want):
+    rows = run_gbsa(prepare_swap_input(4, ports=[int(p) for p in ports.split(",")]),
+                    symmetric_multiport(3))
+    assert len(rows) == want["rows"]
+    assert dict(Counter(row.state_class() for row in rows)) == want["classes"]
+    thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
+    nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
+    assert abs(thr - want["threshold_distinct"]) <= 64 * EPS
+    assert abs(nr - want["number_resolved"]) <= 64 * EPS
+    assert abs(math.fsum(row.probability for row in rows) - 1) <= 4 * EPS * len(rows)
 
 
 def test_run_gbsa_deterministic():
@@ -745,6 +767,20 @@ def test_dicke_family_fidelity_sector_mismatch():
     st = QubitState(3, {"110": 1.0})
     assert dicke_family_fidelity(st, 1) == 0.0
     assert dicke_family_fidelity(st, 2) == pytest.approx(1 / 3)
+
+
+def test_dicke_family_fidelity_refuses_m_outside_the_register():
+    one = QubitState(1, {"1": 1})
+    assert (dicke_family_fidelity(one, 0), dicke_family_fidelity(one, 1)) == (0.0, 1.0)
+    for m in (-1, 2):
+        with pytest.raises(ValueError, match=rf"need 0 <= m <= 1, got m={m}"):
+            dicke_family_fidelity(one, m)
+
+
+def test_wpe_fidelity_sim_refuses_an_underflowing_tail():
+    with pytest.raises(ValueError, match="the weight of 4 or more photons underflows"):
+        wpe_fidelity_sim(8, 1e-200, 4)
+    assert wpe_rate_sim(8, 1e-200, 4) == 0.0
 
 
 def test_wpe_simulation_at_size_boundary():
