@@ -10,11 +10,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .states import dicke_state
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -92,6 +91,8 @@ def st_n_node(params: SchemeParams, n_nodes: int):
     single-excitation equal superposition over the ``n`` receiving nodes and
     both figures are proportional.
     """
+    from .states import dicke_state
+
     if n_nodes < 2:
         raise ValueError("need at least 2 receiving nodes")
     state = dicke_state(1, n_nodes)
@@ -133,6 +134,8 @@ def itinerant_depolarizing_strength(f_pa: float) -> float:
 
 def _itinerant_density(n_nodes: int, lam: float) -> np.ndarray:
     """Final density tensor of the itinerant circuit: ket axes then bra axes, photon first."""
+    import numpy as np  # the simulations alone need numpy; the closed forms import without it
+
     q = n_nodes + 1
     rho = np.zeros((2,) * (2 * q), dtype=complex)
     rho[(slice(None),) + (0,) * n_nodes + (slice(None),) + (0,) * n_nodes] = 0.5
@@ -162,6 +165,8 @@ def itinerant_ghz_fidelity_sim(n_nodes: int, f_pa: float) -> float:
     complex entries (4 MiB at ``n = 8``, 64 MiB at ``n = 10``), so ``n`` stays
     capped at 10.
     """
+    import numpy as np
+
     if not 2 <= n_nodes <= 10:
         raise ValueError("n_nodes must be in 2..10")
     rho = _itinerant_density(n_nodes, itinerant_depolarizing_strength(f_pa))

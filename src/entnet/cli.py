@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 usage or validation error, 3 I/O failure,
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import sys
 
-from . import analytics, herald, interferometers, tables
+# Numpy-free, and imported by every command: tables formats every output, and
+# golden's functions stay attributes of this module.  Each handler imports the
+# other modules it calls when it runs.
+from . import tables
 from .golden import diff_against_golden, load_golden
 
 EXIT_OK = 0
@@ -24,11 +26,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_GOLDEN = 4
 
-_DEVICES = {
-    2: interferometers.beam_splitter,
-    3: interferometers.tritter,
-    4: interferometers.quarter,
-}
+
+def _device(name: str):
+    """A zero-argument builder of ``interferometers.<name>``, imported when it runs."""
+    def build():
+        from . import interferometers
+        return getattr(interferometers, name)()
+    return build
+
+
+_DEVICES = {2: _device("beam_splitter"), 3: _device("tritter"), 4: _device("quarter")}
 _GOLDEN_NAMES = {3: "tritter", 4: "quarter"}
 _KIND_NODES = {"bs": 2, "tritter": 3, "quarter": 4}
 
@@ -99,6 +106,8 @@ def _parse_m_list(text: str) -> list[int]:
 # ------------------------------------------------------------------ multiport
 
 def cmd_multiport(args) -> int:
+    from . import interferometers
+
     if args.kind == "sym2d":
         if args.d is None:
             return _fail("sym2d requires --d")
@@ -124,6 +133,8 @@ def cmd_multiport(args) -> int:
 # ------------------------------------------------------------------ swap-table
 
 def cmd_swap_table(args) -> int:
+    from . import herald
+
     if args.n not in _DEVICES:
         return _fail(f"--n must be one of {sorted(_DEVICES)}")
     if args.max_clicks_per_detector is not None and args.max_clicks_per_detector < 0:
@@ -175,6 +186,8 @@ def cmd_swap_table(args) -> int:
 # ------------------------------------------------------------------ wpe
 
 def cmd_wpe(args) -> int:
+    from . import analytics
+
     try:
         m_list = _parse_m_list(args.m)
         p_grid = [args.p] if args.sweep is None else _parse_grid(args.sweep)
@@ -187,11 +200,13 @@ def cmd_wpe(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     if args.simulate:
+        from . import sources
+
         if args.n > 8:
             return _fail("--simulate supports up to 8 nodes")
         try:
-            sims = [(herald.wpe_fidelity_sim(args.n, pt.p, pt.m),
-                     herald.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]
+            sims = [(sources.wpe_fidelity_sim(args.n, pt.p, pt.m),
+                     sources.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]
         except ValueError as exc:
             return _fail(str(exc))
         dev_f = max(abs(pt.fidelity - f) for pt, (f, _) in zip(points, sims))
@@ -208,6 +223,8 @@ def cmd_wpe(args) -> int:
 # ------------------------------------------------------------------ compare
 
 def cmd_compare(args) -> int:
+    from . import analytics
+
     try:
         grid = _parse_grid(args.eta_grid)
     except ValueError as exc:
@@ -233,6 +250,8 @@ def cmd_compare(args) -> int:
 # ------------------------------------------------------------------ analytics
 
 def cmd_analytics(args) -> int:
+    from . import analytics
+
     if args.list or args.name is None:
         for name, spec in sorted(analytics.FORMULAS.items()):
             flags = " ".join(f"--{flag} <{caster.__name__}>" for flag, caster in spec.args)
@@ -241,6 +260,8 @@ def cmd_analytics(args) -> int:
         return EXIT_OK
     spec = analytics.FORMULAS.get(args.name)
     if spec is None:
+        import difflib
+
         close = difflib.get_close_matches(args.name, analytics.FORMULAS, n=3)
         hint = f"; did you mean {', '.join(close)}?" if close else ""
         return _fail(f"unknown formula {args.name!r}{hint}")

@@ -15,9 +15,11 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .herald import ProjectionRow, DetectionPattern
-from .states import QubitState, fidelity
+if TYPE_CHECKING:
+    from .herald import DetectionPattern, ProjectionRow
+    from .states import QubitState
 
 GOLDEN_ENV = "ENTNET_GOLDEN_DIR"
 PROB_TOL = 1e-9
@@ -57,6 +59,8 @@ def load_golden(device: str) -> GoldenTable:
         OSError: the file cannot be read.
         ValueError: the file is not a golden table.
     """
+    from .states import QubitState
+
     path = golden_path(device)
     try:
         doc = json.loads(path.read_text())
@@ -83,6 +87,8 @@ def diff_against_golden(rows: list[ProjectionRow],
     within ``FID_TOL``, probabilities within ``PROB_TOL``, suppressed lists
     as sets.
     """
+    from .states import fidelity
+
     problems: list[str] = []
     sim = {row.pattern.label(): row for row in rows}
     seen = set()

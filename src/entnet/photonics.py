@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MERGE_TOL = 1e-12
 NORM_TOL = 1e-9
@@ -338,6 +339,8 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         CapacityError: the whole expansion is oversize.  Both are raised
             before any term is expanded.
     """
+    import numpy as np  # the only numpy user here, so states and modes import without it
+
     dim = inverse_matrix.dim
     inputs = []
     for atoms, fock, amp in state.items():

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .herald import DetectionPattern, ProjectionRow
-from .interferometers import MultiportMatrix
-from .states import QubitState
+if TYPE_CHECKING:  # annotations only, so the text paths import without numpy
+    from .herald import DetectionPattern, ProjectionRow
+    from .interferometers import MultiportMatrix
+    from .states import QubitState
 
 SIG_DIGITS = 12
 RATIONAL_MAX_DEN = 1024

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,9 @@ from entnet.analytics import (FidelityResult, SchemeParams, compare_4node,
                               itinerant_ghz_fidelity_sim, itinerant_success,
                               st_fidelity_2, st_n_node, st_rate_2, swap_rate,
                               wpe_fidelity, wpe_fidelity_sweep, wpe_rate)
+from entnet.herald import THRESHOLD, HeraldRule, aggregate_heralding, run_gbsa
+from entnet.interferometers import quarter
+from entnet.sources import prepare_swap_input
 from entnet.states import dicke_state, fidelity
 
 
@@ -253,6 +257,13 @@ def test_swap_rate():
     assert swap_rate(2, 0.5, 1.0).value == pytest.approx(0.5)
     assert swap_rate(4, 7 / 32, 1.0).value == pytest.approx(7 / 32)
     assert swap_rate(3, 0.25, 0.0).value == 0.0
+
+
+def test_compare_4node_quad_rate_is_the_quarter_aggregate():
+    # the 7/32 constant against the quarter's threshold/distinct p_BSA, from its table
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    p_bsa = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
+    assert abs(compare_4node(1.0, 1.0).r_quad - p_bsa) <= 64 * sys.float_info.epsilon
 
 
 def test_compare_4node():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -185,6 +186,18 @@ def test_wpe_simulation_refuses_an_underflowing_tail(capsys):
                              capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "error: the weight of 4 or more photons underflows to 0 at p=1e-200\n"
+
+
+def test_wpe_simulation_keeps_sectors_below_the_merge_tolerance(capsys):
+    # the 5-photon sector at p = 1e-5 has amplitudes near 3e-13; at p = 1e-7 the
+    # 4-or-more tail is about 7e-27, far from an underflow
+    code, out, _ = run_cli("wpe", "--n", "8", "--m", "4", "--p", "1e-5", "--simulate",
+                           capsys=capsys)
+    assert code == 0
+    deviation = out.splitlines()[0].rsplit(" ", 1)[1]
+    assert out.startswith("max |analytic - simulated| fidelity:") and float(deviation) <= 1e-12
+    assert run_cli("wpe", "--n", "8", "--m", "4", "--p", "1e-7", "--simulate",
+                   capsys=capsys)[0] == 0
 
 
 def test_wpe_range_error(capsys):
@@ -380,4 +393,21 @@ def test_cli_session_matches_the_benchmark_record(tmp_path, capsys, want):
     data = Path(argv[argv.index("--output") + 1]).read_bytes() if "--output" in argv else None
     assert code == want["exit"]
     assert _sha256(out.encode()) == want["stdout_sha256"]
+    assert _sha256(data) == want["output_sha256"]
+
+
+# the same seven commands as fresh processes, as the benchmark runs them: a handler
+# that misses one of its own imports passes in-process but fails here
+@pytest.mark.parametrize("want", _cli_session_record(),
+                         ids=lambda want: " ".join(want["argv"]))
+def test_cli_session_processes_match_the_benchmark_record(tmp_path, want):
+    argv = [arg.format(work=tmp_path) for arg in want["argv"]]
+    src = Path(entnet.golden.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "entnet.cli", *argv], env=env,
+                          cwd=tmp_path, capture_output=True)
+    data = Path(argv[argv.index("--output") + 1]).read_bytes() if "--output" in argv else None
+    assert proc.returncode == want["exit"]
+    assert _sha256(proc.stdout) == want["stdout_sha256"]
     assert _sha256(data) == want["output_sha256"]

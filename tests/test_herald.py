@@ -783,6 +783,14 @@ def test_wpe_fidelity_sim_refuses_an_underflowing_tail():
     assert wpe_rate_sim(8, 1e-200, 4) == 0.0
 
 
+@pytest.mark.parametrize("p", [1e-5, 1e-7])
+def test_wpe_simulation_keeps_sectors_below_the_merge_tolerance(p):
+    # wpe_state drops these terms (amplitude below MERGE_TOL); the sims must not
+    assert 5 not in wpe_sector_probabilities(wpe_state(8, p))
+    assert abs(wpe_fidelity_sim(8, p, 4) - wpe_fidelity(4, 8, p)) <= 1e-12
+    assert wpe_rate_sim(8, p, 4) == pytest.approx(wpe_rate(4, 8, p).value, rel=1e-12)
+
+
 def test_wpe_simulation_at_size_boundary():
     # the largest supported register still matches the closed forms
     assert wpe_fidelity_sim(8, 0.06, 2) == pytest.approx(
