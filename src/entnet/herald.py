@@ -252,13 +252,16 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     one stable argsort puts the cells into rows.  Every probability and
     amplitude is bit-identical to the table built from the polynomial
     reference (``fock_to_polynomial``, ``apply_mode_transform``,
-    ``expand_to_fock``).  So the probabilities are CPython floats,
-    ``sum(abs(a) ** 2 ...)`` in row order with ``abs`` as ``hypot``, since
-    numpy's ``x ** 2`` is ``x * x`` (it differs from libm's ``pow`` on about
-    0.09% of values) and numpy sums pairwise; the amplitudes are scaled by
-    ``1 / sqrt(p)`` as CPython's complex-times-float in separate float
-    operations, since numpy's complex multiply may fuse them, and checked
-    to be normalized, all rows at once.
+    ``expand_to_fock``).  So each probability is ``sum(abs(a) ** 2 ...)``
+    over its row's cells in register order, with ``abs`` as ``hypot``:
+    ``m ** 2`` stays CPython's float power, since numpy's ``x ** 2`` is
+    ``x * x`` (it differs from libm's ``pow`` on about 0.09% of values) and
+    ``np.power`` differs on others; the rows are summed on arrays rank by
+    rank from ``0.0``, one addition per cell in order, as Python 3.11's
+    ``sum`` adds floats, since numpy's own sums are pairwise.  The
+    amplitudes are scaled by ``1 / sqrt(p)`` as CPython's complex-times-float
+    in separate float operations, since numpy's complex multiply may fuse
+    them, and checked to be normalized, all rows at once.
 
     Raises:
         CapacityError: the whole expansion is oversize.
@@ -273,17 +276,23 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     owner = owner[cells]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(order)))))
     re, im = out.amplitudes.real[cells], out.amplitudes.imag[cells]
-    squares = [m ** 2 for m in np.hypot(re, im).tolist()]  # CPython's abs(complex)
-    probs = [sum(squares[a:b]) for a, b in itertools.pairwise(offsets.tolist())]
+    squares = np.array([m ** 2 for m in np.hypot(re, im).tolist()])  # CPython's abs(complex)
+    # each row sums rank by rank from 0.0, as Python 3.11's ``sum`` adds a list of floats
+    sizes = np.diff(offsets)
+    probs = 0.0 + squares[offsets[:-1]]
+    for rank in range(1, sizes.max(initial=0)):
+        rows = np.flatnonzero(sizes > rank)
+        probs[rows] += squares[offsets[rows] + rank]
 
-    scale = (1 / np.sqrt(np.array(probs)))[owner]
+    scale = (1 / np.sqrt(probs))[owner]
     amplitudes = np.empty(len(cells), complex)
     amplitudes.real = re * scale - im * 0.0
     amplitudes.imag = re * 0.0 + im * scale
-    norms = np.bincount(owner, weights=np.abs(amplitudes) ** 2, minlength=len(order))
+    norms = np.bincount(owner, weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
+                        minlength=len(order))
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
-    return DetectionTable(state.n_atoms, out.modes, out.occupations[order], probs,
+    return DetectionTable(state.n_atoms, out.modes, out.occupations[order], probs.tolist(),
                           offsets, out.registers[cells], amplitudes).rows()
 
 
@@ -360,9 +369,12 @@ def dicke_family_fidelity(state: QubitState, m: int) -> float:
     Treating every component phase of the target as free gives
     ``(sum_S |c_S|)^2 / C(n, m)`` over the ``m``-excitation components
     ``c_S``; amplitude outside that excitation sector only loses weight.
-    For the states heralded by a symmetric eraser the optimum is realised
-    by per-node phases, so this is the fidelity to the matching
-    generalized collective state.
+    This is an upper bound on the fidelity to a generalized collective
+    state, whose phases are per-node ones (``prod_{i in S} e^{i phi_i}``).
+    It is reached only when the components' phases factor that way, which
+    the states heralded by a symmetric eraser need not do: at 6 nodes and
+    3 clicks on the 8-port butterfly, rows of weight 0.0358 read 1.0 here
+    although their phases are not per-node ones.
     """
     if not 0 <= m <= state.n_qubits:
         raise ValueError(f"need 0 <= m <= {state.n_qubits}, got m={m}")
@@ -379,8 +391,9 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     firing exactly ``m`` distinct detectors, so the heralded ensemble is the
     mixture of the returned rows; number-resolved detectors accept patterns
     of exactly ``m`` photons.  Every row carries its conditional
-    :func:`dicke_family_fidelity` against the ``m``-excitation target, so
-    the probability-weighted row fidelity is the heralded-state fidelity.
+    :func:`dicke_family_fidelity` against the ``m``-excitation target, the
+    free-phase upper bound, so the probability-weighted row value bounds
+    the heralded-state fidelity from above.
     """
     if m_clicks < 1:
         raise ValueError("m_clicks must be >= 1")

@@ -8,15 +8,22 @@ construction; coefficients with magnitude below ``MERGE_TOL`` are dropped
 during canonicalisation.  :func:`check_capacity` sizes an expansion from its
 input alone, so oversize ones are refused before any term is expanded.
 
-:func:`propagate` is the expansion that detection tables use: it keys output
-patterns by integer occupations, returns their nonzero cells as arrays, and
-is bit-identical to the polynomial path (:func:`fock_to_polynomial`,
-:func:`apply_mode_transform`, :func:`expand_to_fock`), which stays as its
-reference.
+:func:`propagate` is the expansion that detection tables use.  It keys
+output patterns by integer occupations and expands the input terms on
+arrays, in batches of consecutive terms, one photon step at a time; it
+returns the nonzero cells as arrays.  It keeps the floating-point operations
+of the polynomial path (:func:`fock_to_polynomial`,
+:func:`apply_mode_transform`, :func:`expand_to_fock`) in the same order, so
+every amplitude is bit-identical to it, and that path stays as its
+reference: each product is CPython's complex multiply, each pattern's
+children are summed in the order a dict merges them, a sum that cancels
+below ``MERGE_TOL`` is dropped and restarts from zero, and the next step's
+parents come in the dict's insertion order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections import Counter
@@ -212,6 +219,11 @@ class HybridState:
         return f"HybridState(n_atoms={self.n_atoms}, terms={n}, norm^2={self.norm_sq():.6f})"
 
 
+def _term_count(mono: Monomial, dim: int) -> int:
+    """Output terms of one monomial over ``dim`` ports (see :func:`check_capacity`)."""
+    return math.prod(math.comb(dim + k - 1, k) for k in Counter(m.pol for m in mono).values())
+
+
 def check_capacity(monomials: Iterable[Monomial], dim: int) -> None:
     """Refuse expansions over ``dim`` output ports beyond ``MAX_TERMS`` terms.
 
@@ -225,10 +237,7 @@ def check_capacity(monomials: Iterable[Monomial], dim: int) -> None:
         CapacityError: the monomials together expand into more than
             ``MAX_TERMS`` terms.
     """
-    total = 0
-    for mono in monomials:
-        per_pol = Counter(m.pol for m in mono)
-        total += math.prod(math.comb(dim + k - 1, k) for k in per_pol.values())
+    total = sum(_term_count(mono, dim) for mono in monomials)
     if total > MAX_TERMS:
         raise CapacityError(
             f"expanding over {dim} ports gives {total} terms > {MAX_TERMS}")
@@ -274,26 +283,145 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     return out
 
 
-def _expand(coeff: complex, steps: list[list[tuple[int, complex]]]) -> dict[int, complex]:
-    """One input monomial rewritten over the output modes, keyed by occupation ints.
+#: children one batch of :func:`_expand_terms` may make in one photon step, at
+#: most; bounds the batch's temporaries
+_BATCH_CHILDREN = 1 << 16
 
-    Each step is one input operator as its ``(output digit weight, inverse
-    entry)`` pairs, so adding the photon to a pattern is one int addition.
+
+def _below_tol(re, im):
+    """``hypot(re, im) < MERGE_TOL``, which is CPython's ``abs(complex) < MERGE_TOL``.
+
+    libm's ``hypot`` is slow, and it is at least the larger part, so it is
+    taken only where both parts are below ``2 * MERGE_TOL``.  A NaN is never
+    below.
     """
-    partial = {0: coeff}
-    for step in steps:
-        nxt: dict[int, complex] = {}
-        get = nxt.get
-        for key, c in partial.items():
-            for weight, entry in step:
-                out = key + weight
-                new = get(out, 0j) + c * entry
-                if abs(new) < MERGE_TOL:
-                    nxt.pop(out, None)
-                else:
-                    nxt[out] = new
-        partial = nxt
-    return partial
+    import numpy as np
+
+    out = np.zeros(len(re), bool)
+    small = np.flatnonzero(np.maximum(np.abs(re), np.abs(im)) < 2 * MERGE_TOL)
+    out[small] = np.hypot(re[small], im[small]) < MERGE_TOL
+    return out
+
+
+def _group(ckey, term, dim):
+    """The children of each (term, pattern), from their patterns ``ckey``.
+
+    Returns ``gen``, the children in group order and each group's in
+    generation order, the ``starts`` of the groups in ``gen``, and each
+    group's pattern and term.  The patterns are sorted 16 bits at a time by
+    a stable radix sort, so equal patterns keep generation order, which is
+    also term order, as the parents of ``ckey`` come term by term.
+    """
+    import numpy as np
+
+    n = len(ckey)
+    gen = np.arange(n)
+    for shift in range(0, int(ckey.max()).bit_length(), 16):
+        gen = gen[np.argsort(((ckey[gen] >> shift) & 0xFFFF).astype(np.uint16), kind="stable")]
+    sorted_key, sorted_term = ckey[gen], term[gen // dim]
+    first = np.empty(n, bool)
+    first[0] = True
+    first[1:] = (sorted_key[1:] != sorted_key[:-1]) | (sorted_term[1:] != sorted_term[:-1])
+    starts = np.flatnonzero(first)
+    return gen, starts, sorted_key[starts], sorted_term[starts]
+
+
+def _photon_step(term, key, re, im, op, e_re, e_im, digits):
+    """One more input photon of each parent, rewritten over the output modes.
+
+    Parent ``p`` (of term ``term[p]``, pattern ``key[p]``, amplitude ``re[p] +
+    i im[p]``) has ``dim`` children, child ``p * dim + k`` on output mode
+    ``k`` of the photon's polarization: pattern ``key[p] + digits[op[p], k]``
+    and amplitude the parent's times ``e[op[p], k]``, both parts spelled as
+    CPython's complex multiply.  The children of one (term, pattern) are
+    summed in that generation order, rank by rank, from ``0.0``; a sum whose
+    magnitude falls below ``MERGE_TOL`` is dropped and restarts from ``0.0``.
+    The surviving sums come back ordered by the child that last made them
+    nonzero, which is where a dict merging the same children in the same
+    order would hold them.  The parents must come term by term.
+    """
+    import numpy as np
+
+    dim = digits.shape[1]
+    gen, starts, g_key, g_term = _group((key[:, None] + digits[op]).ravel(), term, dim)
+    n = len(gen)
+    er, ei = e_re[op], e_im[op]
+    vre = (re[:, None] * er - im[:, None] * ei).ravel()
+    vim = (re[:, None] * ei + im[:, None] * er).ravel()
+    sizes = np.diff(starts, append=n)
+
+    born = gen[starts]  # the child that last made each sum nonzero
+    s_re, s_im = 0.0 + vre[born], 0.0 + vim[born]
+    absent = _below_tol(s_re, s_im)
+    s_re[absent] = s_im[absent] = 0.0
+    for rank in range(1, sizes.max()):
+        g = np.flatnonzero(sizes > rank)
+        child = gen[starts[g] + rank]
+        sre, sim = s_re[g] + vre[child], s_im[g] + vim[child]
+        dead = _below_tol(sre, sim)
+        back = absent[g] & ~dead
+        born[g[back]] = child[back]
+        sre[dead] = sim[dead] = 0.0
+        s_re[g], s_im[g], absent[g] = sre, sim, dead
+    live = np.flatnonzero(~absent)
+    slot = np.full(n, -1, np.intp)  # the births are distinct children: order by counting
+    slot[born[live]] = live
+    live = slot[slot >= 0]
+    return g_term[live], g_key[live], s_re[live], s_im[live]
+
+
+def _expand_terms(monomials: list[Monomial], coeffs: list[complex], entries,
+                  weights: Mapping[Mode, int], dtype):
+    """Every monomial times its coefficient, rewritten over the output modes.
+
+    Term ``i`` starts as pattern ``0`` with ``coeffs[i]`` and takes one
+    :func:`_photon_step` per operator of ``monomials[i]``, in order.
+    ``entries`` is the inverse matrix, and ``weights`` gives each output
+    mode's digit in a pattern int of ``dtype``.  Consecutive terms expand
+    together in batches whose steps make at most ``_BATCH_CHILDREN`` children
+    (or one term's), so the temporaries stay bounded.  Returns the ``(term,
+    pattern, re, im)`` arrays of the nonzero output terms, term by term.
+    """
+    import numpy as np
+
+    dim = len(entries)
+    ops = sorted({m for mono in monomials for m in mono})
+    row = {m: i for i, m in enumerate(ops)}
+    e = np.array([entries[m.port - 1] for m in ops], complex).reshape(len(ops), dim)
+    e_re, e_im = e.real.copy(), e.imag.copy()
+    digits = np.array([[weights[Mode(k + 1, m.pol)] for k in range(dim)] for m in ops],
+                      dtype).reshape(len(ops), dim)
+    lengths = np.array([len(mono) for mono in monomials], np.intp)
+    op = np.zeros((len(monomials), lengths.max(initial=0)), np.intp)
+    for i, mono in enumerate(monomials):
+        op[i, :len(mono)] = [row[m] for m in mono]
+    coeffs = np.array(coeffs, complex)
+    children = [dim * _term_count(mono, dim) for mono in monomials]  # per step, at most
+
+    out = [(np.empty(0, np.intp), np.empty(0, dtype), np.empty(0), np.empty(0))]
+    start = 0
+    while start < len(monomials):
+        stop, budget = start + 1, children[start]
+        while stop < len(monomials) and budget + children[stop] <= _BATCH_CHILDREN:
+            budget += children[stop]
+            stop += 1
+        term = np.arange(start, stop)
+        key = np.zeros(stop - start, dtype)
+        re, im = coeffs.real[start:stop], coeffs.imag[start:stop]
+        parts = []
+        for t in itertools.count():
+            done = lengths[term] == t
+            parts.append((term[done], key[done], re[done], im[done]))
+            if done.all():
+                break
+            go = ~done
+            term, key, re, im = _photon_step(term[go], key[go], re[go], im[go],
+                                             op[term[go], t], e_re, e_im, digits)
+        term, key, re, im = (np.concatenate(part) for part in zip(*parts))
+        order = np.argsort(term, kind="stable")
+        out.append((term[order], key[order], re[order], im[order]))
+        start = stop
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 class Cells(NamedTuple):
@@ -323,23 +451,29 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused, and it keeps their floating-point operations
-    in the same order, so every amplitude is bit-identical to that reference:
-    the input coefficient is ``amp / fact`` merged into zero; each photon adds
-    ``c * entry`` to a running sum that is dropped (and restarted) when its
-    magnitude falls below ``MERGE_TOL``, in dict insertion order; each
-    output term is merged into zero, times ``prod sqrt(k!)`` in sorted-mode
-    order, and merged into zero again; the input terms are summed into each
-    cell in :meth:`HybridState.items` order.  The last three steps run on
-    arrays, spelled as CPython's complex arithmetic in separate float
-    operations (numpy's own complex multiply may fuse them) and with ``abs``
-    as ``hypot``.  A term the reference drops adds zero here.
+    in the same order, so every amplitude is bit-identical to that reference.
+    The input coefficient is ``amp / fact`` merged into zero.  The terms then
+    expand in batches of consecutive terms (:func:`_expand_terms`), one
+    photon of every term of a batch per :func:`_photon_step`: each parent
+    times each inverse entry, as CPython's complex multiply in separate float
+    operations (numpy's own may fuse them); the products summed per (term,
+    pattern) rank by rank from zero, in generation order, which is the order
+    the reference's dict merges them; a sum whose magnitude falls below
+    ``MERGE_TOL`` dropped and restarted from zero, as the reference pops it;
+    and the surviving sums ordered by the product that last made them
+    nonzero, which is the dict's insertion order and so the next step's
+    generation order.  Each output term is merged into zero, times
+    ``prod sqrt(k!)`` in sorted-mode order, and merged into zero again, and
+    the input terms are summed into each cell in :meth:`HybridState.items`
+    order.  ``abs`` is ``hypot`` throughout.  A term the reference drops adds
+    zero here.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
         CapacityError: the whole expansion is oversize.  Both are raised
             before any term is expanded.
     """
-    import numpy as np  # the only numpy user here, so states and modes import without it
+    import numpy as np  # imported where used, so states and modes import without it
 
     dim = inverse_matrix.dim
     inputs = []
@@ -357,18 +491,12 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
     base = max((len(mono) for _, mono, _ in inputs), default=0) + 1
     weights = {m: base ** i for i, m in enumerate(modes)}
-    entries = inverse_matrix.entries.tolist()
-    steps = {m: [(weights[Mode(k + 1, m.pol)], entries[m.port - 1][k]) for k in range(dim)]
-             for _, mono, _ in inputs for m in mono}
 
     dtype = np.int64 if base ** len(modes) <= 2 ** 63 else object  # wider keys stay ints
-    keys, coeffs, registers = [np.empty(0, dtype)], [np.empty(0, complex)], [np.empty(0, int)]
-    for atoms, mono, coeff in inputs:
-        out = _expand(coeff, [steps[m] for m in mono])
-        keys.append(np.fromiter(out, dtype, len(out)))
-        coeffs.append(np.fromiter(out.values(), complex, len(out)))
-        registers.append(np.full(len(out), int("0" + atoms, 2)))
-    rest, pattern = np.unique(np.concatenate(keys), return_inverse=True)
+    term, keys, c_re, c_im = _expand_terms([mono for _, mono, _ in inputs],
+                                           [coeff for _, _, coeff in inputs],
+                                           inverse_matrix.entries, weights, dtype)
+    rest, pattern = np.unique(keys, return_inverse=True)
     sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(base)])
     occupations = np.empty((len(rest), len(modes)), dtype=np.min_scalar_type(base - 1))
     fact = np.ones(len(rest))
@@ -378,20 +506,20 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         fact = fact * sqrt_fact[occupations[:, i]]
     # a = 0j + (0j + c) * fact: complex + complex adds the parts, and
     # complex * float multiplies by complex(fact, 0.0)
-    c = np.concatenate(coeffs)
     f = fact[pattern]
-    re, im = 0.0 + c.real, 0.0 + c.imag
+    re, im = 0.0 + c_re, 0.0 + c_im
     re, im = 0.0 + (re * f - im * 0.0), 0.0 + (re * 0.0 + im * f)
-    dropped = np.hypot(re, im) < MERGE_TOL
+    dropped = _below_tol(re, im)
     re[dropped] = im[dropped] = 0.0
 
     n = state.n_atoms
-    cells, cell = np.unique(pattern << n | np.concatenate(registers), return_inverse=True)
+    registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
+    cells, cell = np.unique(pattern << n | registers[term], return_inverse=True)
     amplitudes = np.empty(len(cells), complex)
     # bincount adds each cell's terms in input order, starting from zero
     amplitudes.real = np.bincount(cell, weights=re, minlength=len(cells))
     amplitudes.imag = np.bincount(cell, weights=im, minlength=len(cells))
-    kept = ~(np.hypot(amplitudes.real, amplitudes.imag) < MERGE_TOL)  # a NaN stays
+    kept = ~_below_tol(amplitudes.real, amplitudes.imag)  # a NaN stays
     cells = cells[kept]
     live, pattern = np.unique(cells >> n, return_inverse=True)
     return Cells(modes, occupations[live], pattern, cells & (1 << n) - 1, amplitudes[kept])

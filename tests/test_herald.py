@@ -79,11 +79,15 @@ def test_run_gbsa_probabilities_complete(n, builder):
 
 
 def _count_expansions(monkeypatch):
-    """Record every input term that ``run_gbsa`` expands."""
+    """Record every input term that ``run_gbsa`` hands to the expansion."""
     calls = []
-    expand = entnet.photonics._expand
-    monkeypatch.setattr(entnet.photonics, "_expand",
-                        lambda *args: calls.append(args) or expand(*args))
+    expand = entnet.photonics._expand_terms
+
+    def counted(monomials, *args):
+        calls.extend(monomials)
+        return expand(monomials, *args)
+
+    monkeypatch.setattr(entnet.photonics, "_expand_terms", counted)
     return calls
 
 
@@ -160,10 +164,11 @@ _REFERENCE_CASES = {
     "swap3": lambda: [(prepare_swap_input(3, s), tritter()) for s in _all_signs(3)],
     "swap4": lambda: [(prepare_swap_input(4, s), quarter()) for s in _all_signs(4)],
     **{f"sym2d-{''.join(map(str, ports))}":
-       lambda ports=ports, signs=signs: [(prepare_swap_input(4, signs, ports),
+       lambda ports=ports, signs=signs: [(prepare_swap_input(len(ports), signs, ports),
                                           symmetric_multiport(3))]
        for ports, signs in (([1, 2, 3, 4], [1, 1, 1, 1]), ([1, 3, 5, 8], [1, -1, 1, -1]),
-                            ([2, 4, 6, 7], [-1, -1, 1, 1]), ([5, 6, 7, 8], [1, 1, -1, 1]))},
+                            ([2, 4, 6, 7], [-1, -1, 1, 1]), ([5, 6, 7, 8], [1, 1, -1, 1]),
+                            ([1, 2, 3, 4, 5], [1, -1, -1, 1, 1]))},  # 15,056 rows
     # phased erasers; their all-zero term is the vacuum
     **{f"eraser{n}": lambda n=n: [(wpe_state(n, 0.2, [0.3 * k + 0.1 for k in range(n)]),
                                    symmetric_multiport(3))]
@@ -176,6 +181,27 @@ _REFERENCE_CASES = {
 def test_run_gbsa_is_bit_identical_to_the_polynomial_reference(name):
     for state, u in _REFERENCE_CASES[name]():
         assert_matches_reference(run_gbsa(state, u), state, u)
+
+
+def test_reference_drops_and_restarts_sums_on_the_sym2d_swap(monkeypatch):
+    # a running sum that cancels below MERGE_TOL is dropped and, if hit again,
+    # restarts at the end of the dict: the expansion must follow that order
+    drops = []
+    merge = entnet.photonics._merge
+
+    def counted(acc, key, amp):
+        if key in acc and abs(acc[key] + amp) < MERGE_TOL:
+            drops.append(key)
+        merge(acc, key, amp)
+
+    state, u = prepare_swap_input(4, [1, -1, 1, -1], [1, 3, 5, 8]), symmetric_multiport(3)
+    monkeypatch.setattr(entnet.photonics, "_merge", counted)
+    reference = _reference_table(state, u)
+    monkeypatch.undo()
+    assert len(drops) == 3724
+    got = [(r.pattern.key, r.probability, list(r.state.amplitudes.items()))
+           for r in run_gbsa(state, u)]
+    assert _ieee(got) == _ieee(reference)
 
 
 def test_pattern_keys_wider_than_int64_match_the_reference():
@@ -761,6 +787,36 @@ def test_eight_node_eraser_three_click_herald(eraser_8):
     heralded = wpe_herald(wpe_state(8, p), symmetric_multiport(3), 3)
     assert heralded and all(r.n_detectors == 3 for r in heralded)
     assert [r.pattern for r in heralded] == [r.pattern for r in rows if r.n_detectors == 3]
+
+
+def _per_node_phases(state, m):
+    """Whether the ``m``-excitation amplitudes are ``c * prod(phi_i)`` over the
+    excited qubits ``i``: then for each qubit pair every transposition ratio
+    ``z_b / z_b'`` (``b'`` is ``b`` with the pair's bits swapped) is the same."""
+    amps = state.amplitudes
+    for i, j in itertools.combinations(range(state.n_qubits), 2):
+        ratios = []
+        for bits, z in amps.items():
+            if bits.count("1") == m and bits[i] == "1" and bits[j] == "0":
+                swapped = amps.get(bits[:i] + "0" + bits[i + 1:j] + "1" + bits[j + 1:], 0)
+                if swapped == 0:
+                    return False
+                ratios.append(z / swapped)
+        if any(abs(r - ratios[0]) > 1e-9 for r in ratios):
+            return False
+    return True
+
+
+def test_dicke_family_fidelity_is_the_free_phase_bound_at_six_nodes():
+    phased = dicke_state(3, 6, [0.3 * k for k in range(6)])
+    assert _per_node_phases(phased, 3) and dicke_family_fidelity(phased, 3) == pytest.approx(1)
+    # the column reads 1.0 on these rows, yet their phases are not per-node ones,
+    # so no phased Dicke state reaches it
+    rows = wpe_herald(wpe_state(6, 0.2), symmetric_multiport(3), 3)
+    full = [r for r in rows if r.dicke_fidelity == pytest.approx(1.0, abs=1e-9)]
+    assert len(full) == 56
+    assert not any(_per_node_phases(r.state, 3) for r in full)
+    assert sum(r.probability for r in full) == pytest.approx(0.03584, abs=1e-12)
 
 
 def test_dicke_family_fidelity_sector_mismatch():

@@ -1,4 +1,7 @@
 import math
+import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from entnet.interferometers import MultiportMatrix, inverse, quarter, symmetric_
 from entnet.photonics import (CapacityError, DimensionMismatch, FockState,
                               HybridState, Mode, PhotonPolynomial, RegisterMismatch,
                               apply_mode_transform, check_capacity, expand_to_fock,
-                              fock_to_polynomial, mode)
+                              fock_to_polynomial, mode, propagate)
+from entnet.sources import prepare_swap_input
 
 BS_INV = MultiportMatrix(2, np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2), "bs^-1")
 
@@ -210,3 +214,36 @@ def test_projected_coincidence_amplitude_through_quarter():
     amp = terms[("0000", coincidence.key)]
     assert abs(amp) ** 2 == pytest.approx(1 / 64, abs=1e-12)
 
+
+def test_propagate_peak_memory_of_a_benchmark_swap():
+    # the 4-node swap of one sym2d_swap benchmark op: batching keeps the
+    # expansion's temporaries below the cells' peak (one batch of all 16
+    # terms peaks at about 1.9 MiB)
+    state, inv = prepare_swap_input(4, [1, -1, 1, 1], [1, 3, 5, 8]), inverse(symmetric_multiport(3))
+    propagate(state, inv)
+    tracemalloc.start()
+    try:
+        propagate(state, inv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 2 ** 20
+
+
+def test_propagate_restarts_a_dropped_sum_from_zero():
+    # the last photon reaches h1 h2 h3 three times: the first two reaches cancel
+    # to about 1e-14, below MERGE_TOL, so that sum is dropped and the third
+    # reach, 2x + 1, starts a new one from zero (any matrix-like object will do)
+    x = -1 + 1e-14
+    inv = SimpleNamespace(dim=3, entries=np.array([[1, 2, 1], [0, 1, x], [1, 1, 1]], complex))
+    fock = FockState({H1: 1, H2: 1, mode(3, "H"): 1})
+    want = expand_to_fock(apply_mode_transform(fock_to_polynomial(fock), inv), "0").terms
+    cells = propagate(HybridState(1, {("0", fock.key): 1.0}), inv)
+    got = {("0", tuple((m, int(k)) for m, k in zip(cells.modes, cells.occupations[p]) if k)): a
+           for p, a in zip(cells.pattern.tolist(), cells.amplitudes.tolist())}
+
+    def bits(terms):
+        return {key: struct.pack("<dd", a.real, a.imag) for key, a in terms.items()}
+
+    assert bits(got) == bits(want)
+    assert got[("0", fock.key)] == 2 * x + 1
