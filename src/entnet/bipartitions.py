@@ -1,14 +1,15 @@
 """The bipartition walk behind every entanglement label.
 
 :func:`entanglement_classes_csr` labels states stored as the rows of a CSR
-block (row offsets, basis states as binary integers, amplitudes), and
-:func:`entanglement_classes` packs loose :class:`~entnet.states.QubitState`
-objects into such blocks.  The walk groups rows by Hamming-weight sector:
-when every basis state of a row has ``w`` excitations, each reduced state
-is block-diagonal by the weight on its side of the cut, so a cut's purity is
-a sum over small blocks, and no ``2^n`` vector is built.  A cut leaves a
-state product when its purity exceeds ``(1 - PURITY_TOL) ||psi||^4``, the
-purity of a product state of the same norm.
+block (row offsets, basis states as binary integers, amplitudes), as codes
+into :data:`LABELS`, and :func:`entanglement_classes` packs loose
+:class:`~entnet.states.QubitState` objects into such blocks.  The walk groups
+rows by Hamming-weight sector: when every basis state of a row has ``w``
+excitations, each reduced state is block-diagonal by the weight on its side
+of the cut, so a cut's purity is a sum over small blocks, and no ``2^n``
+vector is built.  A cut leaves a state product when its purity exceeds
+``(1 - PURITY_TOL) ||psi||^4``, the purity of a product state of the same
+norm.
 
 Bitstring convention as in :mod:`entnet.states`: the leftmost character is
 qubit 1, the leading bit of the binary integer.
@@ -38,7 +39,7 @@ _BLOCK_AMPS = 1024
 _KEPT_QUBITS = 8
 _BITS3 = tuple("".join(t) for t in itertools.product("01", repeat=3))
 #: the labels of the walk's codes
-_LABELS = np.array(["product", "biseparable", "entangled", "W-class", "GHZ-class"], dtype=object)
+LABELS = np.array(["product", "biseparable", "entangled", "W-class", "GHZ-class"], dtype=object)
 
 
 def _three_tangle(a: Mapping[str, complex]) -> float:
@@ -83,16 +84,16 @@ def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
                             dtype=int, count=size)
         amps = np.fromiter((a for state in block for a in state.amplitudes.values()),
                            dtype=complex, count=size)
-        for state, label in zip(block, entanglement_classes_csr(
-                block[0].n_qubits, offsets, atoms, amps)):
+        codes = entanglement_classes_csr(block[0].n_qubits, offsets, atoms, amps)
+        for state, label in zip(block, LABELS[codes].tolist()):
             state._label = label
         start = stop
     return [state._label for state in states]
 
 
 def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarray,
-                             amplitudes: np.ndarray) -> list[str]:
-    """Entanglement labels of the states stored as the rows of a CSR block.
+                             amplitudes: np.ndarray) -> np.ndarray:
+    """Entanglement label codes (int8, into :data:`LABELS`) of the rows of a CSR block.
 
     Row ``i`` has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the basis
     states ``atoms[...]`` (bitstrings as binary integers), at least one
@@ -137,7 +138,7 @@ def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarr
                  np.repeat(np.arange(last - first), np.diff(stacked[first:last + 1]))] = \
                 amplitudes[picked]
             codes[order[first:last]] = _walk_sector(n_qubits, plan, vecs)
-    return _LABELS[codes].tolist()
+    return codes
 
 
 def _gather(offsets: np.ndarray, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +270,7 @@ def _purities(step: _Step, vecs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _walk_sector(n_qubits: int, plan: _Plan, vecs: np.ndarray) -> np.ndarray:
-    """Label codes (into ``_LABELS``) of the states ``vecs``, one per column, on ``plan``'s sector.
+    """Label codes (into :data:`LABELS`) of the states ``vecs`` (columns) on ``plan``'s sector.
 
     The walk tests the single-qubit cuts before the larger ones, each
     bipartition once, a step of cuts at a time across the states it has

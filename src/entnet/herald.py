@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .interferometers import MultiportMatrix, inverse
+from .interferometers import SYMMETRY_TOL, MultiportMatrix, inverse
 from .photonics import FockState, HybridState, Mode, propagate
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
 from .states import genuinely_entangled  # noqa: F401
-from .bipartitions import _gather, entanglement_classes_csr
+from .bipartitions import LABELS, _gather, entanglement_classes_csr
 # The inputs and the eraser's sector sums live in the numpy-free ``sources``;
 # they are re-exported here, where perfbench/tracer.py also wraps them by name.
 from .sources import (_product_state, _wpe_tail, prepare_swap_input,  # noqa: F401
@@ -32,6 +33,8 @@ from .sources import (_product_state, _wpe_tail, prepare_swap_input,  # noqa: F4
 from .states import GENUINE_CLASSES, NORM_TOL, QubitState
 
 DetectionPattern = FockState
+#: whether each label code's class is genuinely multipartite
+_GENUINE = np.array([label in GENUINE_CLASSES for label in LABELS])
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,9 @@ class HeraldRule:
     entanglement_filter: Callable[["ProjectionRow"], bool] | None = None
 
     def __post_init__(self):
-        if self.required_clicks < 1:
-            raise ValueError("required_clicks must be >= 1")
+        clicks = self.required_clicks
+        if isinstance(clicks, bool) or not isinstance(clicks, numbers.Integral) or clicks < 1:
+            raise ValueError(f"required_clicks must be an integer >= 1, got {clicks!r}")
 
 
 class DetectionTable:
@@ -74,14 +78,19 @@ class DetectionTable:
 
     Row ``i``'s pattern has ``occupations[i, j]`` photons in output mode
     ``modes[j]``, rows in canonical (Fock key) order; a key is built when read.
-    ``probabilities`` are the rows' float probabilities; ``n_detectors``,
-    ``n_photons`` and ``max_per_detector`` count each row's clicks.  The
-    normalized projected amplitudes are one CSR block: row ``i`` has
-    ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
-    ``atoms[...]`` (bitstrings as binary integers, ascending).  ``labels``
-    holds each row's entanglement class, for every row or for none: a walk
-    of the whole table sets them all at once.  ``dicke`` is an eraser
+    ``probabilities`` are the rows' float probabilities; the numpy columns
+    ``n_detectors``, ``n_photons`` and ``max_per_detector`` count each row's
+    clicks.  The normalized projected amplitudes are one CSR block: row ``i``
+    has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
+    ``atoms[...]`` (bitstrings as binary integers, ascending).  ``codes``
+    (int8, into :data:`~entnet.bipartitions.LABELS`) and ``labels`` hold each
+    row's entanglement class, for every row or for none (``codes`` is then
+    None): :meth:`classify` sets them all at once.  ``dicke`` is an eraser
     table's :func:`dicke_family_fidelity` column.
+
+    ``symmetries`` are permutations of the columns of ``occupations``, each
+    of which maps every row's pattern to one whose state is the row's own up
+    to a phase per qubit, so both have one label (:meth:`orbits`).
 
     A row's :class:`QubitState` is built from its CSR slice the first time
     it is read; it carries the row's label, now or when a walk sets it.
@@ -89,22 +98,21 @@ class DetectionTable:
 
     def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
                  probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
-                 amplitudes: np.ndarray, labels: list | None = None):
+                 amplitudes: np.ndarray, codes: np.ndarray | None = None,
+                 symmetries: Sequence[np.ndarray] = ()):
         self.n_atoms = n_atoms
         self.modes, self.occupations = modes, occupations
         self.probabilities = probabilities
-        self.n_detectors = (occupations > 0).sum(axis=1).tolist()
-        self.n_photons = occupations.sum(axis=1).tolist()
-        self.max_per_detector = occupations.max(axis=1, initial=0).tolist()
+        self.n_detectors = (occupations > 0).sum(axis=1)
+        self.n_photons = occupations.sum(axis=1, dtype=np.int64)
+        self.max_per_detector = occupations.max(axis=1, initial=0)
         self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
-        self.labels = labels or [None] * len(probabilities)
+        self.codes = codes
+        self.labels = [None] * len(probabilities) if codes is None else LABELS[codes].tolist()
+        self.symmetries = symmetries
         self.dicke: list[float] | None = None
         self._states: list[QubitState | None] = [None] * len(probabilities)
         self._entries = None  # the CSR block as Python lists, made for the first state
-
-    def rows(self) -> list["ProjectionRow"]:
-        view = ProjectionRow._view
-        return [view(self, i) for i in range(len(self.probabilities))]
 
     def state(self, i: int) -> QubitState:
         state = self._states[i]
@@ -120,24 +128,79 @@ class DetectionTable:
                 self.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])), self.labels[i])
         return state
 
-    def classify(self) -> None:
-        """Label every row in one walk of the table's own CSR block.
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit column: each row's orbit, and the row of each orbit that is walked.
 
-        The states already built take their row's label too.
+        Two rows share an orbit when a symmetry maps one pattern to the
+        other, found as the same least key over their images (a key has one
+        digit per mode), and they have as many cells; the walked row is the
+        orbit's first.  A table without symmetries, or whose keys would not
+        fit int64 (as for 3 photons on 32 modes), has one row per orbit.
         """
-        self.labels = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
-                                               self.amplitudes)
+        n_rows, n_modes = self.occupations.shape
+        base = int(self.occupations.max(initial=0)) + 1
+        if not self.symmetries or base ** n_modes > 2 ** 63:
+            rows = np.arange(n_rows)
+            return rows, rows
+        weights = np.array([base ** j for j in range(n_modes)], np.int64)
+        # each image's digit weight for each column: photons in column j move to perm[j]
+        moved = weights[np.array([np.arange(n_modes), *self.symmetries])]
+        keys = np.zeros((len(moved), n_rows), np.int64)
+        for j in range(n_modes):
+            keys += moved[:, j:j + 1] * self.occupations[:, j]
+        _, first, orbit = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
+        sizes = np.diff(self.offsets)
+        lone = np.flatnonzero(sizes != sizes[first][orbit])
+        orbit[lone] = len(first) + np.arange(len(lone))
+        return np.concatenate((first, lone)), orbit
+
+    def classify(self) -> None:
+        """Label every row in one walk of the CSR rows of its orbits' walked rows.
+
+        Each walked code is copied across its orbit (:meth:`orbits`); a table
+        without symmetries walks every row.  The states already built take
+        their row's label too.
+        """
+        walked, orbit = self.orbits()
+        if len(walked) < len(orbit):
+            offsets, entries = _gather(self.offsets, walked)
+            self.codes = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
+                                                  self.amplitudes[entries])[orbit]
+        else:  # one row per orbit: walk the block as it is
+            self.codes = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
+                                                  self.amplitudes)
+        self.labels = LABELS[self.codes].tolist()
         for state, label in zip(self._states, self.labels):
             if state is not None:
                 state._label = label
 
     def take(self, rows: Sequence[int]) -> "DetectionTable":
-        """A table of the rows ``rows`` of this one, in that order."""
+        """A table of the rows ``rows`` of this one, in that order.
+
+        It keeps this table's symmetries, so its own first label query walks
+        one row per orbit of the rows taken, and any labels already set.
+        """
         offsets, entries = _gather(self.offsets, rows)
         return DetectionTable(
             self.n_atoms, self.modes, self.occupations[rows],
             [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
-            self.amplitudes[entries], [self.labels[i] for i in rows])
+            self.amplitudes[entries], None if self.codes is None else self.codes[rows],
+            self.symmetries)
+
+
+class TableRows(tuple):
+    """The rows of one whole :class:`DetectionTable`, in order: views in an immutable tuple.
+
+    ``table`` is the table; a slice or a concatenation is a plain tuple.
+    """
+
+    table: DetectionTable
+
+    def __new__(cls, table: DetectionTable):
+        view = ProjectionRow._view
+        rows = super().__new__(cls, [view(table, i) for i in range(len(table.probabilities))])
+        rows.table = table
+        return rows
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -164,11 +227,13 @@ class ProjectionRow:
     def __init__(self, pattern: DetectionPattern, state: QubitState, probability: float,
                  dicke_fidelity: float | None = None):
         bits, amps = zip(*sorted(state.amplitudes.items()))
+        label = state._label
         table = DetectionTable(
             state.n_qubits, [m for m, _ in pattern.key],
             np.array([[k for _, k in pattern.key]], dtype=int), [probability],
             np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
-            np.array(amps, dtype=complex), [state._label])
+            np.array(amps, dtype=complex),
+            None if label is None else np.array([LABELS.tolist().index(label)], np.int8))
         table._states[0] = state
         table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
         self._table, self._index = table, 0
@@ -200,22 +265,23 @@ class ProjectionRow:
 
     @property
     def n_photons(self) -> int:
-        return self._table.n_photons[self._index]
+        return int(self._table.n_photons[self._index])
 
     @property
     def n_detectors(self) -> int:
-        return self._table.n_detectors[self._index]
+        return int(self._table.n_detectors[self._index])
 
     @property
     def max_per_detector(self) -> int:
-        return self._table.max_per_detector[self._index]
+        return int(self._table.max_per_detector[self._index])
 
     def state_class(self) -> str:
         """Entanglement class of the projected state.
 
         The first query on any row of a table, an aggregate's included,
-        labels all its rows in one walk (:meth:`DetectionTable.classify`);
-        later queries read the stored label.
+        labels all its rows in one walk of its orbits' first rows
+        (:meth:`DetectionTable.classify`); later queries read the stored
+        label.
         """
         table = self._table
         if table.labels[self._index] is None:
@@ -241,13 +307,17 @@ def _canonical_order(occupations: np.ndarray) -> np.ndarray:
     return np.lexsort(code.T[::-1])
 
 
-def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
+def run_gbsa(state: HybridState, u: MultiportMatrix) -> TableRows:
     """Propagate through ``u`` and enumerate every detection pattern.
 
     Returns one row per output Fock pattern (sorted canonically) with the
     normalized projected atomic state and the exact pattern probability; the
-    probabilities of a complete input sum to 1.  The rows are views of one
-    :class:`DetectionTable`, built in one pass over the nonzero cells of
+    probabilities sum to 1, as the input must be normalized.  The rows are
+    views of one :class:`DetectionTable`, in a :class:`TableRows` tuple that
+    knows it.  The table keeps the output symmetries of ``u`` under which
+    ``state``'s rows keep their labels (:func:`_label_symmetries`), so its
+    first label query walks one row per orbit.  The table is built in one
+    pass over the nonzero cells of
     :func:`~entnet.photonics.propagate`: one lexsort orders the patterns and
     one stable argsort puts the cells into rows.  Every probability and
     amplitude is bit-identical to the table built from the polynomial
@@ -264,11 +334,16 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
     them, and checked to be normalized, all rows at once.
 
     Raises:
+        ValueError: the input's norm squared is off 1 by more than
+            ``NORM_TOL`` (raised before any term is expanded), or an
+            amplitude is not finite, so a row cannot be normalized.
         CapacityError: the whole expansion is oversize.
         DimensionMismatch: a photon sits on a port that is not an integer in
             ``1..dim``.  Both are raised before any term is expanded.
-        ValueError: an amplitude is not finite, so a row cannot be normalized.
     """
+    norm_sq = state.norm_sq()
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise ValueError(f"the input's norm squared is {norm_sq!r}, not 1")
     out = propagate(state, inverse(u))
     order = _canonical_order(out.occupations)
     owner = np.argsort(order)[out.pattern]  # each cell's row
@@ -292,8 +367,54 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> list[ProjectionRow]:
                         minlength=len(order))
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
-    return DetectionTable(state.n_atoms, out.modes, out.occupations[order], probs.tolist(),
-                          offsets, out.registers[cells], amplitudes).rows()
+    return TableRows(DetectionTable(
+        state.n_atoms, out.modes, out.occupations[order], probs.tolist(), offsets,
+        out.registers[cells], amplitudes, symmetries=_label_symmetries(state, u, out.modes)))
+
+
+def _label_symmetries(state: HybridState, u: MultiportMatrix,
+                      modes: list[Mode]) -> list[np.ndarray]:
+    """The output symmetries of ``u`` that keep the labels of ``state``'s rows.
+
+    A symmetry ``U[perm[j], k] = d1[j] U[j, k] d2[k]`` maps pattern ``O`` to
+    ``perm(O)`` with the same probability: each amplitude on atoms ``s``
+    gains the conjugate of the ``d1`` phases of ``O``'s photons, which is
+    global, times the conjugate of the ``d2`` phases of the input photons
+    of ``s``'s term.  That term phase is a local unitary, and keeps the
+    label, when it factors into one phase per qubit: every term's phase is
+    the first term's times, for each qubit where its atoms differ, the
+    phase step of the term that differs there alone.  Every swap and
+    eraser input factors (each node sends its photon into one fixed port,
+    or none).  Each kept symmetry is returned as the permutation of the
+    columns of ``modes`` (ports move, polarizations stay).
+    """
+    symmetries = u.symmetries[1:]
+    if not symmetries or not state.terms:
+        return []
+    n = state.n_atoms
+    registers = np.array([int("0" + atoms, 2) for atoms, _ in state.terms])
+    counts = np.zeros((len(registers), u.dim), dtype=int)
+    for t, (_, fkey) in enumerate(state.terms):
+        for m, k in fkey:
+            counts[t, m.port - 1] += k
+    # each term's phase (symmetries x terms), from products only: complex division,
+    # np.angle and np.exp would each map 64 KB more of numpy's code into memory
+    d2 = np.array([sym.d2 for sym in symmetries])[:, None, :]
+    phases = np.ones((len(symmetries), len(registers)), complex)
+    for k in range(1, counts.max(initial=0) + 1):
+        phases *= np.where(counts >= k, d2, 1).prod(axis=2)
+    flips = (registers[:, None] ^ registers[0]) >> np.arange(n - 1, -1, -1) & 1
+    alone = flips * (flips.sum(axis=1) == 1)[:, None]
+    if np.any(flips.any(axis=0) & ~alone.any(axis=0)):
+        return []  # a qubit's phase step cannot be read off
+    steps = phases[:, alone.argmax(axis=0)] * phases[:, :1].conj()  # (symmetries x qubits)
+    predicted = phases[:, :1] * np.where(flips, steps[:, None, :], 1).prod(axis=2)
+    kept = np.all(np.abs(predicted - phases) <= SYMMETRY_TOL, axis=1)
+    # ``modes`` is every port for each polarization, sorted by port
+    pols = len(modes) // u.dim
+    columns = np.arange(len(modes))
+    return [sym.perm[columns // pols] * pols + columns % pols
+            for sym, keep in zip(symmetries, kept.tolist()) if keep]
 
 
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
@@ -329,30 +450,63 @@ def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
     return sorted(out, key=lambda f: f.key)
 
 
-def _accepts(row: ProjectionRow, model: DetectorModel, rule: HeraldRule) -> bool:
-    """Whether ``rule`` accepts the row's pattern, read from its table's click columns."""
-    table, i = row._table, row._index
-    if rule.distinct_detectors_only and table.max_per_detector[i] > 1:
-        return False
+def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule,
+              index=slice(None)) -> np.ndarray:
+    """Whether ``rule`` accepts the patterns of rows ``index``, read from the click columns."""
     # threshold detectors only resolve which detectors fired
     clicks = table.n_detectors if model.kind == "threshold" else table.n_photons
-    return clicks[i] == rule.required_clicks
+    accepted = clicks[index] == rule.required_clicks
+    if rule.distinct_detectors_only:
+        accepted &= table.max_per_detector[index] <= 1
+    return accepted
+
+
+def _by_table(rows: list[ProjectionRow]) -> list[tuple[DetectionTable, np.ndarray, np.ndarray]]:
+    """Each table of ``rows`` with its rows' indices in it and their positions in ``rows``."""
+    groups: dict[int, tuple[DetectionTable, list[int], list[int]]] = {}
+    for position, row in enumerate(rows):
+        table, index, positions = groups.setdefault(id(row._table), (row._table, [], []))
+        index.append(row._index)
+        positions.append(position)
+    return [(table, np.array(index, dtype=int), np.array(positions, dtype=int))
+            for table, index, positions in groups.values()]
 
 
 def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,
                         rule: HeraldRule) -> float:
     """Total probability of accepted patterns whose state passes the filter.
 
-    One sum in row order.  The filter sees accepted rows only; the default
-    one reads :meth:`ProjectionRow.state_class`, so the first label it asks
-    for walks the row's whole table.
+    Reads the tables' columns, not the rows: the rows of each table
+    (:class:`TableRows` is one table already) are accepted on its click
+    columns, and the default filter reads its label codes.  If a table is
+    not labelled yet, its first accepted row's
+    :meth:`ProjectionRow.state_class` labels it, in one walk.  A custom
+    filter sees the accepted rows only.  The total is one sum in row order
+    from ``0.0``, so it is ``0.0`` when no row is accepted.
     """
-    keep = rule.entanglement_filter or (lambda row: row.state_class() in GENUINE_CLASSES)
-    return sum(row.probability for row in rows if _accepts(row, model, rule) and keep(row))
+    if isinstance(rows, TableRows):
+        every = np.arange(len(rows))
+        groups, probabilities = [(rows.table, every, every)], rows.table.probabilities
+    else:
+        rows = list(rows)
+        groups = _by_table(rows)
+        probabilities = [row._table.probabilities[row._index] for row in rows]
+    keep = np.zeros(len(rows), dtype=bool)
+    for table, index, positions in groups:
+        accepted = _accepted(table, model, rule, index)
+        if rule.entanglement_filter is not None:
+            accepted[accepted] = [rule.entanglement_filter(rows[p])
+                                  for p in positions[accepted].tolist()]
+        elif accepted.any():
+            if table.codes is None:  # the table's first label query goes through a row
+                rows[positions[accepted][0]].state_class()
+            accepted &= _GENUINE[table.codes[index]]
+        keep[positions] = accepted
+    return sum(itertools.compress(probabilities, keep.tolist()), 0.0)
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,
-                    ports: Sequence[int] | None = None) -> list[ProjectionRow]:
+                    ports: Sequence[int] | None = None) -> TableRows:
     """Swap table for ``m`` Bell pairs feeding an ``m``-or-larger multiport.
 
     Unused input ports stay in vacuum; ``ports`` defaults to ``1..m``.
@@ -384,7 +538,7 @@ def dicke_family_fidelity(state: QubitState, m: int) -> float:
 
 
 def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
-               model: DetectorModel = THRESHOLD) -> list[ProjectionRow]:
+               model: DetectorModel = THRESHOLD) -> TableRows:
     """Detection rows of the which-path eraser heralding on ``m_clicks``.
 
     Under threshold detectors a nominal ``m``-click event is any pattern
@@ -394,13 +548,16 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     :func:`dicke_family_fidelity` against the ``m``-excitation target, the
     free-phase upper bound, so the probability-weighted row value bounds
     the heralded-state fidelity from above.
+
+    The rows are picked on the click columns of :func:`run_gbsa`'s table,
+    not row by row, into a :class:`TableRows` of their own table, which
+    keeps the symmetries: its first label query walks one row per orbit.
     """
     if m_clicks < 1:
         raise ValueError("m_clicks must be >= 1")
-    rule = HeraldRule(m_clicks)
-    kept = [row for row in run_gbsa(state, u) if _accepts(row, model, rule)]
-    if not kept:
-        return []
-    table = kept[0]._table.take([row._index for row in kept])
-    table.dicke = [dicke_family_fidelity(table.state(i), m_clicks) for i in range(len(kept))]
-    return table.rows()
+    rule = HeraldRule(m_clicks)  # and an integer, before any work
+    table = run_gbsa(state, u).table
+    table = table.take(np.flatnonzero(_accepted(table, model, rule)))
+    table.dicke = [dicke_family_fidelity(table.state(i), m_clicks)
+                   for i in range(len(table.probabilities))]
+    return TableRows(table)

@@ -9,8 +9,10 @@ against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +20,24 @@ UNITARITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
 
+class Symmetry(NamedTuple):
+    """An output permutation of a multiport: ``U[perm[j], k] = d1[j] U[j, k] d2[k]``.
+
+    That is ``P U = D1 U D2`` with diagonal unitaries ``D1``, ``D2`` and
+    ``(P U)[j] = U[perm[j]]`` (0-based ports).
+    """
+
+    perm: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+
+
 @dataclass(frozen=True)
 class MultiportMatrix:
-    """An ``n x n`` unitary mode transform ``b_dag = U a_dag``."""
+    """An ``n x n`` unitary mode transform ``b_dag = U a_dag``.
+
+    :attr:`symmetries` are found on first read and kept with the matrix.
+    """
 
     dim: int
     entries: np.ndarray = field(repr=False)
@@ -34,6 +51,33 @@ class MultiportMatrix:
             raise ValueError(f"matrix {self.label or m} is not unitary")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    @functools.cached_property
+    def symmetries(self) -> tuple[Symmetry, ...]:
+        """The output symmetries of a balanced multiport, the identity first.
+
+        Every permutation ``perm`` of the output ports with
+        ``U[perm[j], k] = d1[j] U[j, k] d2[k]`` for unit phases ``d1``,
+        ``d2`` (``d1[0] = 1``), matched within ``SYMMETRY_TOL``.  Row 0's
+        image fixes ``d2``, and each row must then equal one row of
+        ``U D2`` up to a phase: ``dim`` candidates of ``O(dim^3)`` each.
+        A matrix that is not balanced (:func:`verify_symmetric`) may have
+        zero entries, and only the identity is returned for it.
+        """
+        n, m = self.dim, self.entries
+        found = [Symmetry(np.arange(n), np.ones(n, complex), np.ones(n, complex))]
+        if not verify_symmetric(self):
+            return tuple(found)
+        # every |U[j, k]|^2 is 1/n, so dividing by an entry is n times multiplying by its conjugate
+        for image in range(1, n):
+            d2 = m[image] * m[0].conj() * n
+            # ratio[i, j, k] = U[i, k] / (U D2)[j, k]: row j maps to the i where it is constant
+            ratio = m[:, None, :] * (m * d2).conj()[None, :, :] * n
+            match = np.all(np.abs(ratio - ratio[:, :, :1]) < SYMMETRY_TOL, axis=2)
+            perm = match.argmax(axis=0)
+            if np.all(match.sum(axis=0) == 1) and len(set(perm.tolist())) == n:
+                found.append(Symmetry(perm, ratio[perm, np.arange(n), 0], d2))
+        return tuple(found)
 
 
 def unitarity_residual(entries: np.ndarray) -> float:

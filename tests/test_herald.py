@@ -16,17 +16,18 @@ from hypothesis import strategies as st
 import entnet.herald
 import entnet.photonics
 from entnet.analytics import wpe_fidelity, wpe_rate
+from entnet.bipartitions import LABELS
 from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectorModel, HeraldRule,
-                           aggregate_heralding, dicke_family_fidelity,
-                           prepare_swap_input, run_gbsa, subnetwork_swap,
-                           suppressed_patterns, wpe_fidelity_sim, wpe_herald,
-                           wpe_rate_sim, wpe_sector_probabilities, wpe_state)
+                           ProjectionRow, aggregate_heralding, dicke_family_fidelity,
+                           entanglement_classes_csr, prepare_swap_input, run_gbsa,
+                           subnetwork_swap, suppressed_patterns, wpe_fidelity_sim,
+                           wpe_herald, wpe_rate_sim, wpe_sector_probabilities, wpe_state)
 from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                                     symmetric_multiport, tritter)
 from entnet.photonics import (MERGE_TOL, CapacityError, DimensionMismatch, FockState,
                               HybridState, Mode, apply_mode_transform, expand_to_fock,
                               fock_to_polynomial)
-from entnet.states import (PURITY_TOL, TANGLE_TOL, QubitState, dicke_state,
+from entnet.states import (GENUINE_CLASSES, PURITY_TOL, TANGLE_TOL, QubitState, dicke_state,
                            entanglement_classes, fidelity, ghz_basis_state, is_product_state,
                            reduced_purity, three_tangle)
 
@@ -349,12 +350,13 @@ def test_accepts_counts_clicks_read_from_the_pattern(model, distinct, accepted):
     rows = run_gbsa(prepare_swap_input(4), quarter())
     for m in range(1, 9):
         rule = HeraldRule(m, distinct_detectors_only=distinct)
+        mask = entnet.herald._accepted(rows.table, model, rule)
         kept = 0
-        for r in rows:
+        for r, got in zip(rows, mask.tolist(), strict=True):
             counts = [k for _, k in r.pattern.key]
             clicks = len(counts) if model == THRESHOLD else sum(counts)
             want = clicks == m and not (distinct and max(counts) > 1)
-            assert entnet.herald._accepts(r, model, rule) == want, (r.pattern.label(), m)
+            assert got == want, (r.pattern.label(), m)
             kept += want
         assert kept == accepted[m - 1]
 
@@ -374,7 +376,8 @@ def test_aggregates_reuse_row_classes(monkeypatch):
     walks = _count_walked_rows(monkeypatch)
     for row in rows:
         row.state_class()
-    assert sum(walks) == len(rows)  # each row enters the walk once
+    assert walks == [72] and len(rows) == 258  # one walk, one row per orbit
+    assert all(row.state._label is not None for row in rows)
     walks.clear()
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
     nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
@@ -394,25 +397,124 @@ def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monke
     walks = _count_walked_rows(monkeypatch)
     rule = HeraldRule(4, distinct_detectors_only=True)
     assert aggregate_heralding(rows, THRESHOLD, rule) == pytest.approx(7 / 32, abs=1e-9)
-    accepted = [row for row in rows if entnet.herald._accepts(row, THRESHOLD, rule)]
-    assert 0 < len(accepted) < len(rows) == 258
-    assert walks == [258]
+    accepted = entnet.herald._accepted(rows.table, THRESHOLD, rule)
+    assert 0 < accepted.sum() < len(rows) == 258
+    assert walks == [72]  # one walk over the orbits' walked rows
     assert all(row.state._label is not None for row in rows)
+    assert aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4)) == \
+        pytest.approx(7 / 8, abs=1e-9)
+    assert walks == [72]
 
 
-@pytest.mark.parametrize("table", [
-    lambda: run_gbsa(prepare_swap_input(4), quarter()),
-    lambda: wpe_herald(wpe_state(5, 0.3), symmetric_multiport(3), 2),
+@pytest.mark.parametrize("table, orbits, n_rows", [
+    (lambda: run_gbsa(prepare_swap_input(4), quarter()), 72, 258),
+    (lambda: wpe_herald(wpe_state(5, 0.3), symmetric_multiport(3), 2), 42, 280),
 ], ids=["swap", "eraser"])
-def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table):
+def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table, orbits,
+                                                              n_rows):
     rows = table()
     walks = _count_walked_rows(monkeypatch)
     first = rows[len(rows) // 2].state_class()
-    assert walks == [len(rows)]
+    assert walks == [orbits] and len(rows) == n_rows  # one row per orbit
     assert all(row.state._label is not None for row in rows)
     labels = [row.state_class() for row in rows]
-    assert walks == [len(rows)]
+    assert walks == [orbits]
     assert labels[len(rows) // 2] == first
+
+
+def _full_walk_labels(rows):
+    """Labels of every row of the rows' table from one walk of its whole CSR block."""
+    table = rows.table
+    return LABELS[entanglement_classes_csr(table.n_atoms, table.offsets, table.atoms,
+                                           table.amplitudes)].tolist()
+
+
+def _phased_eraser():
+    return wpe_state(6, 0.25, [0.3 * k for k in range(6)])
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: [run_gbsa(prepare_swap_input(4, [1, -1, -1, 1], [2, 3, 5, 8]),
+                      symmetric_multiport(3))],
+    lambda: [subnetwork_swap(5, symmetric_multiport(3))],
+    lambda: _swap_tables_under_every_sign(3, tritter()),
+    lambda: _swap_tables_under_every_sign(4, quarter()),
+    lambda: [run_gbsa(_phased_eraser(), symmetric_multiport(3))],
+    lambda: [wpe_herald(_phased_eraser(), symmetric_multiport(3), 3)],
+], ids=["sym2d-m4-signs", "sym2d-m5", "tritter", "quarter", "eraser6", "eraser6-herald3"])
+def test_orbit_labels_match_a_full_walk(monkeypatch, tables):
+    for rows in tables():
+        want = _full_walk_labels(rows)
+        walks = _count_walked_rows(monkeypatch)
+        assert [row.state_class() for row in rows] == want
+        assert len(walks) == 1 and walks[0] < len(rows)  # the orbits were used
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rows", [
+    lambda: run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+                     MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
+    # the |11> term's photons both leave port 1, so under the port swap
+    # (d2 = (i, -i)) the term phases are (1, 1, 1, -1): no phase per qubit
+    lambda: run_gbsa(HybridState(2, {
+        ("00", ((Mode(1, "H"), 1), (Mode(2, "H"), 1))): 0.5,
+        ("01", ((Mode(1, "H"), 1), (Mode(2, "V"), 1))): 0.5,
+        ("10", ((Mode(1, "V"), 1), (Mode(2, "H"), 1))): 0.5,
+        ("11", ((Mode(1, "V"), 2),)): 0.5}), beam_splitter()),
+], ids=["haar", "unfactored-phases"])
+def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
+    rows = rows()
+    assert rows.table.symmetries == []
+    want = _full_walk_labels(rows)
+    walks = _count_walked_rows(monkeypatch)
+    assert [row.state_class() for row in rows] == want
+    assert walks == [len(rows)]
+
+
+def test_patterns_wider_than_int64_walk_every_row(monkeypatch):
+    # 3 photons on the 32 modes of the 16-port butterfly: base-4 keys of 64 bits
+    rows = run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4))
+    assert len(rows.table.symmetries) == 15
+    want = _full_walk_labels(rows)
+    walks = _count_walked_rows(monkeypatch)
+    assert [row.state_class() for row in rows] == want
+    assert walks == [len(rows)]
+
+
+def test_label_symmetries_survive_take():
+    rows = run_gbsa(_phased_eraser(), symmetric_multiport(3))
+    assert len(rows.table.symmetries) == 7
+    kept = wpe_herald(_phased_eraser(), symmetric_multiport(3), 3)
+    assert [list(perm) for perm in kept.table.symmetries] == \
+        [list(perm) for perm in rows.table.symmetries]
+
+
+def test_aggregating_a_table_reads_its_columns(monkeypatch):
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    queries, reads = [], []
+    state_class, probability = ProjectionRow.state_class, ProjectionRow.probability
+    monkeypatch.setattr(ProjectionRow, "state_class",
+                        lambda self: queries.append(self) or state_class(self))
+    monkeypatch.setattr(ProjectionRow, "probability",
+                        property(lambda self: reads.append(self) or probability.fget(self)))
+    thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
+    nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
+    assert len(queries) == 1 and reads == []
+    assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
+    assert nr == sum(r.probability for r in rows if r.state_class() in GENUINE_CLASSES)
+    # any other sequence of rows is grouped by table and summed in its own order
+    loose = [dataclasses.replace(rows[5], probability=0.5)] + list(reversed(rows))
+    assert aggregate_heralding(loose, NUMBER_RESOLVED, HeraldRule(4)) == \
+        sum(r.probability for r in loose if r.state_class() in GENUINE_CLASSES)
+
+
+def test_run_gbsa_refuses_an_unnormalized_input(monkeypatch):
+    calls = []
+    monkeypatch.setattr(entnet.herald, "propagate", lambda *args: calls.append(args))
+    h1h2 = ((Mode(1, "H"), 1), (Mode(2, "H"), 1))
+    with pytest.raises(ValueError, match="norm squared"):
+        run_gbsa(HybridState(2, {("00", h1h2): 3.0}), quarter())
+    assert calls == []
 
 
 def test_nan_multiport_is_refused_before_any_table():
@@ -651,8 +753,17 @@ def test_permutation_covariance(perm):
 def test_detector_and_rule_validation():
     with pytest.raises(ValueError):
         DetectorModel("analog")
-    with pytest.raises(ValueError):
-        HeraldRule(0)
+    for clicks in (0, 2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="required_clicks"):
+            HeraldRule(clicks)
+    assert HeraldRule(np.int64(2)).required_clicks == 2
+
+
+def test_aggregate_with_no_accepted_row_is_a_float_zero():
+    rows = run_gbsa(prepare_swap_input(2), beam_splitter())
+    for got in (aggregate_heralding(rows, THRESHOLD, HeraldRule(3)),
+                aggregate_heralding([], NUMBER_RESOLVED, HeraldRule(2))):
+        assert got == 0.0 and type(got) is float
 
 
 # ---------------------------------------------------------------- which-path erasing

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
-                                    split_polarization_phase, symmetric_multiport,
+from entnet.interferometers import (SYMMETRY_TOL, MultiportMatrix, beam_splitter, inverse,
+                                    quarter, split_polarization_phase, symmetric_multiport,
                                     symmetry_residual, tritter, unitarity_residual,
                                     verify_symmetric, with_phase_plates)
 from entnet.photonics import PhotonPolynomial, apply_mode_transform, mode
@@ -158,3 +158,31 @@ def test_split_polarization_phase_values():
 def test_split_polarization_phase_rejects_bad_wavelength():
     with pytest.raises(ValueError):
         split_polarization_phase(0, 0, 0, 0, 0.0)
+
+
+def _qr_haar(n, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return MultiportMatrix(n, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+@pytest.mark.parametrize("u", [
+    beam_splitter(), tritter(), quarter(), symmetric_multiport(3), symmetric_multiport(4),
+    with_phase_plates(quarter(), [0.1, 0.7, -0.4, 2.0], [1.3, -0.2, 0.5, 0.9]),
+], ids=lambda u: u.label)
+def test_balanced_multiports_have_dim_output_symmetries(u):
+    found = u.symmetries
+    assert len({tuple(sym.perm.tolist()) for sym in found}) == len(found) == u.dim
+    assert found[0].perm.tolist() == list(range(u.dim))
+    for sym in found:  # P U = D1 U D2: U[perm[j], k] = d1[j] U[j, k] d2[k]
+        assert sorted(sym.perm.tolist()) == list(range(u.dim))
+        assert np.max(np.abs(u.entries[sym.perm]
+                             - sym.d1[:, None] * u.entries * sym.d2[None, :])) <= SYMMETRY_TOL
+        assert np.allclose(np.abs(sym.d1), 1) and np.allclose(np.abs(sym.d2), 1)
+    assert u.symmetries is found  # kept with the matrix
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_haar_unitary_has_only_the_identity_symmetry(seed):
+    found = _qr_haar(4, seed).symmetries
+    assert [sym.perm.tolist() for sym in found] == [[0, 1, 2, 3]]
