@@ -15,12 +15,12 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .interferometers import SYMMETRY_TOL, MultiportMatrix, inverse
-from .photonics import FockState, HybridState, Mode, propagate
+from .photonics import NORM_TOL, FockState, HybridState, Mode, propagate
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
@@ -30,7 +30,7 @@ from .bipartitions import LABELS, _gather, entanglement_classes_csr
 # they are re-exported here, where perfbench/tracer.py also wraps them by name.
 from .sources import (_product_state, _wpe_tail, prepare_swap_input,  # noqa: F401
                       wpe_fidelity_sim, wpe_rate_sim, wpe_sector_probabilities, wpe_state)
-from .states import GENUINE_CLASSES, NORM_TOL, QubitState
+from .states import GENUINE_CLASSES, QubitState
 
 DetectionPattern = FockState
 #: whether each label code's class is genuinely multipartite
@@ -56,16 +56,16 @@ NUMBER_RESOLVED = DetectorModel("number_resolved")
 class HeraldRule:
     """Acceptance rule for heralding events.
 
-    ``entanglement_filter`` sees accepted rows only.  It defaults to "the
-    projected atomic state is genuinely multipartite" (no bipartition
-    leaves it product), which reproduces the published analyser
-    efficiencies; any predicate on a :class:`ProjectionRow` may be
-    substituted, e.g. one keeping every non-product state.
+    A pattern is accepted when it makes ``required_clicks`` clicks (detectors
+    fired under threshold detectors, photons under number-resolved ones)
+    and, with ``distinct_detectors_only``, no detector holds two photons.
+    :func:`aggregate_heralding` counts an accepted row when its projected
+    atomic state is genuinely multipartite (no bipartition leaves it
+    product), which reproduces the published analyser efficiencies.
     """
 
     required_clicks: int
     distinct_detectors_only: bool = False
-    entanglement_filter: Callable[["ProjectionRow"], bool] | None = None
 
     def __post_init__(self):
         clicks = self.required_clicks
@@ -158,17 +158,13 @@ class DetectionTable:
         """Label every row in one walk of the CSR rows of its orbits' walked rows.
 
         Each walked code is copied across its orbit (:meth:`orbits`); a table
-        without symmetries walks every row.  The states already built take
-        their row's label too.
+        without symmetries gathers and walks every row.  The states already
+        built take their row's label too.
         """
         walked, orbit = self.orbits()
-        if len(walked) < len(orbit):
-            offsets, entries = _gather(self.offsets, walked)
-            self.codes = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
-                                                  self.amplitudes[entries])[orbit]
-        else:  # one row per orbit: walk the block as it is
-            self.codes = entanglement_classes_csr(self.n_atoms, self.offsets, self.atoms,
-                                                  self.amplitudes)
+        offsets, entries = _gather(self.offsets, walked)
+        self.codes = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
+                                              self.amplitudes[entries])[orbit]
         self.labels = LABELS[self.codes].tolist()
         for state, label in zip(self._states, self.labels):
             if state is not None:
@@ -191,7 +187,8 @@ class DetectionTable:
 class TableRows(tuple):
     """The rows of one whole :class:`DetectionTable`, in order: views in an immutable tuple.
 
-    ``table`` is the table; a slice or a concatenation is a plain tuple.
+    ``table`` is the table; a slice or a concatenation is a plain tuple,
+    which :func:`aggregate_heralding` refuses.
     """
 
     table: DetectionTable
@@ -292,46 +289,28 @@ class ProjectionRow:
         return f"ProjectionRow({self.pattern.label()}, p={self.probability!r})"
 
 
-def _canonical_order(occupations: np.ndarray) -> np.ndarray:
-    """The order of the rows of ``occupations`` by their Fock keys.
-
-    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
-    so two keys compare by the first pair they differ in, a prefix first.
-    Each pair is coded as ``mode index * base + k`` and a missing one as -1.
-    """
-    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
-    base = int(occupations.max(initial=0)) + 1
-    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
-    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
-    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + occupations[rows, cols]
-    return np.lexsort(code.T[::-1])
-
-
 def run_gbsa(state: HybridState, u: MultiportMatrix) -> TableRows:
     """Propagate through ``u`` and enumerate every detection pattern.
 
-    Returns one row per output Fock pattern (sorted canonically) with the
+    Returns one row per output Fock pattern, in canonical order, with the
     normalized projected atomic state and the exact pattern probability; the
     probabilities sum to 1, as the input must be normalized.  The rows are
     views of one :class:`DetectionTable`, in a :class:`TableRows` tuple that
     knows it.  The table keeps the output symmetries of ``u`` under which
     ``state``'s rows keep their labels (:func:`_label_symmetries`), so its
-    first label query walks one row per orbit.  The table is built in one
-    pass over the nonzero cells of
-    :func:`~entnet.photonics.propagate`: one lexsort orders the patterns and
-    one stable argsort puts the cells into rows.  Every probability and
-    amplitude is bit-identical to the table built from the polynomial
-    reference (``fock_to_polynomial``, ``apply_mode_transform``,
-    ``expand_to_fock``).  So each probability is ``sum(abs(a) ** 2 ...)``
-    over its row's cells in register order, with ``abs`` as ``hypot``:
-    ``m ** 2`` stays CPython's float power, since numpy's ``x ** 2`` is
-    ``x * x`` (it differs from libm's ``pow`` on about 0.09% of values) and
-    ``np.power`` differs on others; the rows are summed on arrays rank by
-    rank from ``0.0``, one addition per cell in order, as Python 3.11's
-    ``sum`` adds floats, since numpy's own sums are pairwise.  The
-    amplitudes are scaled by ``1 / sqrt(p)`` as CPython's complex-times-float
-    in separate float operations, since numpy's complex multiply may fuse
-    them, and checked to be normalized, all rows at once.
+    first label query walks one row per orbit.
+
+    The table takes the cells of :func:`~entnet.photonics.propagate` as they
+    come, in table order.  Every probability and amplitude is bit-identical
+    to the table built from the polynomial reference.  Each probability is
+    ``sum(abs(a) ** 2 ...)`` over its row's cells in register order, with
+    ``abs`` as ``hypot``: ``m ** 2`` stays CPython's float power, since
+    numpy's ``x ** 2`` is ``x * x`` (it differs from libm's ``pow`` on about
+    0.09% of values, and ``np.power`` on others), and one ``bincount`` adds
+    each row's squares in order from ``0.0``, as Python 3.11's ``sum`` does.
+    The amplitudes are scaled by ``1 / sqrt(p)`` as CPython's
+    complex-times-float in separate float operations, since numpy's complex
+    multiply may fuse them, and checked to be normalized, all rows at once.
 
     Raises:
         ValueError: the input's norm squared is off 1 by more than
@@ -345,31 +324,24 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> TableRows:
     if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValueError(f"the input's norm squared is {norm_sq!r}, not 1")
     out = propagate(state, inverse(u))
-    order = _canonical_order(out.occupations)
-    owner = np.argsort(order)[out.pattern]  # each cell's row
-    cells = np.argsort(owner, kind="stable")  # keeps each pattern's cells in register order
-    owner = owner[cells]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(order)))))
-    re, im = out.amplitudes.real[cells], out.amplitudes.imag[cells]
+    owner, n_rows = out.pattern, len(out.occupations)  # each cell's row
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_rows))))
+    re, im = out.amplitudes.real, out.amplitudes.imag
     squares = np.array([m ** 2 for m in np.hypot(re, im).tolist()])  # CPython's abs(complex)
-    # each row sums rank by rank from 0.0, as Python 3.11's ``sum`` adds a list of floats
-    sizes = np.diff(offsets)
-    probs = 0.0 + squares[offsets[:-1]]
-    for rank in range(1, sizes.max(initial=0)):
-        rows = np.flatnonzero(sizes > rank)
-        probs[rows] += squares[offsets[rows] + rank]
+    # each row sums in register order from 0.0, as Python 3.11's ``sum`` adds a list of floats
+    probs = np.bincount(owner, weights=squares, minlength=n_rows)
 
     scale = (1 / np.sqrt(probs))[owner]
-    amplitudes = np.empty(len(cells), complex)
+    amplitudes = np.empty(len(owner), complex)
     amplitudes.real = re * scale - im * 0.0
     amplitudes.imag = re * 0.0 + im * scale
     norms = np.bincount(owner, weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
-                        minlength=len(order))
+                        minlength=n_rows)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
     return TableRows(DetectionTable(
-        state.n_atoms, out.modes, out.occupations[order], probs.tolist(), offsets,
-        out.registers[cells], amplitudes, symmetries=_label_symmetries(state, u, out.modes)))
+        state.n_atoms, out.modes, out.occupations, probs.tolist(), offsets, out.registers,
+        amplitudes, symmetries=_label_symmetries(state, u, out.modes)))
 
 
 def _label_symmetries(state: HybridState, u: MultiportMatrix,
@@ -450,59 +422,38 @@ def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
     return sorted(out, key=lambda f: f.key)
 
 
-def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule,
-              index=slice(None)) -> np.ndarray:
-    """Whether ``rule`` accepts the patterns of rows ``index``, read from the click columns."""
+def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule) -> np.ndarray:
+    """Whether ``rule`` accepts each row's pattern, read from the click columns."""
     # threshold detectors only resolve which detectors fired
     clicks = table.n_detectors if model.kind == "threshold" else table.n_photons
-    accepted = clicks[index] == rule.required_clicks
+    accepted = clicks == rule.required_clicks
     if rule.distinct_detectors_only:
-        accepted &= table.max_per_detector[index] <= 1
+        accepted &= table.max_per_detector <= 1
     return accepted
 
 
-def _by_table(rows: list[ProjectionRow]) -> list[tuple[DetectionTable, np.ndarray, np.ndarray]]:
-    """Each table of ``rows`` with its rows' indices in it and their positions in ``rows``."""
-    groups: dict[int, tuple[DetectionTable, list[int], list[int]]] = {}
-    for position, row in enumerate(rows):
-        table, index, positions = groups.setdefault(id(row._table), (row._table, [], []))
-        index.append(row._index)
-        positions.append(position)
-    return [(table, np.array(index, dtype=int), np.array(positions, dtype=int))
-            for table, index, positions in groups.values()]
+def aggregate_heralding(rows: TableRows, model: DetectorModel, rule: HeraldRule) -> float:
+    """Total probability of the accepted rows whose projected state is genuinely multipartite.
 
+    Reads the columns of the one table of ``rows`` (a :class:`TableRows`):
+    its click columns accept rows and its label codes keep the genuine ones.
+    An unlabelled table is labelled through its first accepted row's
+    :meth:`ProjectionRow.state_class`, in one walk.  The total is one sum in
+    row order from ``0.0``, so it is ``0.0`` when no row is accepted.
 
-def aggregate_heralding(rows: Sequence[ProjectionRow], model: DetectorModel,
-                        rule: HeraldRule) -> float:
-    """Total probability of accepted patterns whose state passes the filter.
-
-    Reads the tables' columns, not the rows: the rows of each table
-    (:class:`TableRows` is one table already) are accepted on its click
-    columns, and the default filter reads its label codes.  If a table is
-    not labelled yet, its first accepted row's
-    :meth:`ProjectionRow.state_class` labels it, in one walk.  A custom
-    filter sees the accepted rows only.  The total is one sum in row order
-    from ``0.0``, so it is ``0.0`` when no row is accepted.
+    Raises:
+        TypeError: ``rows`` is not a :class:`TableRows`, such as a slice or a list.
     """
-    if isinstance(rows, TableRows):
-        every = np.arange(len(rows))
-        groups, probabilities = [(rows.table, every, every)], rows.table.probabilities
-    else:
-        rows = list(rows)
-        groups = _by_table(rows)
-        probabilities = [row._table.probabilities[row._index] for row in rows]
-    keep = np.zeros(len(rows), dtype=bool)
-    for table, index, positions in groups:
-        accepted = _accepted(table, model, rule, index)
-        if rule.entanglement_filter is not None:
-            accepted[accepted] = [rule.entanglement_filter(rows[p])
-                                  for p in positions[accepted].tolist()]
-        elif accepted.any():
-            if table.codes is None:  # the table's first label query goes through a row
-                rows[positions[accepted][0]].state_class()
-            accepted &= _GENUINE[table.codes[index]]
-        keep[positions] = accepted
-    return sum(itertools.compress(probabilities, keep.tolist()), 0.0)
+    if not isinstance(rows, TableRows):
+        raise TypeError(f"aggregate_heralding takes the TableRows of one table, "
+                        f"not a {type(rows).__name__}")
+    table = rows.table
+    accepted = _accepted(table, model, rule)
+    if accepted.any():
+        if table.codes is None:  # the table's first label query goes through a row
+            rows[int(accepted.argmax())].state_class()
+        accepted &= _GENUINE[table.codes]
+    return sum(itertools.compress(table.probabilities, accepted.tolist()), 0.0)
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,

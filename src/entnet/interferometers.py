@@ -32,11 +32,13 @@ class Symmetry(NamedTuple):
     d2: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiportMatrix:
     """An ``n x n`` unitary mode transform ``b_dag = U a_dag``.
 
     :attr:`symmetries` are found on first read and kept with the matrix.
+    Two matrices are equal when their ``dim``, ``label`` and exact entries
+    are (``-0.0 == 0.0``); equal ones hash alike.
     """
 
     dim: int
@@ -51,6 +53,15 @@ class MultiportMatrix:
             raise ValueError(f"matrix {self.label or m} is not unitary")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiportMatrix):
+            return NotImplemented
+        return (self.dim, self.label) == (other.dim, other.label) and \
+            bool(np.array_equal(self.entries, other.entries))
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.label, (self.entries + 0).tobytes()))  # -0.0 + 0 is 0.0
 
     @functools.cached_property
     def symmetries(self) -> tuple[Symmetry, ...]:

@@ -8,17 +8,11 @@ construction; coefficients with magnitude below ``MERGE_TOL`` are dropped
 during canonicalisation.  :func:`check_capacity` sizes an expansion from its
 input alone, so oversize ones are refused before any term is expanded.
 
-:func:`propagate` is the expansion that detection tables use.  It keys
-output patterns by integer occupations and expands the input terms on
-arrays, in batches of consecutive terms, one photon step at a time; it
-returns the nonzero cells as arrays.  It keeps the floating-point operations
-of the polynomial path (:func:`fock_to_polynomial`,
-:func:`apply_mode_transform`, :func:`expand_to_fock`) in the same order, so
-every amplitude is bit-identical to it, and that path stays as its
-reference: each product is CPython's complex multiply, each pattern's
-children are summed in the order a dict merges them, a sum that cancels
-below ``MERGE_TOL`` is dropped and restarts from zero, and the next step's
-parents come in the dict's insertion order.
+:func:`propagate` is the expansion that detection tables use: it expands
+the input terms on arrays and returns the nonzero cells in table order
+(:class:`Cells`).  Every amplitude is bit-identical to the polynomial path
+(:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
+:func:`expand_to_fock`), which stays as its reference.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MERGE_TOL = 1e-12
+#: the package's one norm tolerance, defined here so that it imports without numpy
 NORM_TOL = 1e-9
 #: refuse expansions into more than this many output terms
 MAX_TERMS = 10_000_000
@@ -54,8 +49,8 @@ class DimensionMismatch(ValueError):
 
 
 def _check_port(port, dim: int) -> None:
-    """Refuse a port that is not an integer in ``1..dim`` (numpy integers are)."""
-    if not (isinstance(port, numbers.Integral) and 1 <= port <= dim):
+    """Refuse a port that is not an integer in ``1..dim`` (numpy integers are, a bool is not)."""
+    if isinstance(port, bool) or not (isinstance(port, numbers.Integral) and 1 <= port <= dim):
         raise DimensionMismatch(port, dim)
 
 
@@ -155,17 +150,11 @@ class FockState:
 
     @classmethod
     def from_monomial(cls, mono: Monomial) -> "FockState":
-        occ: dict[Mode, int] = {}
-        for m in mono:
-            occ[m] = occ.get(m, 0) + 1
-        return cls(occ)
+        return cls(Counter(mono))
 
     @property
     def occupations(self) -> dict[Mode, int]:
         return dict(self.key)
-
-    def total(self) -> int:
-        return sum(k for _, k in self.key)
 
     def monomial(self) -> Monomial:
         return tuple(sorted(m for m, k in self.key for _ in range(k)))
@@ -425,12 +414,14 @@ def _expand_terms(monomials: list[Monomial], coeffs: list[complex], entries,
 
 
 class Cells(NamedTuple):
-    """The nonzero cells of :func:`propagate`, one per (pattern, register) pair.
+    """The nonzero cells of :func:`propagate`, one per (pattern, register) pair, in table order.
 
     Pattern ``j`` has ``occupations[j, i]`` photons in output mode
-    ``modes[i]``, in no canonical order.  Cell ``c`` is ``amplitudes[c]`` on
+    ``modes[i]``; the patterns are in canonical order, the order of their
+    Fock keys (:func:`_canonical_order`).  Cell ``c`` is ``amplitudes[c]`` on
     pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as
-    a binary integer); cells are sorted by pattern, then by register.
+    a binary integer); cells are sorted by pattern, then by register, so the
+    (pattern, register) pairs strictly increase.
     """
 
     modes: list[Mode]  # sorted
@@ -440,29 +431,43 @@ class Cells(NamedTuple):
     amplitudes: np.ndarray
 
 
+def _canonical_order(occupations: np.ndarray) -> np.ndarray:
+    """The order of the rows of ``occupations`` by their Fock keys.
+
+    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
+    so two keys compare by the first pair they differ in, a prefix first.
+    Each pair is coded as ``mode index * base + k`` and a missing one as -1.
+    """
+    import numpy as np
+
+    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
+    base = int(occupations.max(initial=0)) + 1
+    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
+    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
+    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + occupations[rows, cols]
+    return np.lexsort(code.T[::-1])
+
+
 def propagate(state: HybridState, inverse_matrix) -> Cells:
     """Expand every term of ``state`` over the output modes, summed into cells.
 
     While expanding, an output pattern is an int with one digit per output
     mode (in sorted :class:`Mode` order) in base ``max photons + 1``; the
-    distinct patterns are decoded together at the end.  A cell whose summed
-    amplitude is below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm
-    check), and so is a pattern left with no cell.
+    distinct patterns are decoded together at the end and numbered in
+    canonical order (:func:`_canonical_order`), so the cells come out in
+    table order.  A cell whose summed amplitude is below ``MERGE_TOL`` is
+    dropped (a NaN is kept, for the norm check), and so is a pattern left
+    with no cell.
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused, and it keeps their floating-point operations
     in the same order, so every amplitude is bit-identical to that reference.
     The input coefficient is ``amp / fact`` merged into zero.  The terms then
     expand in batches of consecutive terms (:func:`_expand_terms`), one
-    photon of every term of a batch per :func:`_photon_step`: each parent
-    times each inverse entry, as CPython's complex multiply in separate float
-    operations (numpy's own may fuse them); the products summed per (term,
-    pattern) rank by rank from zero, in generation order, which is the order
-    the reference's dict merges them; a sum whose magnitude falls below
-    ``MERGE_TOL`` dropped and restarted from zero, as the reference pops it;
-    and the surviving sums ordered by the product that last made them
-    nonzero, which is the dict's insertion order and so the next step's
-    generation order.  Each output term is merged into zero, times
+    photon of every term of a batch per :func:`_photon_step`, which merges
+    the products as the reference's dict does, with CPython's complex
+    multiply in separate float operations (numpy's own may fuse them).
+    Each output term is merged into zero, times
     ``prod sqrt(k!)`` in sorted-mode order, and merged into zero again, and
     the input terms are summed into each cell in :meth:`HybridState.items`
     order.  ``abs`` is ``hypot`` throughout.  A term the reference drops adds
@@ -504,6 +509,9 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         occupations[:, i] = rest % base
         rest = rest // base
         fact = fact * sqrt_fact[occupations[:, i]]
+    order = _canonical_order(occupations)
+    occupations, fact = occupations[order], fact[order]
+    pattern = np.argsort(order)[pattern]  # each term's pattern, numbered in table order
     # a = 0j + (0j + c) * fact: complex + complex adds the parts, and
     # complex * float multiplies by complex(fact, 0.0)
     f = fact[pattern]

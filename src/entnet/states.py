@@ -21,8 +21,8 @@ import numpy as np
 # PURITY_TOL, TANGLE_TOL and entanglement_classes_csr stay importable from here
 from .bipartitions import (_BITS3, PURITY_TOL, TANGLE_TOL, _three_tangle,  # noqa: F401
                            entanglement_classes, entanglement_classes_csr)
+from .photonics import NORM_TOL
 
-NORM_TOL = 1e-9
 #: the labels of states no bipartition leaves product
 GENUINE_CLASSES = ("entangled", "W-class", "GHZ-class")
 

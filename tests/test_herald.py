@@ -26,9 +26,9 @@ from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, qua
                                     symmetric_multiport, tritter)
 from entnet.photonics import (MERGE_TOL, CapacityError, DimensionMismatch, FockState,
                               HybridState, Mode, apply_mode_transform, expand_to_fock,
-                              fock_to_polynomial)
+                              fock_to_polynomial, propagate)
 from entnet.states import (GENUINE_CLASSES, PURITY_TOL, TANGLE_TOL, QubitState, dicke_state,
-                           entanglement_classes, fidelity, ghz_basis_state, is_product_state,
+                           entanglement_classes, fidelity, ghz_basis_state,
                            reduced_purity, three_tangle)
 
 S2 = math.sqrt(2)
@@ -250,6 +250,32 @@ def test_run_gbsa_invariants_over_random_unitaries(case):
              r.probability for r in moved}
     assert probs == pytest.approx({r.pattern.key: r.probability for r in rows}, abs=1e-12)
     assert_matches_reference(rows, prepare_swap_input(m, signs, ports), MultiportMatrix(dim, u))
+
+
+def assert_in_table_order(cells):
+    """Patterns in Fock-key order, each with a cell, and (pattern, register) pairs increasing."""
+    keys = [tuple((m, k) for m, k in zip(cells.modes, row) if k)
+            for row in cells.occupations.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    pattern, registers = cells.pattern, cells.registers
+    assert np.all((np.diff(pattern) > 0) | ((np.diff(pattern) == 0) & (np.diff(registers) > 0)))
+    assert set(pattern.tolist()) == set(range(len(keys)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(swap_inputs())
+def test_propagate_returns_cells_in_table_order(case):
+    dim, m, ports, signs, u, _, _ = case
+    assert_in_table_order(propagate(prepare_swap_input(m, signs, ports),
+                                    inverse(MultiportMatrix(dim, u))))
+
+
+def test_propagate_returns_wide_keyed_cells_in_table_order():
+    # 3 photons on 32 output modes: the patterns expand as object-dtype ints
+    state, u = prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4)
+    cells = propagate(state, inverse(u))
+    assert 4 ** len(cells.modes) > 2 ** 63
+    assert_in_table_order(cells)
 
 
 def _sym2d_swap_record():
@@ -502,10 +528,13 @@ def test_aggregating_a_table_reads_its_columns(monkeypatch):
     assert len(queries) == 1 and reads == []
     assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
     assert nr == sum(r.probability for r in rows if r.state_class() in GENUINE_CLASSES)
-    # any other sequence of rows is grouped by table and summed in its own order
-    loose = [dataclasses.replace(rows[5], probability=0.5)] + list(reversed(rows))
-    assert aggregate_heralding(loose, NUMBER_RESOLVED, HeraldRule(4)) == \
-        sum(r.probability for r in loose if r.state_class() in GENUINE_CLASSES)
+
+
+def test_aggregate_refuses_anything_but_the_rows_of_one_table():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    for loose in ([], rows[:10], [dataclasses.replace(rows[5], probability=0.5)]):
+        with pytest.raises(TypeError, match="TableRows"):
+            aggregate_heralding(loose, NUMBER_RESOLVED, HeraldRule(4))
 
 
 def test_run_gbsa_refuses_an_unnormalized_input(monkeypatch):
@@ -515,6 +544,14 @@ def test_run_gbsa_refuses_an_unnormalized_input(monkeypatch):
     with pytest.raises(ValueError, match="norm squared"):
         run_gbsa(HybridState(2, {("00", h1h2): 3.0}), quarter())
     assert calls == []
+
+
+def test_bool_port_is_refused_before_any_term_is_expanded(monkeypatch):
+    calls = []
+    monkeypatch.setattr(entnet.photonics, "_expand_terms", lambda *args: calls.append(args))
+    with pytest.raises(DimensionMismatch) as err:
+        run_gbsa(prepare_swap_input(2, ports=[True, 2]), quarter())
+    assert err.value.port is True and calls == []
 
 
 def test_nan_multiport_is_refused_before_any_table():
@@ -638,8 +675,8 @@ def test_hand_built_row_is_a_table_of_its_own(monkeypatch):
     assert copy.state_class() == entanglement_classes(
         [QubitState(4, row.state.amplitudes)])[0]
     assert walks == [1]
-    genuine = copy.state_class() not in ("product", "biseparable")
-    assert aggregate_heralding([copy], NUMBER_RESOLVED, HeraldRule(4)) == 0.25 * genuine
+    with pytest.raises(TypeError):
+        aggregate_heralding([copy], NUMBER_RESOLVED, HeraldRule(4))
 
 
 def test_aggregate_tritter():
@@ -677,18 +714,12 @@ def test_two_port_heralds_both_exchange_states():
     assert hits["psi-"] == pytest.approx(1 / 4, abs=1e-9)
 
 
-def test_custom_entanglement_filter():
+def test_tritter_distinct_rows_are_product_or_w_class():
+    # every non-product distinct-3 row is genuinely tripartite (W-class), so
+    # the genuine aggregate counts every entangled one
     rows = run_gbsa(prepare_swap_input(3), tritter())
-    # every non-product distinct-3 row is genuinely tripartite (W-class),
-    # so keeping any entangled state agrees with the default genuine count
-    loose = HeraldRule(3, distinct_detectors_only=True,
-                       entanglement_filter=lambda r: not is_product_state(r.state))
-    assert aggregate_heralding(rows, THRESHOLD, loose) == pytest.approx(1 / 4, abs=1e-9)
     classes = {r.state_class() for r in rows if r.max_per_detector == 1}
     assert classes == {"product", "W-class"}
-    nothing = HeraldRule(3, distinct_detectors_only=True,
-                         entanglement_filter=lambda r: False)
-    assert aggregate_heralding(rows, THRESHOLD, nothing) == 0.0
 
 
 def test_subnetwork_swap_pair_through_quarter():
@@ -761,8 +792,10 @@ def test_detector_and_rule_validation():
 
 def test_aggregate_with_no_accepted_row_is_a_float_zero():
     rows = run_gbsa(prepare_swap_input(2), beam_splitter())
+    empty = wpe_herald(wpe_state(2, 0.2), quarter(), 3)  # 2 nodes fire at most 2 detectors
+    assert len(empty) == 0
     for got in (aggregate_heralding(rows, THRESHOLD, HeraldRule(3)),
-                aggregate_heralding([], NUMBER_RESOLVED, HeraldRule(2))):
+                aggregate_heralding(empty, NUMBER_RESOLVED, HeraldRule(2))):
         assert got == 0.0 and type(got) is float
 
 

@@ -114,3 +114,9 @@ def test_numpy_free_commands_run_without_numpy(tmp_path, argv, want_stdout):
         assert hashlib.sha256(proc.stdout).hexdigest() == want_stdout
     else:
         assert proc.stdout == want_stdout
+
+
+def test_one_norm_tolerance_is_shared():
+    photonics = entnet.photonics
+    assert entnet.states.NORM_TOL is photonics.NORM_TOL is entnet.herald.NORM_TOL
+    assert entnet.states.NORM_TOL == 1e-9

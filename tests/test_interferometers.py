@@ -65,6 +65,29 @@ def test_nan_matrix_is_not_unitary():
         MultiportMatrix(2, [[math.nan, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("builder", [beam_splitter, tritter, quarter,
+                                     lambda: symmetric_multiport(3)],
+                         ids=["bs", "tritter", "quarter", "sym2d"])
+def test_equal_multiports_compare_and_hash_equal(builder):
+    a, b = builder(), builder()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert {a: "device"}[b] == "device"
+
+
+def test_multiport_comparisons_never_raise():
+    assert quarter() != tritter() and quarter() != symmetric_multiport(2)
+    assert beam_splitter() != inverse(beam_splitter())
+    assert MultiportMatrix(2, beam_splitter().entries, "other") != beam_splitter()
+    assert beam_splitter() != "bs" and beam_splitter() != None  # noqa: E711
+    assert len({quarter(), tritter(), quarter(), beam_splitter()}) == 3
+    # entries equal up to the sign of a zero are equal, and hash alike
+    signed = np.eye(2, dtype=complex)
+    signed[0, 1] = complex(-0.0, -0.0)
+    a, b = MultiportMatrix(2, signed, "id"), MultiportMatrix(2, np.eye(2), "id")
+    assert a == b and hash(a) == hash(b)
+
+
 def test_verify_symmetric_rejects_identity():
     eye = MultiportMatrix(2, np.eye(2), "id")
     assert not verify_symmetric(eye)
