@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .interferometers import SYMMETRY_TOL, MultiportMatrix, inverse
-from .photonics import NORM_TOL, FockState, HybridState, Mode, propagate
+from .interferometers import MultiportMatrix, inverse
+from .photonics import NORM_TOL, FockState, HybridState, Mode, _is_integer, propagate
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
@@ -69,15 +68,17 @@ class HeraldRule:
 
     def __post_init__(self):
         clicks = self.required_clicks
-        if isinstance(clicks, bool) or not isinstance(clicks, numbers.Integral) or clicks < 1:
+        if not _is_integer(clicks) or clicks < 1:
             raise ValueError(f"required_clicks must be an integer >= 1, got {clicks!r}")
 
 
 class DetectionTable:
-    """The columns of one detection table, one entry per row.
+    """One detection table: the sequence of its rows, and their columns, one entry per row.
 
-    Row ``i``'s pattern has ``occupations[i, j]`` photons in output mode
-    ``modes[j]``, rows in canonical (Fock key) order; a key is built when read.
+    The rows are :class:`ProjectionRow` views made with the table, so
+    ``table[i] is table[i]``; a slice of them is a plain tuple.  Row ``i``'s
+    pattern has ``occupations[i, j]`` photons in output mode ``modes[j]``,
+    rows in canonical (Fock key) order; a key is built when read.
     ``probabilities`` are the rows' float probabilities; the numpy columns
     ``n_detectors``, ``n_photons`` and ``max_per_detector`` count each row's
     clicks.  The normalized projected amplitudes are one CSR block: row ``i``
@@ -96,6 +97,10 @@ class DetectionTable:
     it is read; it carries the row's label, now or when a walk sets it.
     """
 
+    # The rows read a twin sharing this table's attributes but not its rows (a slot), so
+    # no reference cycle keeps a dropped table alive until a full cyclic collection.
+    __slots__ = ("__dict__", "_rows")
+
     def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
                  probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
                  amplitudes: np.ndarray, codes: np.ndarray | None = None,
@@ -113,6 +118,20 @@ class DetectionTable:
         self.dicke: list[float] | None = None
         self._states: list[QubitState | None] = [None] * len(probabilities)
         self._entries = None  # the CSR block as Python lists, made for the first state
+        twin = object.__new__(DetectionTable)
+        twin.__dict__ = self.__dict__
+        self._rows = tuple([ProjectionRow.__new__(ProjectionRow) for _ in probabilities])
+        for i, row in enumerate(self._rows):
+            row._table, row._index = twin, i
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
 
     def state(self, i: int) -> QubitState:
         state = self._states[i]
@@ -184,30 +203,14 @@ class DetectionTable:
             self.symmetries)
 
 
-class TableRows(tuple):
-    """The rows of one whole :class:`DetectionTable`, in order: views in an immutable tuple.
-
-    ``table`` is the table; a slice or a concatenation is a plain tuple,
-    which :func:`aggregate_heralding` refuses.
-    """
-
-    table: DetectionTable
-
-    def __new__(cls, table: DetectionTable):
-        view = ProjectionRow._view
-        rows = super().__new__(cls, [view(table, i) for i in range(len(table.probabilities))])
-        rows.table = table
-        return rows
-
-
 @dataclass(init=False, repr=False, eq=False)
 class ProjectionRow:
     """One detection pattern with its projected atomic state and probability.
 
-    A row of a table returned by :func:`run_gbsa` or :func:`wpe_herald` is a
-    view of one row of its :class:`DetectionTable`; its pattern and state
-    are built when read.  A row built by hand is a one-row table of its own.
-    Rows compare by identity.
+    A row of a :class:`DetectionTable`, such as :func:`run_gbsa` returns, is
+    a view of one of its rows; its pattern and state are built when read.  A
+    row built by hand is the row of a one-row table of its own.  Rows
+    compare by identity.
     """
 
     # Dataclass fields, so that ``dataclasses.replace`` copies a row into a
@@ -233,13 +236,7 @@ class ProjectionRow:
             None if label is None else np.array([LABELS.tolist().index(label)], np.int8))
         table._states[0] = state
         table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
-        self._table, self._index = table, 0
-
-    @classmethod
-    def _view(cls, table: DetectionTable, index: int) -> "ProjectionRow":
-        row = cls.__new__(cls)
-        row._table, row._index = table, index
-        return row
+        self._table, self._index = table[0]._table, 0
 
     @property
     def pattern(self) -> DetectionPattern:
@@ -289,16 +286,16 @@ class ProjectionRow:
         return f"ProjectionRow({self.pattern.label()}, p={self.probability!r})"
 
 
-def run_gbsa(state: HybridState, u: MultiportMatrix) -> TableRows:
+def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     """Propagate through ``u`` and enumerate every detection pattern.
 
     Returns one row per output Fock pattern, in canonical order, with the
     normalized projected atomic state and the exact pattern probability; the
-    probabilities sum to 1, as the input must be normalized.  The rows are
-    views of one :class:`DetectionTable`, in a :class:`TableRows` tuple that
-    knows it.  The table keeps the output symmetries of ``u`` under which
-    ``state``'s rows keep their labels (:func:`_label_symmetries`), so its
-    first label query walks one row per orbit.
+    probabilities sum to 1, as the input must be normalized.  The returned
+    :class:`DetectionTable` is the sequence of those rows.  It keeps the
+    output symmetries of ``u`` under which ``state``'s rows keep their
+    labels (:func:`_label_symmetries`), so its first label query walks one
+    row per orbit.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order.  Every probability and amplitude is bit-identical
@@ -339,9 +336,9 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> TableRows:
                         minlength=n_rows)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
-    return TableRows(DetectionTable(
+    return DetectionTable(
         state.n_atoms, out.modes, out.occupations, probs.tolist(), offsets, out.registers,
-        amplitudes, symmetries=_label_symmetries(state, u, out.modes)))
+        amplitudes, symmetries=_label_symmetries(state, u, out.modes))
 
 
 def _label_symmetries(state: HybridState, u: MultiportMatrix,
@@ -350,43 +347,28 @@ def _label_symmetries(state: HybridState, u: MultiportMatrix,
 
     A symmetry ``U[perm[j], k] = d1[j] U[j, k] d2[k]`` maps pattern ``O`` to
     ``perm(O)`` with the same probability: each amplitude on atoms ``s``
-    gains the conjugate of the ``d1`` phases of ``O``'s photons, which is
-    global, times the conjugate of the ``d2`` phases of the input photons
-    of ``s``'s term.  That term phase is a local unitary, and keeps the
-    label, when it factors into one phase per qubit: every term's phase is
-    the first term's times, for each qubit where its atoms differ, the
-    phase step of the term that differs there alone.  Every swap and
-    eraser input factors (each node sends its photon into one fixed port,
-    or none).  Each kept symmetry is returned as the permutation of the
-    columns of ``modes`` (ports move, polarizations stay).
+    gains a global phase (the ``d1`` phases of ``O``'s photons) times the
+    conjugate of ``d2[k]`` to the power of the photons that ``s``'s term
+    puts into port ``k``.  When those integer counts are the first term's
+    plus a fixed step for each qubit where the atoms differ (read off the
+    term that differs there alone, or zero), the term phases factor into
+    one phase per qubit, a local unitary, under every symmetry, and all are
+    kept; otherwise none is.  Swap and eraser inputs (each node's photon
+    leaves one fixed port, or none) keep all.  Each is returned as the
+    permutation of the columns of ``modes`` (ports move, polarizations stay).
     """
-    symmetries = u.symmetries[1:]
-    if not symmetries or not state.terms:
-        return []
-    n = state.n_atoms
-    registers = np.array([int("0" + atoms, 2) for atoms, _ in state.terms])
-    counts = np.zeros((len(registers), u.dim), dtype=int)
+    bits = np.array([[int(b) for b in atoms] for atoms, _ in state.terms], int)
+    flips = bits ^ bits[0]  # (terms x qubits)
+    counts = np.zeros((len(bits), u.dim), dtype=int)
     for t, (_, fkey) in enumerate(state.terms):
         for m, k in fkey:
             counts[t, m.port - 1] += k
-    # each term's phase (symmetries x terms), from products only: complex division,
-    # np.angle and np.exp would each map 64 KB more of numpy's code into memory
-    d2 = np.array([sym.d2 for sym in symmetries])[:, None, :]
-    phases = np.ones((len(symmetries), len(registers)), complex)
-    for k in range(1, counts.max(initial=0) + 1):
-        phases *= np.where(counts >= k, d2, 1).prod(axis=2)
-    flips = (registers[:, None] ^ registers[0]) >> np.arange(n - 1, -1, -1) & 1
     alone = flips * (flips.sum(axis=1) == 1)[:, None]
-    if np.any(flips.any(axis=0) & ~alone.any(axis=0)):
-        return []  # a qubit's phase step cannot be read off
-    steps = phases[:, alone.argmax(axis=0)] * phases[:, :1].conj()  # (symmetries x qubits)
-    predicted = phases[:, :1] * np.where(flips, steps[:, None, :], 1).prod(axis=2)
-    kept = np.all(np.abs(predicted - phases) <= SYMMETRY_TOL, axis=1)
-    # ``modes`` is every port for each polarization, sorted by port
-    pols = len(modes) // u.dim
-    columns = np.arange(len(modes))
-    return [sym.perm[columns // pols] * pols + columns % pols
-            for sym, keep in zip(symmetries, kept.tolist()) if keep]
+    steps = counts[alone.argmax(axis=0)] - counts[0]  # (qubits x ports)
+    if not np.array_equal(counts[0] + flips @ steps, counts):
+        return []
+    pols = len(modes) // u.dim  # ``modes`` is every port for each polarization, sorted by port
+    return [(perm[:, None] * pols + np.arange(pols)).ravel() for perm in u.symmetries[1:]]
 
 
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
@@ -432,36 +414,35 @@ def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule) -> 
     return accepted
 
 
-def aggregate_heralding(rows: TableRows, model: DetectorModel, rule: HeraldRule) -> float:
+def aggregate_heralding(table: DetectionTable, model: DetectorModel, rule: HeraldRule) -> float:
     """Total probability of the accepted rows whose projected state is genuinely multipartite.
 
-    Reads the columns of the one table of ``rows`` (a :class:`TableRows`):
-    its click columns accept rows and its label codes keep the genuine ones.
-    An unlabelled table is labelled through its first accepted row's
-    :meth:`ProjectionRow.state_class`, in one walk.  The total is one sum in
-    row order from ``0.0``, so it is ``0.0`` when no row is accepted.
+    Reads the columns of ``table``: its click columns accept rows and its
+    label codes keep the genuine ones.  An unlabelled table is labelled
+    through its first accepted row's :meth:`ProjectionRow.state_class`, in
+    one walk.  The total is one sum in row order from ``0.0``, so it is
+    ``0.0`` when no row is accepted.
 
     Raises:
-        TypeError: ``rows`` is not a :class:`TableRows`, such as a slice or a list.
+        TypeError: ``table`` is not a :class:`DetectionTable`, such as a
+            slice of one, a list or a hand-built row.
     """
-    if not isinstance(rows, TableRows):
-        raise TypeError(f"aggregate_heralding takes the TableRows of one table, "
-                        f"not a {type(rows).__name__}")
-    table = rows.table
+    if not isinstance(table, DetectionTable):
+        raise TypeError(f"aggregate_heralding takes a DetectionTable, not {type(table).__name__}")
     accepted = _accepted(table, model, rule)
     if accepted.any():
         if table.codes is None:  # the table's first label query goes through a row
-            rows[int(accepted.argmax())].state_class()
+            table[int(accepted.argmax())].state_class()
         accepted &= _GENUINE[table.codes]
     return sum(itertools.compress(table.probabilities, accepted.tolist()), 0.0)
 
 
 def subnetwork_swap(m: int, u: MultiportMatrix,
-                    ports: Sequence[int] | None = None) -> TableRows:
+                    ports: Sequence[int] | None = None) -> DetectionTable:
     """Swap table for ``m`` Bell pairs feeding an ``m``-or-larger multiport.
 
     Unused input ports stay in vacuum; ``ports`` defaults to ``1..m``.
-    ``m = dim`` is the full-network swap.
+    ``m = dim`` is the full-network swap.  Returns :func:`run_gbsa`'s table.
     """
     if not 2 <= m <= u.dim:
         raise ValueError(f"m must be in 2..{u.dim}, got {m}")
@@ -489,7 +470,7 @@ def dicke_family_fidelity(state: QubitState, m: int) -> float:
 
 
 def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
-               model: DetectorModel = THRESHOLD) -> TableRows:
+               model: DetectorModel = THRESHOLD) -> DetectionTable:
     """Detection rows of the which-path eraser heralding on ``m_clicks``.
 
     Under threshold detectors a nominal ``m``-click event is any pattern
@@ -501,14 +482,13 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     the heralded-state fidelity from above.
 
     The rows are picked on the click columns of :func:`run_gbsa`'s table,
-    not row by row, into a :class:`TableRows` of their own table, which
-    keeps the symmetries: its first label query walks one row per orbit.
+    not row by row, and taken into a table of their own
+    (:meth:`DetectionTable.take`), which keeps the symmetries: its first
+    label query walks one row per orbit.  :class:`HeraldRule` refuses an
+    ``m_clicks`` that is not an integer >= 1, before any work.
     """
-    if m_clicks < 1:
-        raise ValueError("m_clicks must be >= 1")
-    rule = HeraldRule(m_clicks)  # and an integer, before any work
-    table = run_gbsa(state, u).table
+    rule = HeraldRule(m_clicks)
+    table = run_gbsa(state, u)
     table = table.take(np.flatnonzero(_accepted(table, model, rule)))
-    table.dicke = [dicke_family_fidelity(table.state(i), m_clicks)
-                   for i in range(len(table.probabilities))]
-    return TableRows(table)
+    table.dicke = [dicke_family_fidelity(row.state, m_clicks) for row in table]
+    return table

@@ -12,24 +12,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
+from .photonics import _is_integer
+
 UNITARITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
-
-
-class Symmetry(NamedTuple):
-    """An output permutation of a multiport: ``U[perm[j], k] = d1[j] U[j, k] d2[k]``.
-
-    That is ``P U = D1 U D2`` with diagonal unitaries ``D1``, ``D2`` and
-    ``(P U)[j] = U[perm[j]]`` (0-based ports).
-    """
-
-    perm: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +35,8 @@ class MultiportMatrix:
     label: str = ""
 
     def __post_init__(self):
+        if not _is_integer(self.dim):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {m.shape}")
@@ -64,19 +55,20 @@ class MultiportMatrix:
         return hash((self.dim, self.label, (self.entries + 0).tobytes()))  # -0.0 + 0 is 0.0
 
     @functools.cached_property
-    def symmetries(self) -> tuple[Symmetry, ...]:
+    def symmetries(self) -> tuple[np.ndarray, ...]:
         """The output symmetries of a balanced multiport, the identity first.
 
         Every permutation ``perm`` of the output ports with
         ``U[perm[j], k] = d1[j] U[j, k] d2[k]`` for unit phases ``d1``,
-        ``d2`` (``d1[0] = 1``), matched within ``SYMMETRY_TOL``.  Row 0's
-        image fixes ``d2``, and each row must then equal one row of
-        ``U D2`` up to a phase: ``dim`` candidates of ``O(dim^3)`` each.
-        A matrix that is not balanced (:func:`verify_symmetric`) may have
-        zero entries, and only the identity is returned for it.
+        ``d2`` (``d1[0] = 1``), matched within ``SYMMETRY_TOL``, so that
+        ``U[perm] / U`` has rank one.  Row 0's image fixes ``d2``, and each
+        row must then equal one row of ``U D2`` up to a phase: ``dim``
+        candidates of ``O(dim^3)`` each.  A matrix that is not balanced
+        (:func:`verify_symmetric`) may have zero entries, and only the
+        identity is returned for it.
         """
         n, m = self.dim, self.entries
-        found = [Symmetry(np.arange(n), np.ones(n, complex), np.ones(n, complex))]
+        found = [np.arange(n)]
         if not verify_symmetric(self):
             return tuple(found)
         # every |U[j, k]|^2 is 1/n, so dividing by an entry is n times multiplying by its conjugate
@@ -87,7 +79,7 @@ class MultiportMatrix:
             match = np.all(np.abs(ratio - ratio[:, :, :1]) < SYMMETRY_TOL, axis=2)
             perm = match.argmax(axis=0)
             if np.all(match.sum(axis=0) == 1) and len(set(perm.tolist())) == n:
-                found.append(Symmetry(perm, ratio[perm, np.arange(n), 0], d2))
+                found.append(perm)
         return tuple(found)
 
 
@@ -157,8 +149,8 @@ def symmetric_multiport(d: int) -> MultiportMatrix:
     ``d=2`` equals :func:`quarter` after swapping ports 3 and 4 on both the
     input and the output side.
     """
-    if not 1 <= d <= 5:
-        raise ValueError(f"d must be in 1..5 (got {d}); dim 2^d is capped at 32")
+    if not _is_integer(d) or not 1 <= d <= 5:
+        raise ValueError(f"d must be an integer in 1..5 (got {d!r}); dim 2^d is capped at 32")
     n = 2 ** d
     u = np.eye(n, dtype=complex)
     for k in range(d):

@@ -48,9 +48,14 @@ class DimensionMismatch(ValueError):
         super().__init__(f"mode on port {port} is outside ports 1..{dim} of the interferometer")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer: numpy integers are, a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_port(port, dim: int) -> None:
-    """Refuse a port that is not an integer in ``1..dim`` (numpy integers are, a bool is not)."""
-    if isinstance(port, bool) or not (isinstance(port, numbers.Integral) and 1 <= port <= dim):
+    """Refuse a port that is not an integer in ``1..dim``."""
+    if not (_is_integer(port) and 1 <= port <= dim):
         raise DimensionMismatch(port, dim)
 
 
@@ -467,11 +472,11 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     photon of every term of a batch per :func:`_photon_step`, which merges
     the products as the reference's dict does, with CPython's complex
     multiply in separate float operations (numpy's own may fuse them).
-    Each output term is merged into zero, times
-    ``prod sqrt(k!)`` in sorted-mode order, and merged into zero again, and
-    the input terms are summed into each cell in :meth:`HybridState.items`
-    order.  ``abs`` is ``hypot`` throughout.  A term the reference drops adds
-    zero here.
+    Each output term is added to zero, times ``prod sqrt(k!)`` in
+    sorted-mode order, and added to zero again, which fixes the sign of
+    zero; none falls below ``MERGE_TOL`` there, as each is at least that
+    and each factor at least 1.  The input terms are summed into each cell
+    in :meth:`HybridState.items` order.  ``abs`` is ``hypot`` throughout.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -517,8 +522,6 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     f = fact[pattern]
     re, im = 0.0 + c_re, 0.0 + c_im
     re, im = 0.0 + (re * f - im * 0.0), 0.0 + (re * 0.0 + im * f)
-    dropped = _below_tol(re, im)
-    re[dropped] = im[dropped] = 0.0
 
     n = state.n_atoms
     registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)

@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Sequence
 
-from .photonics import HybridState, Mode
+from .photonics import HybridState, Mode, _is_integer
 
 
 def _product_terms(amp: complex, branches: Sequence[tuple[tuple, tuple]]) -> dict:
@@ -44,8 +44,8 @@ def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
     for bit 1, giving ``2^n`` hybrid terms of amplitude ``2^(-n/2)`` (times
     the pair sign for each excited bit).
     """
-    if not 2 <= n_nodes <= 8:
-        raise ValueError(f"n_nodes must be in 2..8, got {n_nodes}")
+    if not _is_integer(n_nodes) or not 2 <= n_nodes <= 8:
+        raise ValueError(f"n_nodes must be in 2..8, got {n_nodes!r}")
     if signs is None:
         signs = [1] * n_nodes
     if len(signs) != n_nodes or set(signs) - {1, -1}:
@@ -64,8 +64,8 @@ def prepare_swap_input(n_nodes: int, signs: Sequence[int] | None = None,
 def _wpe_branches(n_nodes: int, p: float,
                   phases: Sequence[float] | None) -> list[tuple[tuple, tuple]]:
     """The eraser's node branches for :func:`_product_state`, its arguments checked."""
-    if not 1 <= n_nodes <= 8:
-        raise ValueError(f"n_nodes must be in 1..8, got {n_nodes}")
+    if not _is_integer(n_nodes) or not 1 <= n_nodes <= 8:
+        raise ValueError(f"n_nodes must be in 1..8, got {n_nodes!r}")
     if not 0 < p < 1:
         raise ValueError(f"excitation probability must be in (0, 1), got {p}")
     if phases is None:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
@@ -17,11 +18,12 @@ import entnet.herald
 import entnet.photonics
 from entnet.analytics import wpe_fidelity, wpe_rate
 from entnet.bipartitions import LABELS
-from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectorModel, HeraldRule,
-                           ProjectionRow, aggregate_heralding, dicke_family_fidelity,
-                           entanglement_classes_csr, prepare_swap_input, run_gbsa,
-                           subnetwork_swap, suppressed_patterns, wpe_fidelity_sim,
-                           wpe_herald, wpe_rate_sim, wpe_sector_probabilities, wpe_state)
+from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectionTable, DetectorModel,
+                           HeraldRule, ProjectionRow, _product_state, aggregate_heralding,
+                           dicke_family_fidelity, entanglement_classes_csr,
+                           prepare_swap_input, run_gbsa, subnetwork_swap, suppressed_patterns,
+                           wpe_fidelity_sim, wpe_herald, wpe_rate_sim, wpe_sector_probabilities,
+                           wpe_state)
 from entnet.interferometers import (MultiportMatrix, beam_splitter, inverse, quarter,
                                     symmetric_multiport, tritter)
 from entnet.photonics import (MERGE_TOL, CapacityError, DimensionMismatch, FockState,
@@ -376,7 +378,7 @@ def test_accepts_counts_clicks_read_from_the_pattern(model, distinct, accepted):
     rows = run_gbsa(prepare_swap_input(4), quarter())
     for m in range(1, 9):
         rule = HeraldRule(m, distinct_detectors_only=distinct)
-        mask = entnet.herald._accepted(rows.table, model, rule)
+        mask = entnet.herald._accepted(rows, model, rule)
         kept = 0
         for r, got in zip(rows, mask.tolist(), strict=True):
             counts = [k for _, k in r.pattern.key]
@@ -415,7 +417,7 @@ def test_tables_are_returned_unlabelled():
     rows = run_gbsa(prepare_swap_input(4), quarter())
     kept = wpe_herald(wpe_state(4, 0.2), quarter(), 2)
     assert rows and kept
-    assert all(row.state._label is None for row in rows + kept)
+    assert all(row.state._label is None for row in [*rows, *kept])
 
 
 def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monkeypatch):
@@ -423,7 +425,7 @@ def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monke
     walks = _count_walked_rows(monkeypatch)
     rule = HeraldRule(4, distinct_detectors_only=True)
     assert aggregate_heralding(rows, THRESHOLD, rule) == pytest.approx(7 / 32, abs=1e-9)
-    accepted = entnet.herald._accepted(rows.table, THRESHOLD, rule)
+    accepted = entnet.herald._accepted(rows, THRESHOLD, rule)
     assert 0 < accepted.sum() < len(rows) == 258
     assert walks == [72]  # one walk over the orbits' walked rows
     assert all(row.state._label is not None for row in rows)
@@ -448,15 +450,30 @@ def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table
     assert labels[len(rows) // 2] == first
 
 
-def _full_walk_labels(rows):
-    """Labels of every row of the rows' table from one walk of its whole CSR block."""
-    table = rows.table
+def _full_walk_labels(table):
+    """Labels of every row of ``table`` from one walk of its whole CSR block."""
     return LABELS[entanglement_classes_csr(table.n_atoms, table.offsets, table.atoms,
                                            table.amplitudes)].tolist()
 
 
 def _phased_eraser():
     return wpe_state(6, 0.25, [0.3 * k for k in range(6)])
+
+
+def _port_stepping_input():
+    """Four nodes whose bit picks the port: H into port 2k + 1 for 0, V into 2k + 2 for 1."""
+    return _product_state(0.25, [((1, Mode(2 * k + 1, "H")),
+                                  ((-1) ** k * 1j, Mode(2 * k + 2, "V"))) for k in range(4)])
+
+
+def test_inputs_whose_port_counts_step_per_qubit_keep_every_symmetry(monkeypatch):
+    # each term's port counts are the first term's plus e_(2k+2) - e_(2k+1) per set bit k
+    rows = run_gbsa(_port_stepping_input(), symmetric_multiport(3))
+    assert len(rows.symmetries) == 7
+    want = _full_walk_labels(rows)
+    walks = _count_walked_rows(monkeypatch)
+    assert [row.state_class() for row in rows] == want
+    assert walks == [408] and len(rows) == 3012
 
 
 @pytest.mark.parametrize("tables", [
@@ -490,7 +507,7 @@ def test_orbit_labels_match_a_full_walk(monkeypatch, tables):
 ], ids=["haar", "unfactored-phases"])
 def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
     rows = rows()
-    assert rows.table.symmetries == []
+    assert rows.symmetries == []
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
@@ -500,7 +517,7 @@ def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
 def test_patterns_wider_than_int64_walk_every_row(monkeypatch):
     # 3 photons on the 32 modes of the 16-port butterfly: base-4 keys of 64 bits
     rows = run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4))
-    assert len(rows.table.symmetries) == 15
+    assert len(rows.symmetries) == 15
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
@@ -509,10 +526,10 @@ def test_patterns_wider_than_int64_walk_every_row(monkeypatch):
 
 def test_label_symmetries_survive_take():
     rows = run_gbsa(_phased_eraser(), symmetric_multiport(3))
-    assert len(rows.table.symmetries) == 7
+    assert len(rows.symmetries) == 7
     kept = wpe_herald(_phased_eraser(), symmetric_multiport(3), 3)
-    assert [list(perm) for perm in kept.table.symmetries] == \
-        [list(perm) for perm in rows.table.symmetries]
+    assert [list(perm) for perm in kept.symmetries] == \
+        [list(perm) for perm in rows.symmetries]
 
 
 def test_aggregating_a_table_reads_its_columns(monkeypatch):
@@ -530,10 +547,38 @@ def test_aggregating_a_table_reads_its_columns(monkeypatch):
     assert nr == sum(r.probability for r in rows if r.state_class() in GENUINE_CLASSES)
 
 
+def test_a_table_is_the_sequence_of_its_rows():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    assert isinstance(rows, DetectionTable) and len(rows) == len(rows.probabilities) == 258
+    assert all(rows[i] is rows[i] for i in (0, 17, -1))  # one view per row, made once
+    assert rows[-1] is rows[257]
+    assert [row.probability for row in rows] == rows.probabilities
+    assert [*rows] == [rows[i] for i in range(258)]
+    assert rows[:3] == (rows[0], rows[1], rows[2])  # a slice is a plain tuple
+    with pytest.raises(IndexError):
+        rows[258]
+    for table in (subnetwork_swap(3, quarter()), wpe_herald(wpe_state(4, 0.2), quarter(), 2),
+                  rows.take([3, 1])):
+        assert isinstance(table, DetectionTable)
+        assert [row.probability for row in table] == table.probabilities
+
+
+def test_a_dropped_table_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        rows = run_gbsa(prepare_swap_input(4), quarter())
+        assert [row.state_class() for row in rows] and rows[5].state.amplitudes
+        del rows
+        assert gc.collect() == 0  # no reference cycle between the table and its rows
+    finally:
+        gc.enable()
+
+
 def test_aggregate_refuses_anything_but_the_rows_of_one_table():
     rows = run_gbsa(prepare_swap_input(4), quarter())
-    for loose in ([], rows[:10], [dataclasses.replace(rows[5], probability=0.5)]):
-        with pytest.raises(TypeError, match="TableRows"):
+    for loose in ([], rows[:10], [*rows], [dataclasses.replace(rows[5], probability=0.5)]):
+        with pytest.raises(TypeError, match="DetectionTable"):
             aggregate_heralding(loose, NUMBER_RESOLVED, HeraldRule(4))
 
 
@@ -836,6 +881,16 @@ def test_wpe_fidelity_sim_checks_the_node_count_first():
                 sim(3, 0.1, m)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2", None])
+def test_input_builders_refuse_a_node_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n_nodes must be in 2..8"):
+        prepare_swap_input(n)
+    with pytest.raises(ValueError, match="n_nodes must be in 1..8"):
+        wpe_state(n, 0.2)
+    assert len(prepare_swap_input(np.int64(2)).terms) == 4
+    assert len(wpe_state(np.int64(2), 0.2).terms) == 4
+
+
 def test_wpe_state_guards():
     with pytest.raises(ValueError):
         wpe_state(0, 0.1)
@@ -891,6 +946,15 @@ def test_wpe_number_resolved_model():
 def test_wpe_herald_dimension_guard():
     with pytest.raises(ValueError):
         wpe_herald(wpe_state(3, 0.1), beam_splitter(), 1)
+
+
+@pytest.mark.parametrize("m_clicks", [0, -1, "2", 2.0, True, None])
+def test_wpe_herald_refuses_a_bad_click_count_before_any_work(monkeypatch, m_clicks):
+    calls = []
+    monkeypatch.setattr(entnet.herald, "propagate", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="required_clicks"):
+        wpe_herald(wpe_state(2, 0.2), quarter(), m_clicks)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -150,9 +150,23 @@ def test_symmetric_multiport_depth_guard(d):
         symmetric_multiport(d)
 
 
+@pytest.mark.parametrize("d", [True, 2.0, "2", None])
+def test_symmetric_multiport_refuses_a_depth_that_is_not_an_integer(d):
+    with pytest.raises(ValueError, match="d must be an integer"):
+        symmetric_multiport(d)
+    assert symmetric_multiport(np.int64(2)).dim == 4
+
+
 def test_non_unitary_rejected():
     with pytest.raises(ValueError):
         MultiportMatrix(2, np.array([[1.0, 0.0], [1.0, 1.0]]), "bad")
+
+
+@pytest.mark.parametrize("dim, entries", [(2.0, np.eye(2)), (True, np.eye(1)), ("2", np.eye(2))])
+def test_multiport_matrix_refuses_a_dim_that_is_not_an_integer(dim, entries):
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        MultiportMatrix(dim, entries)
+    assert MultiportMatrix(np.int64(2), np.eye(2)).dim == 2
 
 
 def test_phase_plates_keep_symmetry_and_unitarity():
@@ -195,17 +209,29 @@ def _qr_haar(n, seed):
 ], ids=lambda u: u.label)
 def test_balanced_multiports_have_dim_output_symmetries(u):
     found = u.symmetries
-    assert len({tuple(sym.perm.tolist()) for sym in found}) == len(found) == u.dim
-    assert found[0].perm.tolist() == list(range(u.dim))
-    for sym in found:  # P U = D1 U D2: U[perm[j], k] = d1[j] U[j, k] d2[k]
-        assert sorted(sym.perm.tolist()) == list(range(u.dim))
-        assert np.max(np.abs(u.entries[sym.perm]
-                             - sym.d1[:, None] * u.entries * sym.d2[None, :])) <= SYMMETRY_TOL
-        assert np.allclose(np.abs(sym.d1), 1) and np.allclose(np.abs(sym.d2), 1)
+    assert len({tuple(perm.tolist()) for perm in found}) == len(found) == u.dim
+    assert found[0].tolist() == list(range(u.dim))
+    for perm in found:  # P U = D1 U D2: U[perm] / U is the rank-one d1[j] d2[k], of unit entries
+        assert sorted(perm.tolist()) == list(range(u.dim))
+        ratio = u.entries[perm] / u.entries
+        assert np.max(np.abs(np.abs(ratio) - 1)) <= SYMMETRY_TOL
+        assert np.linalg.matrix_rank(ratio, tol=SYMMETRY_TOL) == 1
     assert u.symmetries is found  # kept with the matrix
+
+
+@pytest.mark.parametrize("u", [
+    beam_splitter(), tritter(), quarter(),
+    with_phase_plates(quarter(), [0.1, 0.7, -0.4, 2.0], [1.3, -0.2, 0.5, 0.9]),
+], ids=lambda u: u.label)
+def test_symmetries_are_every_permutation_with_the_certificate(u):
+    # every output permutation whose U[perm] / U has rank one, and no other
+    certified = [list(perm) for perm in itertools.permutations(range(u.dim))
+                 if np.linalg.matrix_rank(u.entries[list(perm)] / u.entries,
+                                          tol=SYMMETRY_TOL) == 1]
+    assert sorted(perm.tolist() for perm in u.symmetries) == certified
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_haar_unitary_has_only_the_identity_symmetry(seed):
     found = _qr_haar(4, seed).symmetries
-    assert [sym.perm.tolist() for sym in found] == [[0, 1, 2, 3]]
+    assert [perm.tolist() for perm in found] == [[0, 1, 2, 3]]
