@@ -202,8 +202,6 @@ def cmd_wpe(args) -> int:
     if args.simulate:
         from . import sources
 
-        if args.n > 8:
-            return _fail("--simulate supports up to 8 nodes")
         try:
             sims = [(sources.wpe_fidelity_sim(args.n, pt.p, pt.m),
                      sources.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]

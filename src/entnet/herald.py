@@ -75,8 +75,9 @@ class HeraldRule:
 class DetectionTable:
     """One detection table: the sequence of its rows, and their columns, one entry per row.
 
-    The rows are :class:`ProjectionRow` views made with the table, so
-    ``table[i] is table[i]``; a slice of them is a plain tuple.  Row ``i``'s
+    The table holds columns only.  Each row is a :class:`ProjectionRow`
+    view made when it is read: ``table[i]`` makes one, a slice makes a tuple
+    of them, and iteration makes one per row in turn.  Row ``i``'s
     pattern has ``occupations[i, j]`` photons in output mode ``modes[j]``,
     rows in canonical (Fock key) order; a key is built when read.
     ``probabilities`` are the rows' float probabilities; the numpy columns
@@ -92,14 +93,7 @@ class DetectionTable:
     ``symmetries`` are permutations of the columns of ``occupations``, each
     of which maps every row's pattern to one whose state is the row's own up
     to a phase per qubit, so both have one label (:meth:`orbits`).
-
-    A row's :class:`QubitState` is built from its CSR slice the first time
-    it is read; it carries the row's label, now or when a walk sets it.
     """
-
-    # The rows read a twin sharing this table's attributes but not its rows (a slot), so
-    # no reference cycle keeps a dropped table alive until a full cyclic collection.
-    __slots__ = ("__dict__", "_rows")
 
     def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
                  probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
@@ -116,36 +110,23 @@ class DetectionTable:
         self.labels = [None] * len(probabilities) if codes is None else LABELS[codes].tolist()
         self.symmetries = symmetries
         self.dicke: list[float] | None = None
-        self._states: list[QubitState | None] = [None] * len(probabilities)
-        self._entries = None  # the CSR block as Python lists, made for the first state
-        twin = object.__new__(DetectionTable)
-        twin.__dict__ = self.__dict__
-        self._rows = tuple([ProjectionRow.__new__(ProjectionRow) for _ in probabilities])
-        for i, row in enumerate(self._rows):
-            row._table, row._index = twin, i
+        self._entries = None  # the CSR block as Python lists, made for the first state read
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.probabilities)
 
     def __getitem__(self, index):
-        return self._rows[index]
+        picked = range(len(self.probabilities))[index]  # IndexError out of range
+        return tuple(map(self._row, picked)) if isinstance(index, slice) else self._row(picked)
 
     def __iter__(self):
-        return iter(self._rows)
+        return map(self._row, range(len(self.probabilities)))
 
-    def state(self, i: int) -> QubitState:
-        state = self._states[i]
-        if state is None:
-            if self._entries is None:
-                names = [format(v, f"0{self.n_atoms}b") for v in range(2 ** self.n_atoms)]
-                self._entries = (self.offsets.tolist(),
-                                 [names[v] for v in self.atoms.tolist()],
-                                 self.amplitudes.tolist())
-            offsets, bits, amps = self._entries
-            lo, hi = offsets[i], offsets[i + 1]
-            state = self._states[i] = QubitState._trusted(
-                self.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])), self.labels[i])
-        return state
+    def _row(self, i: int) -> "ProjectionRow":
+        """A new view of row ``i``."""
+        row = ProjectionRow.__new__(ProjectionRow)
+        row._table, row._index = self, i
+        return row
 
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """The orbit column: each row's orbit, and the row of each orbit that is walked.
@@ -177,17 +158,13 @@ class DetectionTable:
         """Label every row in one walk of the CSR rows of its orbits' walked rows.
 
         Each walked code is copied across its orbit (:meth:`orbits`); a table
-        without symmetries gathers and walks every row.  The states already
-        built take their row's label too.
+        without symmetries gathers and walks every row.
         """
         walked, orbit = self.orbits()
         offsets, entries = _gather(self.offsets, walked)
         self.codes = entanglement_classes_csr(self.n_atoms, offsets, self.atoms[entries],
                                               self.amplitudes[entries])[orbit]
         self.labels = LABELS[self.codes].tolist()
-        for state, label in zip(self._states, self.labels):
-            if state is not None:
-                state._label = label
 
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order.
@@ -208,9 +185,10 @@ class ProjectionRow:
     """One detection pattern with its projected atomic state and probability.
 
     A row of a :class:`DetectionTable`, such as :func:`run_gbsa` returns, is
-    a view of one of its rows; its pattern and state are built when read.  A
-    row built by hand is the row of a one-row table of its own.  Rows
-    compare by identity.
+    a view of one of its rows; its pattern and state are built each time
+    they are read, the state with the row's label at that time.  A row
+    built by hand is the row of a one-row table of its own.  Two rows are
+    equal, and hash alike, when they are the same index of the same table.
     """
 
     # Dataclass fields, so that ``dataclasses.replace`` copies a row into a
@@ -234,9 +212,16 @@ class ProjectionRow:
             np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
             np.array(amps, dtype=complex),
             None if label is None else np.array([LABELS.tolist().index(label)], np.int8))
-        table._states[0] = state
         table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
-        self._table, self._index = table[0]._table, 0
+        self._table, self._index = table, 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProjectionRow):
+            return NotImplemented
+        return self._table is other._table and self._index == other._index
+
+    def __hash__(self) -> int:
+        return hash((id(self._table), self._index))
 
     @property
     def pattern(self) -> DetectionPattern:
@@ -246,7 +231,15 @@ class ProjectionRow:
 
     @property
     def state(self) -> QubitState:
-        return self._table.state(self._index)
+        table, i = self._table, self._index
+        if table._entries is None:
+            names = [format(v, f"0{table.n_atoms}b") for v in range(2 ** table.n_atoms)]
+            table._entries = (table.offsets.tolist(), [names[v] for v in table.atoms.tolist()],
+                              table.amplitudes.tolist())
+        offsets, bits, amps = table._entries
+        lo, hi = offsets[i], offsets[i + 1]
+        return QubitState._trusted(table.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])),
+                                   table.labels[i])
 
     @property
     def probability(self) -> float:
@@ -292,10 +285,10 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     Returns one row per output Fock pattern, in canonical order, with the
     normalized projected atomic state and the exact pattern probability; the
     probabilities sum to 1, as the input must be normalized.  The returned
-    :class:`DetectionTable` is the sequence of those rows.  It keeps the
-    output symmetries of ``u`` under which ``state``'s rows keep their
-    labels (:func:`_label_symmetries`), so its first label query walks one
-    row per orbit.
+    :class:`DetectionTable` holds them as columns and makes each row when it
+    is read.  It keeps the output symmetries of ``u`` under which
+    ``state``'s rows keep their labels (:func:`_label_symmetries`), so its
+    first label query walks one row per orbit.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order.  Every probability and amplitude is bit-identical

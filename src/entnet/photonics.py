@@ -78,9 +78,9 @@ class Mode(NamedTuple):
 
 
 def mode(port: int, pol: str = "") -> Mode:
-    """Validated :class:`Mode` constructor."""
-    if port < 1:
-        raise ValueError(f"port must be >= 1, got {port}")
+    """Validated :class:`Mode` constructor: ``port`` is an integer >= 1, not a bool."""
+    if not _is_integer(port) or port < 1:
+        raise ValueError(f"port must be an integer >= 1, got {port!r}")
     if pol not in _POLS:
         raise ValueError(f"polarization must be one of {_POLS}, got {pol!r}")
     return Mode(port, pol)

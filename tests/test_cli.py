@@ -200,6 +200,13 @@ def test_wpe_simulation_keeps_sectors_below_the_merge_tolerance(capsys):
                    capsys=capsys)[0] == 0
 
 
+def test_wpe_simulation_refuses_more_than_eight_nodes(capsys):
+    code, out, err = run_cli("wpe", "--n", "9", "--m", "1", "--p", "0.1", "--simulate",
+                             capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: n_nodes must be in 1..8, got 9\n"
+
+
 def test_wpe_range_error(capsys):
     code, _, err = run_cli("wpe", "--n", "2", "--m", "1", "--p", "1.5", capsys=capsys)
     assert code == 2

@@ -550,8 +550,8 @@ def test_aggregating_a_table_reads_its_columns(monkeypatch):
 def test_a_table_is_the_sequence_of_its_rows():
     rows = run_gbsa(prepare_swap_input(4), quarter())
     assert isinstance(rows, DetectionTable) and len(rows) == len(rows.probabilities) == 258
-    assert all(rows[i] is rows[i] for i in (0, 17, -1))  # one view per row, made once
-    assert rows[-1] is rows[257]
+    assert all(rows[i] == rows[i] for i in (0, 17, -1))  # a view of the same row
+    assert rows[-1] == rows[257]
     assert [row.probability for row in rows] == rows.probabilities
     assert [*rows] == [rows[i] for i in range(258)]
     assert rows[:3] == (rows[0], rows[1], rows[2])  # a slice is a plain tuple
@@ -561,6 +561,57 @@ def test_a_table_is_the_sequence_of_its_rows():
                   rows.take([3, 1])):
         assert isinstance(table, DetectionTable)
         assert [row.probability for row in table] == table.probabilities
+
+
+def test_rows_are_equal_when_they_are_the_same_index_of_one_table():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    for i in (0, 17, -1, -258):
+        assert rows[i] is not rows[i]  # each read makes a new view
+        assert rows[i] == rows[i] and hash(rows[i]) == hash(rows[i])
+    assert rows[-258] == rows[0] and hash(rows[-258]) == hash(rows[0])
+    assert rows[0] != rows[1] and rows[0] != "row"
+    assert len({*rows, *rows}) == 258
+
+
+def test_a_slice_is_a_tuple_of_views_and_bad_indices_raise():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    assert rows[5:8] == (rows[5], rows[6], rows[7]) and type(rows[5:8]) is tuple
+    assert rows[::-100] == (rows[257], rows[157], rows[57])
+    assert rows[300:] == ()
+    for index in (258, -259, np.int64(258)):
+        with pytest.raises(IndexError):
+            rows[index]
+    assert rows[np.int64(3)] == rows[3]
+
+
+def test_rows_of_different_tables_are_unequal():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    again = run_gbsa(prepare_swap_input(4), quarter())
+    taken = rows.take(range(len(rows)))
+    for other in (again, taken):
+        assert other.probabilities == rows.probabilities
+        assert all(a != b for a, b in zip(rows, other))
+
+
+def test_a_table_and_its_aggregates_make_one_view(monkeypatch):
+    made = []
+    view = DetectionTable._row
+    monkeypatch.setattr(DetectionTable, "_row", lambda self, i: made.append(i) or view(self, i))
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    thr_rule = HeraldRule(4, distinct_detectors_only=True)
+    thr = aggregate_heralding(rows, THRESHOLD, thr_rule)
+    nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
+    assert made == [int(entnet.herald._accepted(rows, THRESHOLD, thr_rule).argmax())]
+    assert (thr, nr) == (pytest.approx(7 / 32, abs=1e-9), pytest.approx(7 / 8, abs=1e-9))
+
+
+def test_a_row_outlives_its_table_reference():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    row, want = rows[100], rows.probabilities[100]
+    del rows
+    assert row.probability == want
+    assert row.state_class() == entanglement_classes([QubitState(4, row.state.amplitudes)])[0]
+    assert row.state._label == row.state_class()
 
 
 def test_a_dropped_table_is_freed_without_the_cyclic_collector():
@@ -713,7 +764,9 @@ def test_hand_built_row_is_a_table_of_its_own(monkeypatch):
     rows = run_gbsa(prepare_swap_input(4), quarter())
     row = rows[len(rows) // 2]
     copy = dataclasses.replace(row, probability=0.25)
-    assert (copy.pattern, copy.state, copy.probability) == (row.pattern, row.state, 0.25)
+    assert (copy.pattern, copy.probability) == (row.pattern, 0.25)
+    assert (copy.state.amplitudes, copy.state._label) == \
+        (row.state.amplitudes, row.state._label)
     assert (copy.n_photons, copy.n_detectors, copy.max_per_detector, copy.dicke_fidelity) == \
         (row.n_photons, row.n_detectors, row.max_per_detector, None)
     walks = _count_walked_rows(monkeypatch)

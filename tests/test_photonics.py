@@ -33,6 +33,16 @@ def test_mode_validation():
     assert mode(2, "V").label() == "v2"
 
 
+@pytest.mark.parametrize("port", [True, 2.0, 0])
+def test_mode_refuses_a_port_that_is_not_an_integer_from_one(port):
+    with pytest.raises(ValueError, match="port must be an integer >= 1"):
+        mode(port)
+
+
+def test_mode_takes_a_numpy_integer_port():
+    assert mode(np.int64(2), "H") == Mode(2, "H")
+
+
 def test_single_operator_substitution_reads_inverse_row():
     out = apply_mode_transform(poly_of((1.0, [H1])), BS_INV)
     s = 1 / math.sqrt(2)
