@@ -242,6 +242,16 @@ def _binom_tail(n: int, m: int, p: float) -> float:
                for k in range(m, n + 1))
 
 
+def _check_wpe(m: int, n_nodes: int, p: float) -> None:
+    """Refuse a node count below 1, an ``m`` outside ``1..n_nodes`` or a ``p`` outside (0, 1)."""
+    if n_nodes < 1:
+        raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
+    if not 1 <= m <= n_nodes:
+        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
+    if not 0 < p < 1:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+
+
 def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     """Heralded fidelity cap of the ``m``-excitation collective state.
 
@@ -251,12 +261,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     underflows, the fidelity is one over the sum of the terms' ratios to the
     ``m``-term, ``C(N, k) / C(N, m) (p / (1 - p))^(k - m)``.
     """
-    if n_nodes < 1:
-        raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
-    if not 1 <= m <= n_nodes:
-        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_wpe(m, n_nodes, p)
     good = _comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
     tail = _binom_tail(n_nodes, m, p)
     if min(good, tail) < sys.float_info.min:
@@ -270,12 +275,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
 
 def wpe_rate(m: int, n_nodes: int, p: float, eta_det: float = 1.0) -> FidelityResult:
     """Heralding-rate factor ``eta^m P(>= m photons emitted)``."""
-    if n_nodes < 1:
-        raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
-    if not 1 <= m <= n_nodes:
-        raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
-    if not 0 < p < 1:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_wpe(m, n_nodes, p)
     _check_unit("eta_det", eta_det)
     return FidelityResult(eta_det ** m * _binom_tail(n_nodes, m, p),
                           is_proportional=True)

@@ -139,14 +139,14 @@ def cmd_swap_table(args) -> int:
         return _fail(f"--n must be one of {sorted(_DEVICES)}")
     if args.max_clicks_per_detector is not None and args.max_clicks_per_detector < 0:
         return _fail("--max-clicks-per-detector must be >= 0")
+    if args.golden and args.n not in _GOLDEN_NAMES:
+        return _fail(f"no golden table ships for --n {args.n}")
     u = _DEVICES[args.n]()
     state = herald.prepare_swap_input(args.n)
     rows = herald.run_gbsa(state, u)
     suppressed = herald._suppressed(state, u.dim, rows, args.n)
     if args.golden:
-        name = _GOLDEN_NAMES.get(args.n)
-        if name is None:
-            return _fail("no golden table ships for --n 2")
+        name = _GOLDEN_NAMES[args.n]
         try:
             golden = load_golden(name)
         except (OSError, ValueError) as exc:

@@ -291,16 +291,12 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     first label query walks one row per orbit.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
-    come, in table order.  Every probability and amplitude is bit-identical
-    to the table built from the polynomial reference.  Each probability is
-    ``sum(abs(a) ** 2 ...)`` over its row's cells in register order, with
-    ``abs`` as ``hypot``: ``m ** 2`` stays CPython's float power, since
-    numpy's ``x ** 2`` is ``x * x`` (it differs from libm's ``pow`` on about
-    0.09% of values, and ``np.power`` on others), and one ``bincount`` adds
-    each row's squares in order from ``0.0``, as Python 3.11's ``sum`` does.
-    The amplitudes are scaled by ``1 / sqrt(p)`` as CPython's
-    complex-times-float in separate float operations, since numpy's complex
-    multiply may fuse them, and checked to be normalized, all rows at once.
+    come, in table order, and works on all rows at once in numpy.  Each
+    probability is one ``bincount`` of the cells' squared magnitudes
+    (``hypot``, squared as ``x * x``), added in register order from ``0.0``;
+    the amplitudes are scaled by ``1 / sqrt(p)`` and checked to be
+    normalized.  Every cell stays bit-identical to the table built from the
+    polynomial reference.
 
     Raises:
         ValueError: the input's norm squared is off 1 by more than
@@ -316,15 +312,10 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     out = propagate(state, inverse(u))
     owner, n_rows = out.pattern, len(out.occupations)  # each cell's row
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_rows))))
-    re, im = out.amplitudes.real, out.amplitudes.imag
-    squares = np.array([m ** 2 for m in np.hypot(re, im).tolist()])  # CPython's abs(complex)
-    # each row sums in register order from 0.0, as Python 3.11's ``sum`` adds a list of floats
+    # ``hypot`` is CPython's abs(complex); numpy's complex ``abs`` differs from it
+    squares = np.hypot(out.amplitudes.real, out.amplitudes.imag) ** 2
     probs = np.bincount(owner, weights=squares, minlength=n_rows)
-
-    scale = (1 / np.sqrt(probs))[owner]
-    amplitudes = np.empty(len(owner), complex)
-    amplitudes.real = re * scale - im * 0.0
-    amplitudes.imag = re * 0.0 + im * scale
+    amplitudes = out.amplitudes * (1 / np.sqrt(probs))[owner]
     norms = np.bincount(owner, weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
                         minlength=n_rows)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):

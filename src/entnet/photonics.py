@@ -180,8 +180,28 @@ class FockState:
         return f"FockState({self.label()})"
 
 
+def _fock_key(fkey) -> tuple:
+    """``fkey``'s ``(mode, count)`` pairs sorted, each a known :class:`Mode` once, count >= 1.
+
+    Ports are checked later, against the multiport that the state meets.
+    """
+    for m, k in fkey:
+        if not isinstance(m, Mode) or m.pol not in _POLS:
+            raise ValueError(f"{m!r} is not a Mode with a polarization in {_POLS}")
+        if not _is_integer(k) or k < 1:
+            raise ValueError(f"photon count {k!r} on {m!r} is not an integer >= 1")
+    key = tuple(sorted(fkey))
+    if len({m for m, _ in key}) != len(key):
+        raise ValueError(f"Fock key {key!r} repeats a mode")
+    return key
+
+
 class HybridState:
-    """Superposition of (atomic bitstring x photonic Fock state) terms."""
+    """Superposition of (atomic bitstring x photonic Fock state) terms.
+
+    Each Fock key is stored sorted (:func:`_fock_key`), so keys that list
+    the same occupations in another order merge into one term.
+    """
 
     __slots__ = ("n_atoms", "terms")
 
@@ -197,7 +217,7 @@ class HybridState:
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValueError(f"amplitude {amp!r} of {atoms!r} is not finite")
-            _merge(acc, (atoms, tuple(fkey)), amp)
+            _merge(acc, (atoms, _fock_key(fkey)), amp)
         self.terms = acc
 
     def norm_sq(self) -> float:

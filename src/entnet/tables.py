@@ -27,9 +27,9 @@ def fmt(x: float) -> str:
     return f"{float(x):.{SIG_DIGITS}g}"
 
 
-def rational_label(x: float, max_den: int = RATIONAL_MAX_DEN) -> str:
-    """Nearest small rational when one is within tolerance, else ''."""
-    frac = Fraction(x).limit_denominator(max_den)
+def rational_label(x: float) -> str:
+    """Nearest rational of denominator <= ``RATIONAL_MAX_DEN`` within tolerance, else ''."""
+    frac = Fraction(x).limit_denominator(RATIONAL_MAX_DEN)
     if abs(float(frac) - x) <= RATIONAL_TOL:
         return f"{frac.numerator}/{frac.denominator}"
     return ""

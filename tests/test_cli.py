@@ -118,6 +118,18 @@ def test_swap_table_rejects_negative_max_clicks(tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+def test_swap_table_golden_for_two_nodes_is_refused_before_any_work(monkeypatch, capsys):
+    import entnet.herald
+
+    def no_work(*args):
+        raise AssertionError("run_gbsa ran")
+
+    monkeypatch.setattr(entnet.herald, "run_gbsa", no_work)
+    code, out, err = run_cli("swap-table", "--n", "2", "--golden", capsys=capsys)
+    assert code == 2
+    assert err == "error: no golden table ships for --n 2\n" and out == ""
+
+
 @pytest.mark.parametrize("m", ["3..1", ",", ""])
 def test_wpe_rejects_empty_m_list(tmp_path, capsys, m):
     out = tmp_path / "w.csv"

@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import json
 import math
+import operator
 import struct
 import sys
 import tracemalloc
@@ -128,7 +130,9 @@ def _reference_table(state, u):
     rows = []
     for fkey in sorted(acc):
         amps = {at: a for at, a in acc[fkey].items() if abs(a) >= MERGE_TOL}
-        prob = sum(abs(a) ** 2 for a in amps.values())
+        # a left fold from 0.0, as run_gbsa's bincount adds (the builtin sum is
+        # compensated from Python 3.12 on)
+        prob = functools.reduce(operator.add, (abs(a) * abs(a) for a in amps.values()), 0.0)
         if prob < MERGE_TOL ** 2:
             continue
         scale = 1 / math.sqrt(prob)
@@ -631,6 +635,20 @@ def test_aggregate_refuses_anything_but_the_rows_of_one_table():
     for loose in ([], rows[:10], [*rows], [dataclasses.replace(rows[5], probability=0.5)]):
         with pytest.raises(TypeError, match="DetectionTable"):
             aggregate_heralding(loose, NUMBER_RESOLVED, HeraldRule(4))
+
+
+def test_a_single_cell_row_has_the_rounded_square_as_probability():
+    # the "0" term's photon leaves alone: its rows have one cell each, of
+    # magnitude h = 0.226 / sqrt(2), whose x * x and libm's pow(x, 2) differ
+    h1, h2 = Mode(1, "H"), Mode(2, "H")
+    state = HybridState(1, {("0", ((h1, 1),)): 0.226,
+                            ("1", ((h1, 1), (h2, 1))): math.sqrt(1 - 0.226 ** 2)})
+    row = run_gbsa(state, beam_splitter())[0]
+    cell = propagate(state, inverse(beam_splitter())).amplitudes[0]
+    h = math.hypot(cell.real, cell.imag)
+    assert row.pattern.key == ((h1, 1),) and len(row.state.amplitudes) == 1
+    assert row.probability == h * h != h ** 2
+    assert row.probability.hex() == "0x1.a26a22b3892edp-6"
 
 
 def test_run_gbsa_refuses_an_unnormalized_input(monkeypatch):

@@ -210,6 +210,27 @@ def test_hybrid_state_refuses_bad_terms(atoms, amp, match):
         HybridState(2, {(atoms, ((H1, 1),)): amp})
 
 
+@pytest.mark.parametrize("fkey, match", [
+    (((H1, 1), (H1, 1)), "repeats a mode"),  # once passed the norm check with p summing to 2
+    (((H1, 1.5),), "not an integer >= 1"),
+    (((H1, 0),), "not an integer >= 1"),
+    (((H1, True),), "not an integer >= 1"),
+    ((((1, "H"), 1),), "not a Mode"),
+    (((Mode(1, "X"), 1),), "not a Mode"),
+])
+def test_hybrid_state_refuses_a_key_that_is_not_a_fock_key(fkey, match):
+    with pytest.raises(ValueError, match=match):
+        HybridState(1, {("0", fkey): 1.0})
+
+
+def test_hybrid_state_merges_a_key_with_its_sorted_twin():
+    h2 = mode(2, "H")
+    state = HybridState(1, {("0", ((h2, 1), (H1, 1))): 0.5, ("0", ((H1, 1), (h2, 1))): 0.5,
+                            ("1", ((V1, np.int64(2)), (H1, 1))): 1.0})
+    assert list(state.terms) == [("0", ((H1, 1), (h2, 1))), ("1", ((H1, 1), (V1, 2)))]
+    assert state.terms[("0", ((H1, 1), (h2, 1)))] == 1.0
+
+
 def test_projected_coincidence_amplitude_through_quarter():
     # four Bell pairs in, project on one photon at each H detector: the
     # overlap with the all-ground atomic term has weight exactly 1/64
