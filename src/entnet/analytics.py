@@ -8,6 +8,7 @@ absolute.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
@@ -20,6 +21,15 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
+
+
+def _check_integer(name: str, value) -> None:
+    """Refuse a count that is a bool or not an integer, as ``photonics._is_integer`` does.
+
+    Kept here so that the closed forms import no other module of the package.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _comb(n_nodes: int, k: int) -> float:
@@ -93,6 +103,7 @@ def st_n_node(params: SchemeParams, n_nodes: int):
     """
     from .states import dicke_state
 
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 receiving nodes")
     state = dicke_state(1, n_nodes)
@@ -115,6 +126,7 @@ def itinerant_fidelity_2(f_pa: float) -> float:
 def itinerant_success(n_nodes: int, eta_t: float, eta_c: float,
                       eta_det: float) -> FidelityResult:
     """Success factor ``eta_T^(N-1) eta_C^N eta_DET`` for one itinerant pass."""
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     for name, v in (("eta_t", eta_t), ("eta_c", eta_c), ("eta_det", eta_det)):
@@ -132,23 +144,30 @@ def itinerant_depolarizing_strength(f_pa: float) -> float:
     return 1 - math.sqrt((8 * f_pa - 5) / 3)
 
 
-def _itinerant_density(n_nodes: int, lam: float) -> np.ndarray:
-    """Final density tensor of the itinerant circuit: ket axes then bra axes, photon first."""
+def _itinerant_block(n_nodes: int, lam: float, p: int, pp: int) -> np.ndarray:
+    """Photon block ``<p|rho|p'>`` of the itinerant circuit's final density tensor.
+
+    Its axes are the atoms' ket axes, then their bra axes.  The photon is
+    only ever a CNOT control and every depolarizing channel acts on an atom,
+    so the four photon blocks never mix: each evolves alone, with X on the
+    ket's atom when ``p = 1`` and on the bra's atom when ``p' = 1``.  Its
+    entries stay real.
+    """
     import numpy as np  # the simulations alone need numpy; the closed forms import without it
 
-    q = n_nodes + 1
-    rho = np.zeros((2,) * (2 * q), dtype=complex)
-    rho[(slice(None),) + (0,) * n_nodes + (slice(None),) + (0,) * n_nodes] = 0.5
-    for atom in range(1, q):
-        for side in (0, q):  # the ket's axes, then the bra's
-            on = (slice(None),) * side + (slice(1, 2),)  # photon = 1
-            rho[on] = np.flip(rho[on], side + atom)
-        half_trace = np.trace(rho, axis1=atom, axis2=q + atom) / 2
-        rho *= 1 - lam
+    n = n_nodes
+    block = np.zeros((2,) * (2 * n))
+    block[(0,) * (2 * n)] = 0.5
+    for atom in range(n):
+        for axis, control in ((atom, p), (n + atom, pp)):  # the ket's axis, then the bra's
+            if control:
+                block = np.flip(block, axis)
+        half_trace = np.trace(block, axis1=atom, axis2=n + atom) / 2
+        block *= 1 - lam
         for b in (0, 1):  # the atom's two diagonal blocks
-            diag = (slice(None),) * atom + (b,) + (slice(None),) * n_nodes + (b,)
-            rho[diag] += lam * half_trace
-    return rho
+            diag = (slice(None),) * atom + (b,) + (slice(None),) * (n - 1) + (b,)
+            block[diag] += lam * half_trace
+    return block
 
 
 def itinerant_ghz_fidelity_sim(n_nodes: int, f_pa: float) -> float:
@@ -161,23 +180,23 @@ def itinerant_ghz_fidelity_sim(n_nodes: int, f_pa: float) -> float:
     ``(|0..0> +/- |1..1>)/sqrt2`` target.  At ``n = 2`` this reproduces
     ``2 f_pa - 1`` by construction and it decreases monotonically with ``n``.
 
-    The run is gate by gate, in place on one density tensor of ``4^(n+1)``
-    complex entries (4 MiB at ``n = 8``, 64 MiB at ``n = 10``), so ``n`` stays
-    capped at 10.
+    The run is gate by gate, on the density tensor's four photon blocks one
+    at a time: they never mix, since the photon is only a CNOT control and
+    every channel acts on an atom.  Each block is ``4^n`` real entries
+    (0.5 MiB at ``n = 8``, 8 MiB at ``n = 10``), and ``n`` stays capped at 10.
     """
-    import numpy as np
-
+    _check_integer("n_nodes", n_nodes)
     if not 2 <= n_nodes <= 10:
         raise ValueError("n_nodes must be in 2..10")
-    rho = _itinerant_density(n_nodes, itinerant_depolarizing_strength(f_pa))
-    atoms = (slice(None),) * n_nodes
+    lam = itinerant_depolarizing_strength(f_pa)
     dim = 2 ** n_nodes
     # project the photon onto |+>
-    block = 0.5 * sum(rho[(p,) + atoms + (pp,)] for p in (0, 1) for pp in (0, 1))
+    block = 0.5 * sum(_itinerant_block(n_nodes, lam, p, pp) for p in (0, 1) for pp in (0, 1))
     block = block.reshape(dim, dim)
-    # <GHZ+|block|GHZ+> over the block's trace
+    # <GHZ+|block|GHZ+> over the block's trace; the trace is summed as complex
+    # numbers, since numpy adds a real diagonal in another order (last bit)
     corners = block[0, 0] + block[0, -1] + block[-1, 0] + block[-1, -1]
-    return float(corners.real / 2 / np.trace(block).real)
+    return float(corners / 2 / block.diagonal().astype(complex).sum().real)
 
 
 def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
@@ -187,6 +206,9 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
     target gives ``sum_s C(n, s) lam^s (1-lam)^(n-s) w_s`` with ``w_0 = 1``,
     ``w_s = 2^-(s+1)`` for ``0 < s < n`` and ``w_n = 2^-n``.
     """
+    _check_integer("n_nodes", n_nodes)
+    if n_nodes < 2:
+        raise ValueError("need at least 2 nodes")
     lam = itinerant_depolarizing_strength(f_pa)
     n = n_nodes
     total = 0.0
@@ -200,6 +222,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
 
 def em_success(n_nodes: int, params: SchemeParams) -> FidelityResult:
     """Mapping-scheme success factor ``p_src (eta_ABS eta_DET / 2)^N``."""
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     src = params.p_epr if n_nodes == 2 else params.p_ghz_n
@@ -214,6 +237,7 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
     the all-real term is excluded since it is the genuine success already
     counted by the success probability.
     """
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError("need at least 1 detector")
     _check_unit("p_real", p_real)
@@ -224,6 +248,7 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
 
 def em_fidelity(n_nodes: int, f_ph: float, p_em: float, p_false: float) -> float:
     """Source fidelity diluted by false heralds toward the fully mixed state."""
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError("need at least 1 node")
     _check_unit("f_ph", f_ph)
@@ -244,6 +269,8 @@ def _binom_tail(n: int, m: int, p: float) -> float:
 
 def _check_wpe(m: int, n_nodes: int, p: float) -> None:
     """Refuse a node count below 1, an ``m`` outside ``1..n_nodes`` or a ``p`` outside (0, 1)."""
+    _check_integer("n_nodes", n_nodes)
+    _check_integer("m", m)
     if n_nodes < 1:
         raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
     if not 1 <= m <= n_nodes:
@@ -304,6 +331,7 @@ def wpe_fidelity_sweep(n_nodes: int, m_list: Sequence[int], p_grid: Sequence[flo
 
 def swap_rate(n_nodes: int, p_bsa: float, eta_det: float) -> FidelityResult:
     """Swap-scheme rate factor ``p_BSA eta^N``."""
+    _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     _check_unit("p_bsa", p_bsa)

@@ -50,7 +50,8 @@ class DimensionMismatch(ValueError):
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is an integer: numpy integers are, a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                   and not isinstance(value, bool))
 
 
 def _check_port(port, dim: int) -> None:
@@ -143,9 +144,10 @@ class FockState:
     __slots__ = ("key",)
 
     def __init__(self, occupations: Mapping[Mode, int]):
-        if any(k < 0 for k in occupations.values()):
+        if any(_is_integer(k) and k < 0 for k in occupations.values()):
             raise ValueError("occupation numbers must be nonnegative")
-        self.key = tuple(sorted((m, k) for m, k in occupations.items() if k))
+        self.key = _fock_key([(m, k) for m, k in occupations.items()
+                              if not (_is_integer(k) and k == 0)])
 
     @classmethod
     def from_key(cls, key) -> "FockState":

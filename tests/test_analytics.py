@@ -137,20 +137,65 @@ def _itinerant_density_by_kron(n_nodes, lam):
 def test_itinerant_sim_state_matches_kron_construction(n, f_pa):
     # the fidelity alone cannot see a CNOT applied on the wrong bra axis
     lam = itinerant_depolarizing_strength(f_pa)
-    rho = analytics._itinerant_density(n, lam)
-    assert rho.shape == (2,) * (2 * n + 2)
+    rho = np.zeros((2,) * (2 * n + 2))
+    atoms = (slice(None),) * n
+    for p in (0, 1):
+        for pp in (0, 1):
+            block = analytics._itinerant_block(n, lam, p, pp)
+            assert block.shape == (2,) * (2 * n) and block.dtype == np.float64
+            rho[(p,) + atoms + (pp,)] = block
     np.testing.assert_allclose(rho.reshape(2 ** (n + 1), -1),
                                _itinerant_density_by_kron(n, lam), rtol=0, atol=1e-14)
 
 
-def test_itinerant_sim_memory_at_the_cli_size():
+def _itinerant_sim_peak(n):
     tracemalloc.start()
     try:
-        itinerant_ghz_fidelity_sim(8, 0.95)
-        peak = tracemalloc.get_traced_memory()[1]
+        itinerant_ghz_fidelity_sim(n, 0.95)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 2 ** 20  # the 4 MiB tensor plus a flipped half and a trace
+
+
+def test_itinerant_sim_memory_at_the_cli_size():
+    # a few arrays of 0.5 MiB: the running sum, its next value and one photon block
+    assert _itinerant_sim_peak(8) <= 2.5 * 2 ** 20
+
+
+def test_itinerant_sim_memory_at_the_cap():
+    # the same at 8 MiB an array, against 64 MiB for one whole complex tensor
+    assert _itinerant_sim_peak(10) <= 32 * 2 ** 20
+
+
+# float.hex of the simulation as recorded from one whole complex tensor; the
+# other itinerant tests compare at 1e-12 or looser, so a last-bit change
+# would otherwise show only in the CLI hash of n = 8, f_pa = 0.95
+ITINERANT_SIM_BITS = {
+    2: ("0x1.999999999999ap-2", "0x1.999999999999ap-1", "0x1.ccccccccccccep-1",
+        "0x1.f5c28f5c28f5bp-1"),
+    3: ("0x1.f53078df32f92p-3", "0x1.6d90b262f3207p-1", "0x1.b4f256160a87fp-1",
+        "0x1.f0b5650cc6d24p-1"),
+    4: ("0x1.47ae147ae147ap-3", "0x1.47ae147ae147bp-1", "0x1.9eb851eb851ecp-1",
+        "0x1.ebb98c7e28240p-1"),
+    5: ("0x1.be3c594f0a261p-4", "0x1.26400362bb652p-1", "0x1.89c33bd11c782p-1",
+        "0x1.e6cbf48974783p-1"),
+    6: ("0x1.374bc6a7ef9d9p-4", "0x1.08a5a912e319dp-1", "0x1.75fcd070de181p-1",
+        "0x1.e1ec6c45d3312p-1"),
+    7: ("0x1.b8a3674eb8487p-5", "0x1.dcc6421a2cb64p-2", "0x1.63526d9084756p-1",
+        "0x1.dd1ac848e9518p-1"),
+    8: ("0x1.3a92a30553261p-5", "0x1.ae1c3f4a70e5ep-2", "0x1.51b2b8ddbaea0p-1",
+        "0x1.d856ddbd6fda6p-1"),
+    9: ("0x1.c381ab2a8c119p-6", "0x1.8494fd62dfe54p-2", "0x1.410d776f932a9p-1",
+        "0x1.d3a08258f1ee6p-1"),
+    10: ("0x1.450efdc9c4da8p-6", "0x1.5f907173399bdp-2", "0x1.315379fa97e14p-1",
+         "0x1.cef78c59eff9ap-1"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ITINERANT_SIM_BITS))
+def test_itinerant_sim_bits(n):
+    got = tuple(itinerant_ghz_fidelity_sim(n, f_pa).hex() for f_pa in (0.7, 0.9, 0.95, 0.99))
+    assert got == ITINERANT_SIM_BITS[n]
 
 
 def test_itinerant_sim_regression_point():
@@ -164,6 +209,43 @@ def test_itinerant_sim_domain():
         itinerant_ghz_fidelity_sim(2, 0.6)
     with pytest.raises(ValueError):
         itinerant_ghz_fidelity_sim(11, 0.9)
+
+
+def test_itinerant_formula_domain():
+    for n in (1, 0, -3):  # 0 gave a fidelity of 1.0 and -3 one of 0.0
+        with pytest.raises(ValueError, match="need at least 2 nodes"):
+            itinerant_ghz_fidelity_formula(n, 0.95)
+    assert itinerant_ghz_fidelity_formula(12, 0.95) < itinerant_ghz_fidelity_formula(10, 0.95)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: st_n_node(SchemeParams(), n),
+    lambda n: itinerant_success(n, 0.9, 0.9, 0.9),
+    lambda n: itinerant_ghz_fidelity_sim(n, 0.95),
+    lambda n: itinerant_ghz_fidelity_formula(n, 0.95),
+    lambda n: em_success(n, SchemeParams()),
+    lambda n: em_false_herald(n, 0.5, 0.1),
+    lambda n: em_fidelity(n, 0.9, 0.5, 0.1),
+    lambda n: wpe_fidelity(1, n, 0.1),
+    lambda n: wpe_rate(1, n, 0.1),
+    lambda n: wpe_fidelity_sweep(n, [1], [0.1], 1.0),
+    lambda n: swap_rate(n, 0.5, 0.9),
+], ids=["st_n_node", "itinerant_success", "itinerant_ghz_fidelity_sim",
+        "itinerant_ghz_fidelity_formula", "em_success", "em_false_herald", "em_fidelity",
+        "wpe_fidelity", "wpe_rate", "wpe_fidelity_sweep", "swap_rate"])
+def test_node_count_is_an_integer(call):
+    for bad in (True, 3.0, 2.5):
+        with pytest.raises(ValueError, match=f"n_nodes must be an integer, got {bad!r}"):
+            call(bad)
+    call(np.int64(3))  # a numpy integer is an integer
+
+
+@pytest.mark.parametrize("call", [wpe_fidelity, wpe_rate])
+def test_excitation_count_is_an_integer(call):
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"m must be an integer, got {bad!r}"):
+            call(bad, 3, 0.1)
+    assert call(np.int64(1), 3, 0.1) == call(1, 3, 0.1)
 
 
 # -------------------------------------------------------------- mapping scheme

@@ -195,6 +195,24 @@ def test_fock_polynomial_round_trip():
     assert amp == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("occupations, match", [
+    ({H1: 1.5}, "not an integer >= 1"),  # built h1^1.5, which fock_to_polynomial refused
+    ({H1: True}, "not an integer >= 1"),
+    ({Mode(1, "X"): 1}, "not a Mode"),
+    ({(1, "H"): 1}, "not a Mode"),
+    ({H1: 1, V1: -1}, "nonnegative"),
+])
+def test_fock_state_refuses_bad_occupations(occupations, match):
+    with pytest.raises(ValueError, match=match):
+        FockState(occupations)
+
+
+def test_fock_state_drops_zero_counts_and_sorts():
+    fock = FockState({V1: np.int64(2), H1: 0, mode(2, "H"): 1})
+    assert fock.key == ((V1, 2), (mode(2, "H"), 1))  # by port, then polarization
+    assert FockState({}).key == ()
+
+
 def test_hybrid_state_register_mismatch():
     with pytest.raises(RegisterMismatch):
         HybridState(2, {("0", ()): 1.0})
