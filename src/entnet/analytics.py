@@ -23,13 +23,16 @@ def _check_unit(name: str, value: float) -> float:
     return float(value)
 
 
-def _check_integer(name: str, value) -> None:
-    """Refuse a count that is a bool or not an integer, as ``photonics._is_integer`` does.
+def _check_integer(name: str, value) -> int:
+    """``value`` as an ``int``, refusing a bool or a non-integer as ``photonics._is_integer`` does.
 
-    Kept here so that the closed forms import no other module of the package.
+    A numpy integer becomes an ``int``, so that the closed forms return
+    Python floats.  Kept here so that they import no other module of the
+    package.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _comb(n_nodes: int, k: int) -> float:
@@ -103,7 +106,7 @@ def st_n_node(params: SchemeParams, n_nodes: int):
     """
     from .states import dicke_state
 
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 receiving nodes")
     state = dicke_state(1, n_nodes)
@@ -126,7 +129,7 @@ def itinerant_fidelity_2(f_pa: float) -> float:
 def itinerant_success(n_nodes: int, eta_t: float, eta_c: float,
                       eta_det: float) -> FidelityResult:
     """Success factor ``eta_T^(N-1) eta_C^N eta_DET`` for one itinerant pass."""
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     for name, v in (("eta_t", eta_t), ("eta_c", eta_c), ("eta_det", eta_det)):
@@ -185,7 +188,7 @@ def itinerant_ghz_fidelity_sim(n_nodes: int, f_pa: float) -> float:
     every channel acts on an atom.  Each block is ``4^n`` real entries
     (0.5 MiB at ``n = 8``, 8 MiB at ``n = 10``), and ``n`` stays capped at 10.
     """
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if not 2 <= n_nodes <= 10:
         raise ValueError("n_nodes must be in 2..10")
     lam = itinerant_depolarizing_strength(f_pa)
@@ -206,7 +209,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
     target gives ``sum_s C(n, s) lam^s (1-lam)^(n-s) w_s`` with ``w_0 = 1``,
     ``w_s = 2^-(s+1)`` for ``0 < s < n`` and ``w_n = 2^-n``.
     """
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     lam = itinerant_depolarizing_strength(f_pa)
@@ -222,7 +225,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
 
 def em_success(n_nodes: int, params: SchemeParams) -> FidelityResult:
     """Mapping-scheme success factor ``p_src (eta_ABS eta_DET / 2)^N``."""
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     src = params.p_epr if n_nodes == 2 else params.p_ghz_n
@@ -237,7 +240,7 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
     the all-real term is excluded since it is the genuine success already
     counted by the success probability.
     """
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError("need at least 1 detector")
     _check_unit("p_real", p_real)
@@ -248,7 +251,7 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
 
 def em_fidelity(n_nodes: int, f_ph: float, p_em: float, p_false: float) -> float:
     """Source fidelity diluted by false heralds toward the fully mixed state."""
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 1:
         raise ValueError("need at least 1 node")
     _check_unit("f_ph", f_ph)
@@ -267,16 +270,17 @@ def _binom_tail(n: int, m: int, p: float) -> float:
                for k in range(m, n + 1))
 
 
-def _check_wpe(m: int, n_nodes: int, p: float) -> None:
-    """Refuse a node count below 1, an ``m`` outside ``1..n_nodes`` or a ``p`` outside (0, 1)."""
-    _check_integer("n_nodes", n_nodes)
-    _check_integer("m", m)
+def _check_wpe(m: int, n_nodes: int, p: float) -> tuple[int, int]:
+    """``(m, n_nodes)`` as ints; refuse a node count below 1, an ``m`` outside
+    ``1..n_nodes`` or a ``p`` outside (0, 1)."""
+    n_nodes, m = _check_integer("n_nodes", n_nodes), _check_integer("m", m)
     if n_nodes < 1:
         raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
     if not 1 <= m <= n_nodes:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
+    return m, n_nodes
 
 
 def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
@@ -288,7 +292,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     underflows, the fidelity is one over the sum of the terms' ratios to the
     ``m``-term, ``C(N, k) / C(N, m) (p / (1 - p))^(k - m)``.
     """
-    _check_wpe(m, n_nodes, p)
+    m, n_nodes = _check_wpe(m, n_nodes, p)
     good = _comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
     tail = _binom_tail(n_nodes, m, p)
     if min(good, tail) < sys.float_info.min:
@@ -302,7 +306,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
 
 def wpe_rate(m: int, n_nodes: int, p: float, eta_det: float = 1.0) -> FidelityResult:
     """Heralding-rate factor ``eta^m P(>= m photons emitted)``."""
-    _check_wpe(m, n_nodes, p)
+    m, n_nodes = _check_wpe(m, n_nodes, p)
     _check_unit("eta_det", eta_det)
     return FidelityResult(eta_det ** m * _binom_tail(n_nodes, m, p),
                           is_proportional=True)
@@ -331,7 +335,7 @@ def wpe_fidelity_sweep(n_nodes: int, m_list: Sequence[int], p_grid: Sequence[flo
 
 def swap_rate(n_nodes: int, p_bsa: float, eta_det: float) -> FidelityResult:
     """Swap-scheme rate factor ``p_BSA eta^N``."""
-    _check_integer("n_nodes", n_nodes)
+    n_nodes = _check_integer("n_nodes", n_nodes)
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     _check_unit("p_bsa", p_bsa)

@@ -295,8 +295,9 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     probability is one ``bincount`` of the cells' squared magnitudes
     (``hypot``, squared as ``x * x``), added in register order from ``0.0``;
     the amplitudes are scaled by ``1 / sqrt(p)`` and checked to be
-    normalized.  Every cell stays bit-identical to the table built from the
-    polynomial reference.
+    normalized.  The table agrees with the one built from the polynomial
+    reference to rounding, not bit for bit (see
+    :func:`~entnet.photonics.propagate`).
 
     Raises:
         ValueError: the input's norm squared is off 1 by more than

@@ -10,9 +10,13 @@ input alone, so oversize ones are refused before any term is expanded.
 
 :func:`propagate` is the expansion that detection tables use: it expands
 the input terms on arrays and returns the nonzero cells in table order
-(:class:`Cells`).  Every amplitude is bit-identical to the polynomial path
-(:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
-:func:`expand_to_fock`), which stays as its reference.
+(:class:`Cells`).  The polynomial path (:func:`fock_to_polynomial`,
+:func:`apply_mode_transform`, :func:`expand_to_fock`) stays as its
+reference; the two agree to rounding, not bit for bit, as they add in
+another order.  One float rule is kept for the CLI's bytes: each complex
+product is two float parts, as CPython multiplies (numpy's complex multiply
+rounds differently and changes 9 lines of ``swap-table --n 3 --format
+json``).
 """
 
 from __future__ import annotations
@@ -304,86 +308,30 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
 _BATCH_CHILDREN = 1 << 16
 
 
-def _below_tol(re, im):
-    """``hypot(re, im) < MERGE_TOL``, which is CPython's ``abs(complex) < MERGE_TOL``.
-
-    libm's ``hypot`` is slow, and it is at least the larger part, so it is
-    taken only where both parts are below ``2 * MERGE_TOL``.  A NaN is never
-    below.
-    """
-    import numpy as np
-
-    out = np.zeros(len(re), bool)
-    small = np.flatnonzero(np.maximum(np.abs(re), np.abs(im)) < 2 * MERGE_TOL)
-    out[small] = np.hypot(re[small], im[small]) < MERGE_TOL
-    return out
-
-
-def _group(ckey, term, dim):
-    """The children of each (term, pattern), from their patterns ``ckey``.
-
-    Returns ``gen``, the children in group order and each group's in
-    generation order, the ``starts`` of the groups in ``gen``, and each
-    group's pattern and term.  The patterns are sorted 16 bits at a time by
-    a stable radix sort, so equal patterns keep generation order, which is
-    also term order, as the parents of ``ckey`` come term by term.
-    """
-    import numpy as np
-
-    n = len(ckey)
-    gen = np.arange(n)
-    for shift in range(0, int(ckey.max()).bit_length(), 16):
-        gen = gen[np.argsort(((ckey[gen] >> shift) & 0xFFFF).astype(np.uint16), kind="stable")]
-    sorted_key, sorted_term = ckey[gen], term[gen // dim]
-    first = np.empty(n, bool)
-    first[0] = True
-    first[1:] = (sorted_key[1:] != sorted_key[:-1]) | (sorted_term[1:] != sorted_term[:-1])
-    starts = np.flatnonzero(first)
-    return gen, starts, sorted_key[starts], sorted_term[starts]
-
-
 def _photon_step(term, key, re, im, op, e_re, e_im, digits):
     """One more input photon of each parent, rewritten over the output modes.
 
     Parent ``p`` (of term ``term[p]``, pattern ``key[p]``, amplitude ``re[p] +
     i im[p]``) has ``dim`` children, child ``p * dim + k`` on output mode
     ``k`` of the photon's polarization: pattern ``key[p] + digits[op[p], k]``
-    and amplitude the parent's times ``e[op[p], k]``, both parts spelled as
-    CPython's complex multiply.  The children of one (term, pattern) are
-    summed in that generation order, rank by rank, from ``0.0``; a sum whose
-    magnitude falls below ``MERGE_TOL`` is dropped and restarts from ``0.0``.
-    The surviving sums come back ordered by the child that last made them
-    nonzero, which is where a dict merging the same children in the same
-    order would hold them.  The parents must come term by term.
+    and amplitude the parent's times ``e[op[p], k]``, multiplied out in two
+    float parts (see the module notes).  The children of one (term, pattern)
+    are summed in generation order from ``0.0``, and a sum whose magnitude
+    is below ``MERGE_TOL`` is dropped (a NaN is kept).  The sums come back
+    by term, then by pattern.
     """
     import numpy as np
 
     dim = digits.shape[1]
-    gen, starts, g_key, g_term = _group((key[:, None] + digits[op]).ravel(), term, dim)
-    n = len(gen)
     er, ei = e_re[op], e_im[op]
     vre = (re[:, None] * er - im[:, None] * ei).ravel()
     vim = (re[:, None] * ei + im[:, None] * er).ravel()
-    sizes = np.diff(starts, append=n)
-
-    born = gen[starts]  # the child that last made each sum nonzero
-    s_re, s_im = 0.0 + vre[born], 0.0 + vim[born]
-    absent = _below_tol(s_re, s_im)
-    s_re[absent] = s_im[absent] = 0.0
-    for rank in range(1, sizes.max()):
-        g = np.flatnonzero(sizes > rank)
-        child = gen[starts[g] + rank]
-        sre, sim = s_re[g] + vre[child], s_im[g] + vim[child]
-        dead = _below_tol(sre, sim)
-        back = absent[g] & ~dead
-        born[g[back]] = child[back]
-        sre[dead] = sim[dead] = 0.0
-        s_re[g], s_im[g], absent[g] = sre, sim, dead
-    live = np.flatnonzero(~absent)
-    slot = np.full(n, -1, np.intp)  # the births are distinct children: order by counting
-    slot[born[live]] = live
-    live = slot[slot >= 0]
-    return g_term[live], g_key[live], s_re[live], s_im[live]
+    keys, rank = np.unique((key[:, None] + digits[op]).ravel(), return_inverse=True)
+    pairs, group = np.unique(np.repeat(term, dim) * len(keys) + rank, return_inverse=True)
+    s_re, s_im = np.bincount(group, weights=vre), np.bincount(group, weights=vim)
+    live = ~(np.hypot(s_re, s_im) < MERGE_TOL)
+    g_term, g_key = np.divmod(pairs[live], len(keys))
+    return g_term, keys[g_key], s_re[live], s_im[live]
 
 
 def _expand_terms(monomials: list[Monomial], coeffs: list[complex], entries,
@@ -487,18 +435,14 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     with no cell.
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
-    :func:`expand_to_fock` fused, and it keeps their floating-point operations
-    in the same order, so every amplitude is bit-identical to that reference.
-    The input coefficient is ``amp / fact`` merged into zero.  The terms then
-    expand in batches of consecutive terms (:func:`_expand_terms`), one
-    photon of every term of a batch per :func:`_photon_step`, which merges
-    the products as the reference's dict does, with CPython's complex
-    multiply in separate float operations (numpy's own may fuse them).
-    Each output term is added to zero, times ``prod sqrt(k!)`` in
-    sorted-mode order, and added to zero again, which fixes the sign of
-    zero; none falls below ``MERGE_TOL`` there, as each is at least that
-    and each factor at least 1.  The input terms are summed into each cell
-    in :meth:`HybridState.items` order.  ``abs`` is ``hypot`` throughout.
+    :func:`expand_to_fock` fused.  The input coefficient is ``amp / fact``.
+    The terms expand in batches of consecutive terms (:func:`_expand_terms`),
+    one photon of every term of a batch per :func:`_photon_step`, which sums
+    each (term, pattern) once.  Each output term is multiplied by ``prod
+    sqrt(k!)``, and the input terms are summed into each cell in
+    :meth:`HybridState.items` order from ``0.0``.  The cells agree with that
+    reference to rounding: its dicts add in insertion order and restart a
+    sum that cancels below ``MERGE_TOL`` on the way, which moves last bits.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -514,7 +458,7 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         for m, k in fock.key:
             _check_port(m.port, dim)
             fact *= math.sqrt(math.factorial(k))
-        coeff = 0j + complex(amp / fact)
+        coeff = amp / fact
         if abs(coeff) >= MERGE_TOL:
             inputs.append((atoms, fock.monomial(), coeff))
     check_capacity((mono for _, mono, _ in inputs), dim)
@@ -539,11 +483,7 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     order = _canonical_order(occupations)
     occupations, fact = occupations[order], fact[order]
     pattern = np.argsort(order)[pattern]  # each term's pattern, numbered in table order
-    # a = 0j + (0j + c) * fact: complex + complex adds the parts, and
-    # complex * float multiplies by complex(fact, 0.0)
-    f = fact[pattern]
-    re, im = 0.0 + c_re, 0.0 + c_im
-    re, im = 0.0 + (re * f - im * 0.0), 0.0 + (re * 0.0 + im * f)
+    re, im = c_re * fact[pattern], c_im * fact[pattern]
 
     n = state.n_atoms
     registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
@@ -552,7 +492,7 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     # bincount adds each cell's terms in input order, starting from zero
     amplitudes.real = np.bincount(cell, weights=re, minlength=len(cells))
     amplitudes.imag = np.bincount(cell, weights=im, minlength=len(cells))
-    kept = ~_below_tol(amplitudes.real, amplitudes.imag)  # a NaN stays
+    kept = ~(np.abs(amplitudes) < MERGE_TOL)  # a NaN stays
     cells = cells[kept]
     live, pattern = np.unique(cells >> n, return_inverse=True)
     return Cells(modes, occupations[live], pattern, cells & (1 << n) - 1, amplitudes[kept])

@@ -237,7 +237,21 @@ def test_node_count_is_an_integer(call):
     for bad in (True, 3.0, 2.5):
         with pytest.raises(ValueError, match=f"n_nodes must be an integer, got {bad!r}"):
             call(bad)
-    call(np.int64(3))  # a numpy integer is an integer
+    # a numpy integer is an integer, and the figures stay Python floats (float **
+    # np.int64 is a numpy float, which FidelityResult.__float__ must not return)
+    figures = _figures(call(np.int64(3)))
+    assert figures == _figures(call(3)) and all(type(x) is float for x in figures)
+
+
+def _figures(result):
+    """The numbers of a result: st_n_node's two factors, a sweep's points."""
+    if isinstance(result, tuple):
+        result = list(result[1:])
+    if isinstance(result, list):
+        return [x for r in result for x in _figures(r)]
+    if isinstance(result, analytics.SweepPoint):
+        return [result.fidelity, result.rate]
+    return [result.value if isinstance(result, FidelityResult) else result]
 
 
 @pytest.mark.parametrize("call", [wpe_fidelity, wpe_rate])
@@ -246,6 +260,7 @@ def test_excitation_count_is_an_integer(call):
         with pytest.raises(ValueError, match=f"m must be an integer, got {bad!r}"):
             call(bad, 3, 0.1)
     assert call(np.int64(1), 3, 0.1) == call(1, 3, 0.1)
+    assert all(type(x) is float for x in _figures(call(np.int64(1), 3, 0.1)))
 
 
 # -------------------------------------------------------------- mapping scheme
