@@ -3,6 +3,11 @@
 Rates marked proportional carry an unspecified constant: the returned value
 is the dimensionless factor that multiplies the trial rate.  Fidelities are
 absolute.
+
+Each closed form checks and converts its arguments once, on entry: a count
+becomes an ``int`` and a rate or probability a ``float``, so every result is
+a Python float, numpy arguments included.  A refused argument raises
+``ValueError`` (``ZeroDivisionError`` for ``em_fidelity``'s zero denominator).
 """
 
 from __future__ import annotations
@@ -35,6 +40,20 @@ def _check_integer(name: str, value) -> int:
     return int(value)
 
 
+def _check_count(name: str, value, least: int, what: str = "nodes") -> int:
+    """``value`` as an ``int``, refusing one below ``least`` with "need at least <least> <what>"."""
+    value = _check_integer(name, value)
+    if value < least:
+        raise ValueError(f"need at least {least} {what}")
+    return value
+
+
+def _check_nonnegative(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return float(value)
+
+
 def _comb(n_nodes: int, k: int) -> float:
     """``C(n_nodes, k)`` as the float that ``int * float`` would convert it to.
 
@@ -64,7 +83,7 @@ class SchemeParams:
 
     def __post_init__(self):
         for f in fields(self):
-            _check_unit(f.name, getattr(self, f.name))
+            object.__setattr__(self, f.name, _check_unit(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +94,8 @@ class FidelityResult:
     is_proportional: bool = False
 
     def __post_init__(self):
-        if not self.is_proportional:
-            _check_unit("value", self.value)
+        value = float(self.value) if self.is_proportional else _check_unit("value", self.value)
+        object.__setattr__(self, "value", value)
 
     def __float__(self) -> float:
         return self.value
@@ -86,7 +105,7 @@ class FidelityResult:
 
 def st_fidelity_2(eta: float) -> FidelityResult:
     """Two-node state-transfer fidelity cap ``(1 + sqrt(eta))^2 / 4``."""
-    _check_unit("eta", eta)
+    eta = _check_unit("eta", eta)
     return FidelityResult((1 + math.sqrt(eta)) ** 2 / 4)
 
 
@@ -106,9 +125,7 @@ def st_n_node(params: SchemeParams, n_nodes: int):
     """
     from .states import dicke_state
 
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 receiving nodes")
+    n_nodes = _check_count("n_nodes", n_nodes, 2, "receiving nodes")
     state = dicke_state(1, n_nodes)
     fid = FidelityResult(params.eta_a0an, is_proportional=True)
     rate = FidelityResult(params.eta_p * params.eta_out * params.eta_net
@@ -123,17 +140,15 @@ def itinerant_fidelity_2(f_pa: float) -> float:
     """Atom-atom fidelity ``2 F_PA - 1`` under depolarizing gate errors."""
     if not 0.5 <= f_pa <= 1.0:
         raise ValueError(f"f_pa must be in [0.5, 1], got {f_pa}")
-    return min(1.0, max(0.0, 2 * f_pa - 1))
+    return min(1.0, max(0.0, 2 * float(f_pa) - 1))
 
 
 def itinerant_success(n_nodes: int, eta_t: float, eta_c: float,
                       eta_det: float) -> FidelityResult:
     """Success factor ``eta_T^(N-1) eta_C^N eta_DET`` for one itinerant pass."""
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    for name, v in (("eta_t", eta_t), ("eta_c", eta_c), ("eta_det", eta_det)):
-        _check_unit(name, v)
+    n_nodes = _check_count("n_nodes", n_nodes, 2)
+    eta_t, eta_c, eta_det = (_check_unit("eta_t", eta_t), _check_unit("eta_c", eta_c),
+                             _check_unit("eta_det", eta_det))
     return FidelityResult(eta_t ** (n_nodes - 1) * eta_c ** n_nodes * eta_det,
                           is_proportional=True)
 
@@ -209,9 +224,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
     target gives ``sum_s C(n, s) lam^s (1-lam)^(n-s) w_s`` with ``w_0 = 1``,
     ``w_s = 2^-(s+1)`` for ``0 < s < n`` and ``w_n = 2^-n``.
     """
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    n_nodes = _check_count("n_nodes", n_nodes, 2)
     lam = itinerant_depolarizing_strength(f_pa)
     n = n_nodes
     total = 0.0
@@ -225,9 +238,7 @@ def itinerant_ghz_fidelity_formula(n_nodes: int, f_pa: float) -> float:
 
 def em_success(n_nodes: int, params: SchemeParams) -> FidelityResult:
     """Mapping-scheme success factor ``p_src (eta_ABS eta_DET / 2)^N``."""
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    n_nodes = _check_count("n_nodes", n_nodes, 2)
     src = params.p_epr if n_nodes == 2 else params.p_ghz_n
     return FidelityResult(src * (0.5 * params.eta_abs * params.eta_det) ** n_nodes,
                           is_proportional=True)
@@ -240,24 +251,17 @@ def em_false_herald(n_nodes: int, p_real: float, p_dark: float) -> float:
     the all-real term is excluded since it is the genuine success already
     counted by the success probability.
     """
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValueError("need at least 1 detector")
-    _check_unit("p_real", p_real)
-    _check_unit("p_dark", p_dark)
+    n_nodes = _check_count("n_nodes", n_nodes, 1, "detector")
+    p_real, p_dark = _check_unit("p_real", p_real), _check_unit("p_dark", p_dark)
     return sum(_comb(n_nodes, n) * p_real ** n * p_dark ** (n_nodes - n)
                for n in range(n_nodes))
 
 
 def em_fidelity(n_nodes: int, f_ph: float, p_em: float, p_false: float) -> float:
     """Source fidelity diluted by false heralds toward the fully mixed state."""
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 1:
-        raise ValueError("need at least 1 node")
-    _check_unit("f_ph", f_ph)
-    for name, p in (("p_em", p_em), ("p_false", p_false)):
-        if not (math.isfinite(p) and p >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {p}")
+    n_nodes = _check_count("n_nodes", n_nodes, 1, "node")
+    f_ph = _check_unit("f_ph", f_ph)
+    p_em, p_false = _check_nonnegative("p_em", p_em), _check_nonnegative("p_false", p_false)
     if p_em + p_false == 0:
         raise ZeroDivisionError("p_em + p_false must be positive")
     return (f_ph * p_em + 2.0 ** -n_nodes * p_false) / (p_em + p_false)
@@ -270,9 +274,9 @@ def _binom_tail(n: int, m: int, p: float) -> float:
                for k in range(m, n + 1))
 
 
-def _check_wpe(m: int, n_nodes: int, p: float) -> tuple[int, int]:
-    """``(m, n_nodes)`` as ints; refuse a node count below 1, an ``m`` outside
-    ``1..n_nodes`` or a ``p`` outside (0, 1)."""
+def _check_wpe(m: int, n_nodes: int, p: float) -> tuple[int, int, float]:
+    """``(m, n_nodes, p)`` as ints and a float; refuse a node count below 1, an
+    ``m`` outside ``1..n_nodes`` or a ``p`` outside (0, 1)."""
     n_nodes, m = _check_integer("n_nodes", n_nodes), _check_integer("m", m)
     if n_nodes < 1:
         raise ValueError(f"need at least 1 node, got n_nodes={n_nodes}")
@@ -280,7 +284,7 @@ def _check_wpe(m: int, n_nodes: int, p: float) -> tuple[int, int]:
         raise ValueError(f"need 1 <= m <= {n_nodes}, got m={m}")
     if not 0 < p < 1:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    return m, n_nodes
+    return m, n_nodes, float(p)
 
 
 def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
@@ -292,7 +296,7 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
     underflows, the fidelity is one over the sum of the terms' ratios to the
     ``m``-term, ``C(N, k) / C(N, m) (p / (1 - p))^(k - m)``.
     """
-    m, n_nodes = _check_wpe(m, n_nodes, p)
+    m, n_nodes, p = _check_wpe(m, n_nodes, p)
     good = _comb(n_nodes, m) * p ** m * (1 - p) ** (n_nodes - m)
     tail = _binom_tail(n_nodes, m, p)
     if min(good, tail) < sys.float_info.min:
@@ -306,8 +310,8 @@ def wpe_fidelity(m: int, n_nodes: int, p: float) -> float:
 
 def wpe_rate(m: int, n_nodes: int, p: float, eta_det: float = 1.0) -> FidelityResult:
     """Heralding-rate factor ``eta^m P(>= m photons emitted)``."""
-    m, n_nodes = _check_wpe(m, n_nodes, p)
-    _check_unit("eta_det", eta_det)
+    m, n_nodes, p = _check_wpe(m, n_nodes, p)
+    eta_det = _check_unit("eta_det", eta_det)
     return FidelityResult(eta_det ** m * _binom_tail(n_nodes, m, p),
                           is_proportional=True)
 
@@ -323,23 +327,17 @@ class SweepPoint:
 def wpe_fidelity_sweep(n_nodes: int, m_list: Sequence[int], p_grid: Sequence[float],
                        eta_det: float) -> list[SweepPoint]:
     """Fidelity/rate factors on a grid, ordered by excitation then p."""
-    out = []
-    for m in m_list:
-        for p in p_grid:
-            out.append(SweepPoint(p, m, wpe_fidelity(m, n_nodes, p),
-                                  wpe_rate(m, n_nodes, p, eta_det).value))
-    return out
+    return [SweepPoint(float(p), int(m), wpe_fidelity(m, n_nodes, p),
+                       wpe_rate(m, n_nodes, p, eta_det).value)
+            for m in m_list for p in p_grid]
 
 
 # ---------------------------------------------------------------- swapping and comparison
 
 def swap_rate(n_nodes: int, p_bsa: float, eta_det: float) -> FidelityResult:
     """Swap-scheme rate factor ``p_BSA eta^N``."""
-    n_nodes = _check_integer("n_nodes", n_nodes)
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    _check_unit("p_bsa", p_bsa)
-    _check_unit("eta_det", eta_det)
+    n_nodes = _check_count("n_nodes", n_nodes, 2)
+    p_bsa, eta_det = _check_unit("p_bsa", p_bsa), _check_unit("eta_det", eta_det)
     return FidelityResult(p_bsa * eta_det ** n_nodes, is_proportional=True)
 
 
@@ -361,9 +359,7 @@ def compare_4node(eta_det: float, r_t: float = 1.0) -> FourNodeComparison:
     heralds at ``(7/32) eta^4 r_T``.  Equating the two gives the crossover
     ``eta* = 2/sqrt(7)``.
     """
-    _check_unit("eta_det", eta_det)
-    if not (math.isfinite(r_t) and r_t >= 0):
-        raise ValueError(f"r_t must be finite and nonnegative, got {r_t}")
+    eta_det, r_t = _check_unit("eta_det", eta_det), _check_nonnegative("r_t", r_t)
     r_bell = 0.5 * eta_det ** 2 * r_t
     r_quad = (7 / 32) * eta_det ** 4 * r_t
     return FourNodeComparison(r_bell, r_bell / 4, r_quad, 2 / math.sqrt(7))
@@ -380,7 +376,7 @@ class FormulaSpec:
 
 
 def _fr(x):
-    return x if isinstance(x, FidelityResult) else FidelityResult(float(x))
+    return x if isinstance(x, FidelityResult) else FidelityResult(x)
 
 
 FORMULAS: dict[str, FormulaSpec] = {}
@@ -396,9 +392,7 @@ _register("st-fidelity-2", [("eta", float)],
 _register("st-rate-2",
           [("eta-p", float), ("eta-out", float), ("eta-net", float),
            ("eta-ent", float), ("eta-det", float)],
-          lambda **kw: st_rate_2(SchemeParams(eta_p=kw["eta_p"], eta_out=kw["eta_out"],
-                                              eta_net=kw["eta_net"], eta_ent=kw["eta_ent"],
-                                              eta_det=kw["eta_det"])),
+          lambda **kw: st_rate_2(SchemeParams(**kw)),
           "heralded two-node photon-exchange rate factor")
 _register("st-n-fidelity", [("eta-a0an", float)],
           lambda eta_a0an: FidelityResult(_check_unit("eta_a0an", eta_a0an),
@@ -407,10 +401,7 @@ _register("st-n-fidelity", [("eta-a0an", float)],
 _register("st-n-rate",
           [("n", int), ("eta-p", float), ("eta-out", float), ("eta-net", float),
            ("eta-a0an", float), ("eta-ent", float), ("eta-det", float)],
-          lambda n, **kw: st_n_node(SchemeParams(
-              eta_p=kw["eta_p"], eta_out=kw["eta_out"], eta_net=kw["eta_net"],
-              eta_a0an=kw["eta_a0an"], eta_ent=kw["eta_ent"],
-              eta_det=kw["eta_det"]), n)[2],
+          lambda n, **kw: st_n_node(SchemeParams(**kw), n)[2],
           "heralded N-node split-photon rate factor")
 _register("itinerant-fidelity-2", [("f-pa", float)],
           lambda f_pa: _fr(itinerant_fidelity_2(f_pa)),

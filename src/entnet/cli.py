@@ -6,7 +6,9 @@ erasing trade-off, compare four-node strategies, and dispatch any registered
 closed-form expression by name.
 
 Exit codes: 0 success, 2 usage or validation error, 3 I/O failure,
-4 golden-table mismatch.
+4 golden-table mismatch.  A refused input raises ``ValueError``
+(``ZeroDivisionError`` for ``em-fidelity``); :func:`main` alone prints
+``error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -76,13 +78,11 @@ def _emit_doc(doc: dict, fmt: str, output: str | None, csv_records, csv_fields) 
 
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 2:
-            start, stop, num = float(parts[0]), float(parts[1]), 50
-        elif len(parts) == 3:
-            start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        else:
-            raise ValueError(f"bad grid {text!r}; use start:stop[:num]")
+        try:
+            start, stop, num = (text + ":50" if text.count(":") == 1 else text).split(":")
+            start, stop, num = float(start), float(stop), int(num)
+        except ValueError:
+            raise ValueError(f"bad grid {text!r}; use start:stop[:num]") from None
         if num < 1:
             raise ValueError("grid needs at least one point")
         if num == 1:
@@ -94,8 +94,11 @@ def _parse_grid(text: str) -> list[float]:
 
 def _parse_m_list(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..")
-        m_list = list(range(int(lo), int(hi) + 1))
+        try:
+            lo, hi = map(int, text.split(".."))
+        except ValueError:
+            raise ValueError(f"bad range --m {text!r}; use lo..hi with integer ends") from None
+        m_list = list(range(lo, hi + 1))
     else:
         m_list = [int(tok) for tok in text.split(",") if tok.strip()]
     if not m_list:
@@ -111,10 +114,7 @@ def cmd_multiport(args) -> int:
     if args.kind == "sym2d":
         if args.d is None:
             return _fail("sym2d requires --d")
-        try:
-            u = interferometers.symmetric_multiport(args.d)
-        except ValueError as exc:
-            return _fail(str(exc))
+        u = interferometers.symmetric_multiport(args.d)
     else:
         u = _DEVICES[_KIND_NODES[args.kind]]()
     inv = interferometers.inverse(u)
@@ -188,25 +188,16 @@ def cmd_swap_table(args) -> int:
 def cmd_wpe(args) -> int:
     from . import analytics
 
-    try:
-        m_list = _parse_m_list(args.m)
-        p_grid = [args.p] if args.sweep is None else _parse_grid(args.sweep)
-    except ValueError as exc:
-        return _fail(str(exc))
+    m_list = _parse_m_list(args.m)
+    p_grid = [args.p] if args.sweep is None else _parse_grid(args.sweep)
     if not p_grid:
         return _fail(f"--sweep {args.sweep!r} selects no p")
-    try:
-        points = analytics.wpe_fidelity_sweep(args.n, m_list, p_grid, args.eta)
-    except ValueError as exc:
-        return _fail(str(exc))
+    points = analytics.wpe_fidelity_sweep(args.n, m_list, p_grid, args.eta)
     if args.simulate:
         from . import sources
 
-        try:
-            sims = [(sources.wpe_fidelity_sim(args.n, pt.p, pt.m),
-                     sources.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]
-        except ValueError as exc:
-            return _fail(str(exc))
+        sims = [(sources.wpe_fidelity_sim(args.n, pt.p, pt.m),
+                 sources.wpe_rate_sim(args.n, pt.p, pt.m, args.eta)) for pt in points]
         dev_f = max(abs(pt.fidelity - f) for pt, (f, _) in zip(points, sims))
         dev_r = max(abs(pt.rate - r) for pt, (_, r) in zip(points, sims))
         print(f"max |analytic - simulated| fidelity: {tables.fmt(dev_f)}")
@@ -223,19 +214,13 @@ def cmd_wpe(args) -> int:
 def cmd_compare(args) -> int:
     from . import analytics
 
-    try:
-        grid = _parse_grid(args.eta_grid)
-    except ValueError as exc:
-        return _fail(str(exc))
+    grid = _parse_grid(args.eta_grid)
     if not grid:
         return _fail("empty efficiency grid")
     points = []
     crossover = None
     for eta in grid:
-        try:
-            cmp4 = analytics.compare_4node(eta, args.r_t)
-        except ValueError as exc:
-            return _fail(str(exc))
+        cmp4 = analytics.compare_4node(eta, args.r_t)
         crossover = cmp4.crossover_eta
         points.append({"eta_det": eta, "r_bell_chain4": cmp4.r_bell_chain4,
                        "r_quad": cmp4.r_quad})
@@ -268,10 +253,7 @@ def cmd_analytics(args) -> int:
     for flag, caster in spec.args:
         parser.add_argument(f"--{flag}", type=caster, required=True)
     kwargs = vars(parser.parse_args(args.flags))
-    try:
-        result = analytics.evaluate_formula(args.name, **kwargs)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc))
+    result = analytics.evaluate_formula(args.name, **kwargs)
     marker = "proportional factor" if result.is_proportional else "absolute"
     print(f"{tables.fmt(result.value)} ({marker})")
     return EXIT_OK
@@ -338,6 +320,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:   # from argparse, or a formula's parser: --help 0, misuse 2
         return EXIT_USAGE if exc.code else EXIT_OK
+    except (ValueError, ZeroDivisionError) as exc:   # a refused input
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -97,7 +97,9 @@ class QubitState:
         """Rotate the first nonzero amplitude (lexicographic) to positive real."""
         first = min(self.amplitudes)
         phase = self.amplitudes[first] / abs(self.amplitudes[first])
-        return QubitState(self.n_qubits, {b: a / phase for b, a in self.amplitudes.items()})
+        # a unit phase keeps the amplitudes checked and normalized, and the class label
+        return QubitState._trusted(self.n_qubits,
+                                   {b: a / phase for b, a in self.amplitudes.items()}, self._label)
 
     def __repr__(self) -> str:
         parts = [f"({a:.4g})|{b}>" for b, a in sorted(self.amplitudes.items())]

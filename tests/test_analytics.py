@@ -254,6 +254,38 @@ def _figures(result):
     return [result.value if isinstance(result, FidelityResult) else result]
 
 
+def test_numpy_arguments_give_python_numbers():
+    """Every closed form converts numpy counts and rates on entry.
+
+    A numpy float left in a result made ``float()`` on a ``FidelityResult``
+    warn (``__float__`` returned a non-float), an error under the suite's
+    warning filters.
+    """
+    f, i = np.float64, np.int64
+    results = [
+        st_fidelity_2(f(0.81)), st_rate_2(SchemeParams(eta_p=f(0.5), eta_det=f(0.9))),
+        *st_n_node(SchemeParams(eta_a0an=f(0.5), eta_det=f(0.9)), i(3))[1:],
+        itinerant_fidelity_2(f(0.9)), itinerant_success(i(3), f(0.9), f(0.8), f(0.7)),
+        itinerant_depolarizing_strength(f(0.9)), itinerant_ghz_fidelity_sim(i(3), f(0.9)),
+        itinerant_ghz_fidelity_formula(i(3), f(0.9)),
+        em_success(i(3), SchemeParams(eta_abs=f(0.5), p_ghz_n=f(0.9))),
+        em_false_herald(i(3), f(0.5), f(0.1)), em_fidelity(i(3), f(0.9), f(0.5), f(0.1)),
+        wpe_fidelity(i(1), i(3), f(0.1)), wpe_rate(i(1), i(3), f(0.1), f(0.5)),
+        swap_rate(i(3), f(0.5), f(0.9)),
+        *(evaluate_formula(name, **kw) for name, kw in [
+            ("st-n-fidelity", {"eta_a0an": f(0.5)}),
+            ("swap-rate", {"n": i(3), "p_bsa": f(0.5), "eta": f(0.9)})]),
+    ]
+    for result in results:
+        assert type(float(result)) is float
+        assert type(result.value if isinstance(result, FidelityResult) else result) is float
+    point, = wpe_fidelity_sweep(i(3), [i(1)], [f(0.1)], f(0.5))
+    assert [type(x) for x in dataclasses.astuple(point)] == [float, int, float, float]
+    cmp4 = compare_4node(f(0.5), f(2.0))
+    assert all(type(x) is float for x in dataclasses.astuple(cmp4))
+    assert cmp4 == compare_4node(0.5, 2.0)
+
+
 @pytest.mark.parametrize("call", [wpe_fidelity, wpe_rate])
 def test_excitation_count_is_an_integer(call):
     for bad in (True, 1.0):

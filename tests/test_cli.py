@@ -140,6 +140,72 @@ def test_wpe_rejects_empty_m_list(tmp_path, capsys, m):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv,want", [
+    ("wpe --n 4 --m 1..x --p 0.1", "error: bad range --m '1..x'; use lo..hi with integer ends\n"),
+    ("wpe --n 4 --m 1..2..3 --p 0.1",
+     "error: bad range --m '1..2..3'; use lo..hi with integer ends\n"),
+    ("wpe --n 4 --m 1 --sweep 0:1:2.5", "error: bad grid '0:1:2.5'; use start:stop[:num]\n"),
+    ("compare --eta-grid 0:1:2.5", "error: bad grid '0:1:2.5'; use start:stop[:num]\n"),
+    ("compare --eta-grid 0:x", "error: bad grid '0:x'; use start:stop[:num]\n"),
+])
+def test_parse_errors_name_the_flag_value(capsys, argv, want):
+    assert run_cli(*shlex.split(argv), capsys=capsys) == (2, "", want)
+
+
+# each refusal raises in a handler, and main alone prints it and exits 2
+@pytest.mark.parametrize("argv,err", [
+    ("multiport sym2d --d 6", "d must be an integer in 1..5 (got 6); dim 2^d is capped at 32"),
+    ("wpe --n 9 --m 1 --p 0.1 --simulate", "n_nodes must be in 1..8, got 9"),
+    ("wpe --n 8 --m 8 --p 1e-300 --simulate",
+     "the weight of 8 or more photons underflows to 0 at p=1e-300"),
+    ("wpe --n 2000 --m 1 --p 0.5",
+     "n_nodes=2000 is too large: C(2000, 230) does not fit in a float"),
+    ("wpe --n 0 --m 1 --p 0.1", "need at least 1 node, got n_nodes=0"),
+    ("wpe --n 4 --m 5 --p 0.1", "need 1 <= m <= 4, got m=5"),
+    ("wpe --n 4 --m 3..1 --p 0.1", "--m '3..1' selects no excitation number"),
+    ("wpe --n 4 --m x --p 0.1", "invalid literal for int() with base 10: 'x'"),
+    ("wpe --n 4 --m 1 --sweep 0.1:0.5:0", "grid needs at least one point"),
+    ("wpe --n 4 --m 1 --sweep 0:1:2:3", "bad grid '0:1:2:3'; use start:stop[:num]"),
+    ("wpe --n 4 --m 1 --sweep 0.1:0.5:3 --eta 2", "eta_det must be in [0, 1], got 2.0"),
+    ("compare --eta-grid 1.5", "eta_det must be in [0, 1], got 1.5"),
+    ("compare --eta-grid 0.5 --r-t -1", "r_t must be finite and nonnegative, got -1.0"),
+    ("compare --eta-grid x", "could not convert string to float: 'x'"),
+    ("analytics em-fidelity --n 3 --f-ph 0.9 --p-em 0 --p-false 0",
+     "p_em + p_false must be positive"),
+    ("analytics em-fidelity --n 0 --f-ph 0.9 --p-em 1 --p-false 0", "need at least 1 node"),
+    ("analytics em-fidelity --n 3 --f-ph 0.9 --p-em -1 --p-false 0",
+     "p_em must be finite and nonnegative, got -1.0"),
+    ("analytics st-fidelity-2 --eta 1.5", "eta must be in [0, 1], got 1.5"),
+    ("analytics st-rate-2 --eta-p 2 --eta-out 1 --eta-net 1 --eta-ent 1 --eta-det 1",
+     "eta_p must be in [0, 1], got 2.0"),
+    ("analytics st-n-fidelity --eta-a0an 2", "eta_a0an must be in [0, 1], got 2.0"),
+    ("analytics st-n-rate --n 1 --eta-p 1 --eta-out 1 --eta-net 1 --eta-a0an 1 --eta-ent 1"
+     " --eta-det 1", "need at least 2 receiving nodes"),
+    ("analytics st-n-rate --n 3 --eta-p 1 --eta-out 1 --eta-net 1 --eta-a0an 1 --eta-ent 1"
+     " --eta-det -1", "eta_det must be in [0, 1], got -1.0"),
+    ("analytics itinerant-fidelity-2 --f-pa 0.4", "f_pa must be in [0.5, 1], got 0.4"),
+    ("analytics itinerant-success --n 1 --eta-t 1 --eta-c 1 --eta-det 1",
+     "need at least 2 nodes"),
+    ("analytics itinerant-success --n 3 --eta-t 1 --eta-c 1.5 --eta-det 1",
+     "eta_c must be in [0, 1], got 1.5"),
+    ("analytics itinerant-ghz-sim --n 11 --f-pa 0.9", "n_nodes must be in 2..10"),
+    ("analytics itinerant-ghz-sim --n 3 --f-pa 0.6",
+     "f_pa must be in (0.625, 1]: a single-qubit depolarizing channel cannot reach "
+     "two-node fidelities at or below 1/4"),
+    ("analytics em-success --n 1 --eta-abs 1 --eta-det 1 --p-src 1", "need at least 2 nodes"),
+    ("analytics em-success --n 2 --eta-abs 1 --eta-det 1 --p-src 2",
+     "p_epr must be in [0, 1], got 2.0"),
+    ("analytics em-false-herald --n 0 --p-real 0.5 --p-dark 0.5", "need at least 1 detector"),
+    ("analytics em-false-herald --n 3 --p-real 0.5 --p-dark 1.5",
+     "p_dark must be in [0, 1], got 1.5"),
+    ("analytics swap-rate --n 1 --p-bsa 0.5 --eta 0.9", "need at least 2 nodes"),
+    ("analytics swap-rate --n 3 --p-bsa 1.5 --eta 0.9", "p_bsa must be in [0, 1], got 1.5"),
+    ("analytics wpe-rate --m 1 --n 3 --p 0.1 --eta 2", "eta_det must be in [0, 1], got 2.0"),
+])
+def test_refused_input_exits_2_with_the_message(capsys, argv, err):
+    assert run_cli(*shlex.split(argv), capsys=capsys) == (2, "", f"error: {err}\n")
+
+
 def test_wpe_point_and_simulate(capsys):
     code, out, _ = run_cli("wpe", "--n", "2", "--m", "1", "--p", "0.06",
                            "--simulate", capsys=capsys)
