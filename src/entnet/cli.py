@@ -89,7 +89,10 @@ def _parse_grid(text: str) -> list[float]:
             return [start]
         step = (stop - start) / (num - 1)
         return [start + k * step for k in range(num)]
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"bad list {text!r}; use comma-separated numbers") from None
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -100,7 +103,10 @@ def _parse_m_list(text: str) -> list[int]:
             raise ValueError(f"bad range --m {text!r}; use lo..hi with integer ends") from None
         m_list = list(range(lo, hi + 1))
     else:
-        m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+        try:
+            m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(f"bad list --m {text!r}; use comma-separated integers") from None
     if not m_list:
         raise ValueError(f"--m {text!r} selects no excitation number")
     return m_list

@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .interferometers import MultiportMatrix, inverse
-from .photonics import NORM_TOL, FockState, HybridState, Mode, _is_integer, propagate
+from .photonics import (NORM_TOL, FockState, HybridState, Mode, _is_integer,
+                        _multiset_ranks, propagate)
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
@@ -132,23 +133,31 @@ class DetectionTable:
         """The orbit column: each row's orbit, and the row of each orbit that is walked.
 
         Two rows share an orbit when a symmetry maps one pattern to the
-        other, found as the same least key over their images (a key has one
-        digit per mode), and they have as many cells; the walked row is the
-        orbit's first.  A table without symmetries, or whose keys would not
-        fit int64 (as for 3 photons on 32 modes), has one row per orbit.
+        other, found as the same least key over their images, and they have
+        as many cells; the walked row is the orbit's first.  A key is the
+        pair of the pattern's multiset ranks, one per polarization
+        (:func:`~entnet.photonics._multiset_ranks`), so it fits int64 at
+        every size.  A table without symmetries has one row per orbit.
         """
         n_rows, n_modes = self.occupations.shape
-        base = int(self.occupations.max(initial=0)) + 1
-        if not self.symmetries or base ** n_modes > 2 ** 63:
+        if not (self.symmetries and n_modes):
             rows = np.arange(n_rows)
             return rows, rows
-        weights = np.array([base ** j for j in range(n_modes)], np.int64)
-        # each image's digit weight for each column: photons in column j move to perm[j]
-        moved = weights[np.array([np.arange(n_modes), *self.symmetries])]
-        keys = np.zeros((len(moved), n_rows), np.int64)
-        for j in range(n_modes):
-            keys += moved[:, j:j + 1] * self.occupations[:, j]
-        _, first, orbit = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
+        pols = len({m.pol for m in self.modes})
+        # each row's photons per port of each polarization: (rows, pols, ports)
+        counts = self.occupations[:, np.arange(n_modes).reshape(-1, pols).T]
+        ranks = _multiset_ranks(counts)
+        # each image's ports: the photons on port k move to port perm[k]
+        perms = np.array([np.arange(n_modes), *self.symmetries])[:, ::pols] // pols
+        entry = np.full(int(ranks.max()) + 1, -1)
+        entry[ranks.ravel()] = np.arange(ranks.size)  # each multiset is imaged once
+        seen = entry >= 0
+        images = _multiset_ranks(counts.reshape(ranks.size, -1)[entry[seen]][:, np.argsort(perms, 1)])
+        index = (np.cumsum(seen) - 1)[ranks]
+        keys = images[index[:, 0]]
+        for q in range(1, pols):  # the (H, V) pair
+            keys = keys * (int(images.max()) + 1) + images[index[:, q]]
+        _, first, orbit = np.unique(keys.min(axis=1), return_index=True, return_inverse=True)
         sizes = np.diff(self.offsets)
         lone = np.flatnonzero(sizes != sizes[first][orbit])
         orbit[lone] = len(first) + np.arange(len(lone))

@@ -1,27 +1,21 @@
 """Exact bosonic propagation of photonic states through lossless linear optics.
 
-Photonic states live in two interchangeable representations: sums of
-creation-operator monomials acting on vacuum (convenient while propagating
-through a multiport) and occupation-number amplitudes (convenient for
-detection statistics).  Everything here is pure and immutable after
-construction; coefficients with magnitude below ``MERGE_TOL`` are dropped
-during canonicalisation.  :func:`check_capacity` sizes an expansion from its
-input alone, so oversize ones are refused before any term is expanded.
-
-:func:`propagate` is the expansion that detection tables use: it expands
-the input terms on arrays and returns the nonzero cells in table order
-(:class:`Cells`).  The polynomial path (:func:`fock_to_polynomial`,
-:func:`apply_mode_transform`, :func:`expand_to_fock`) stays as its
-reference; the two agree to rounding, not bit for bit, as they add in
-another order.  One float rule is kept for the CLI's bytes: each complex
-product is two float parts, as CPython multiplies (numpy's complex multiply
-rounds differently and changes 9 lines of ``swap-table --n 3 --format
-json``).
+Photonic states are sums of creation-operator monomials acting on vacuum
+(:class:`PhotonPolynomial`) or occupation-number amplitudes
+(:class:`HybridState`), pure and immutable after construction; coefficients
+below ``MERGE_TOL`` are dropped.  :func:`propagate` is the expansion that
+detection tables use: linear optics keeps each photon's polarization, so it
+numbers each partial pattern by dense multiset ranks, one per polarization,
+and looks each photon step up in a table.  The polynomial path
+(:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
+:func:`expand_to_fock`) is its reference; the two agree to rounding.  Each
+complex product is two float parts, as CPython multiplies: numpy's complex
+multiply rounds differently and changes 9 lines of ``swap-table --n 3
+--format json``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from collections import Counter
@@ -47,8 +41,7 @@ class DimensionMismatch(ValueError):
     """A mode's port is not one of the interferometer's ports, the integers ``1..dim``."""
 
     def __init__(self, port, dim: int):
-        self.port = port
-        self.dim = dim
+        self.port, self.dim = port, dim
         super().__init__(f"mode on port {port} is outside ports 1..{dim} of the interferometer")
 
 
@@ -239,49 +232,33 @@ class HybridState:
         return f"HybridState(n_atoms={self.n_atoms}, terms={n}, norm^2={self.norm_sq():.6f})"
 
 
-def _term_count(mono: Monomial, dim: int) -> int:
-    """Output terms of one monomial over ``dim`` ports (see :func:`check_capacity`)."""
-    return math.prod(math.comb(dim + k - 1, k) for k in Counter(m.pol for m in mono).values())
-
-
 def check_capacity(monomials: Iterable[Monomial], dim: int) -> None:
     """Refuse expansions over ``dim`` output ports beyond ``MAX_TERMS`` terms.
 
-    Each operator of a monomial becomes a sum over the ``dim`` output modes
-    of its own polarization, so ``k`` photons of one polarization expand into
-    the ``C(dim + k - 1, k)`` multisets of those modes, and the polarizations
-    expand independently.  The count needs no expansion and is exact up to
-    interference cancellations.
-
-    Raises:
-        CapacityError: the monomials together expand into more than
-            ``MAX_TERMS`` terms.
+    ``k`` photons of one polarization expand into the ``C(dim + k - 1, k)``
+    multisets of its output modes, and the polarizations independently, so
+    the count needs no expansion and is exact up to interference
+    cancellations.  Raises :class:`CapacityError` past ``MAX_TERMS``.
     """
-    total = sum(_term_count(mono, dim) for mono in monomials)
+    total = sum(math.prod(math.comb(dim + k - 1, k) for k in Counter(m.pol for m in mono).values())
+                for mono in monomials)
     if total > MAX_TERMS:
-        raise CapacityError(
-            f"expanding over {dim} ports gives {total} terms > {MAX_TERMS}")
+        raise CapacityError(f"expanding over {dim} ports gives {total} terms > {MAX_TERMS}")
 
 
 def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolynomial:
     """Rewrite input creation operators in terms of output operators.
 
-    ``inverse_matrix`` is the *inverse* multiport transform, so that the
-    operator on input port ``j`` becomes ``sum_k inv[j, k] b_k`` on the
-    output ports.  The same spatial matrix acts on each polarization
-    independently.
-
-    Args:
-        poly: canonical input-operator polynomial.
-        inverse_matrix: a :class:`~entnet.interferometers.MultiportMatrix`
-            (or any object with ``dim`` and ``entries``).
+    ``inverse_matrix`` (a :class:`~entnet.interferometers.MultiportMatrix`,
+    or any object with ``dim`` and ``entries``) is the *inverse* multiport
+    transform: the operator on input port ``j`` becomes ``sum_k inv[j, k]
+    b_k``, the same for each polarization.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
         CapacityError: the expansion would exceed the term budget.
     """
-    dim = inverse_matrix.dim
-    entries = inverse_matrix.entries
+    dim, entries = inverse_matrix.dim, inverse_matrix.entries
     for mono in poly.terms:
         for m in mono:
             _check_port(m.port, dim)
@@ -303,101 +280,137 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     return out
 
 
-#: children one batch of :func:`_expand_terms` may make in one photon step, at
-#: most; bounds the batch's temporaries
+#: children a photon step makes at once (or one term's, if more); also the largest kept table
 _BATCH_CHILDREN = 1 << 16
+_tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from
 
 
-def _photon_step(term, key, re, im, op, e_re, e_im, digits):
-    """One more input photon of each parent, rewritten over the output modes.
+def _kept(key: tuple, build) -> tuple:
+    """The arrays ``build()`` returns, kept under ``key`` if they are small."""
+    table = _tables.get(key) or build()
+    if key not in _tables and sum(a.size for a in table) <= _BATCH_CHILDREN:
+        _tables[key] = table
+    return table
 
-    Parent ``p`` (of term ``term[p]``, pattern ``key[p]``, amplitude ``re[p] +
-    i im[p]``) has ``dim`` children, child ``p * dim + k`` on output mode
-    ``k`` of the photon's polarization: pattern ``key[p] + digits[op[p], k]``
-    and amplitude the parent's times ``e[op[p], k]``, multiplied out in two
-    float parts (see the module notes).  The children of one (term, pattern)
-    are summed in generation order from ``0.0``, and a sum whose magnitude
-    is below ``MERGE_TOL`` is dropped (a NaN is kept).  The sums come back
-    by term, then by pattern.
-    """
+
+def _multiset_ranks(counts: np.ndarray) -> np.ndarray:
+    """Each row of ``counts`` (photons per port) numbered among all multisets of ports,
+    by size, then as keys with a digit per port, the last leading.  With ``N_p`` of
+    its ``k`` photons on ports ``0..p``, a multiset is number ``C(dim + k, dim) - 1 -
+    sum_{p < dim - 1} C(p + N_p, p + 1)``."""
     import numpy as np
-
-    dim = digits.shape[1]
-    er, ei = e_re[op], e_im[op]
-    vre = (re[:, None] * er - im[:, None] * ei).ravel()
-    vim = (re[:, None] * ei + im[:, None] * er).ravel()
-    keys, rank = np.unique((key[:, None] + digits[op]).ravel(), return_inverse=True)
-    pairs, group = np.unique(np.repeat(term, dim) * len(keys) + rank, return_inverse=True)
-    s_re, s_im = np.bincount(group, weights=vre), np.bincount(group, weights=vim)
-    live = ~(np.hypot(s_re, s_im) < MERGE_TOL)
-    g_term, g_key = np.divmod(pairs[live], len(keys))
-    return g_term, keys[g_key], s_re[live], s_im[live]
+    dim, total = counts.shape[-1], counts.sum(axis=-1, dtype=np.int64)
+    top = int(total.max(initial=0))
+    upto, below = np.zeros_like(total), np.zeros_like(total)
+    for p in range(dim - 1):
+        upto += counts[..., p]
+        below += np.array([math.comb(p + n, p + 1) for n in range(top + 1)], np.int64)[upto]
+    return np.array([math.comb(dim + n, dim) - 1 for n in range(top + 1)], np.int64)[total] - below
 
 
-def _expand_terms(monomials: list[Monomial], coeffs: list[complex], entries,
-                  weights: Mapping[Mode, int], dtype):
-    """Every monomial times its coefficient, rewritten over the output modes.
-
-    Term ``i`` starts as pattern ``0`` with ``coeffs[i]`` and takes one
-    :func:`_photon_step` per operator of ``monomials[i]``, in order.
-    ``entries`` is the inverse matrix, and ``weights`` gives each output
-    mode's digit in a pattern int of ``dtype``.  Consecutive terms expand
-    together in batches whose steps make at most ``_BATCH_CHILDREN`` children
-    (or one term's), so the temporaries stay bounded.  Returns the ``(term,
-    pattern, re, im)`` arrays of the nonzero output terms, term by term.
-    """
+def _multisets(dim: int, top: int) -> tuple:
+    """For each ``k <= top``, the multisets of ``k`` of ``dim`` ports in rank order (uint8)."""
     import numpy as np
+    sets = [np.zeros((1, dim), np.uint8)]
+    for k in range(1, top + 1):
+        grown = (sets[-1][:, None] + np.eye(dim, dtype=np.uint8)).reshape(-1, dim)
+        sets.append(np.empty((math.comb(dim + k - 1, k), dim), np.uint8))
+        sets[-1][_multiset_ranks(grown) - math.comb(dim + k - 1, dim)] = grown
+    return tuple(sets)
 
-    dim = len(entries)
-    ops = sorted({m for mono in monomials for m in mono})
-    row = {m: i for i, m in enumerate(ops)}
-    e = np.array([entries[m.port - 1] for m in ops], complex).reshape(len(ops), dim)
+
+def _step_table(sets: tuple, counts: tuple, pol: int) -> tuple:
+    """Entry ``[j, k]`` numbers pattern ``j`` of ``counts`` plus a photon of ``pol`` on port ``k``.
+
+    A pattern with ``counts[q]`` photons of polarization ``q`` is numbered by its
+    multisets' ranks in ``sets``, a digit per polarization, the last the fastest."""
+    import numpy as np
+    dim, sizes = sets[0].shape[1], [len(sets[k]) for k in counts]
+    digits = [d[:, None] for d in np.unravel_index(np.arange(math.prod(sizes)), sizes)]
+    grown = sets[counts[pol]][:, None] + np.eye(dim, dtype=np.uint8)
+    into = _multiset_ranks(grown) - math.comb(dim + counts[pol], dim)
+    digits[pol], sizes[pol] = into[digits[pol][:, 0]], len(sets[counts[pol] + 1])
+    return (np.ravel_multi_index(digits, sizes).astype(np.min_scalar_type(math.prod(sizes))),)
+
+
+def _patterns(sets: tuple, counts: tuple, numbers: np.ndarray) -> np.ndarray:
+    """The photons per output mode (sorted :class:`Mode` order) of patterns ``numbers``."""
+    import numpy as np
+    pols = len(counts)
+    out = np.empty((len(numbers), pols * sets[0].shape[1]), np.uint8)
+    for pol in reversed(range(pols)):
+        numbers, digit = np.divmod(numbers, len(sets[counts[pol]]))
+        out[:, pol::pols] = sets[counts[pol]][digit]
+    return out
+
+
+def _sector_table(sets: tuple, sectors: list[tuple]) -> tuple:
+    """Each pattern's ``prod sqrt(k!)``, taken in mode order, and its place in canonical order,
+    over the patterns of ``sectors`` numbered sector by sector."""
+    import numpy as np
+    occupations = np.concatenate([_patterns(sets, c, np.arange(math.prod(len(sets[k]) for k in c)))
+                                  for c in sectors])
+    sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(len(sets))])
+    fact = np.ones(len(occupations))
+    for column in occupations.T:  # the factor is 1.0 for k <= 1
+        fact = fact * sqrt_fact[column]
+    place = np.empty(len(occupations), np.min_scalar_type(len(occupations)))
+    place[_canonical_order(occupations)] = np.arange(len(occupations))
+    return fact, place
+
+
+def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: list[str],
+            sets: tuple) -> dict:
+    """Each sector's (photons per polarization) terms and ``(terms x patterns)`` amplitude parts.
+
+    A term takes a photon step per operator, in order, with the terms of as many
+    photons per polarization, in blocks of at most ``_BATCH_CHILDREN`` children:
+    each pattern times a row of the inverse matrix ``entries`` in two float parts,
+    each child's parents added in order from ``0.0`` (:func:`_step_table`).  A sum
+    below ``MERGE_TOL`` is set to zero (a NaN stays), so its children move no sum."""
+    import numpy as np
+    dim, top = sets[0].shape[1], len(sets) - 1
+    e = np.array(entries, complex).reshape(dim, dim)
     e_re, e_im = e.real.copy(), e.imag.copy()
-    digits = np.array([[weights[Mode(k + 1, m.pol)] for k in range(dim)] for m in ops],
-                      dtype).reshape(len(ops), dim)
-    lengths = np.array([len(mono) for mono in monomials], np.intp)
-    op = np.zeros((len(monomials), lengths.max(initial=0)), np.intp)
+    op = np.full((len(monomials), top + 1), -1)  # each photon's pol * dim + port, -1 past the last
     for i, mono in enumerate(monomials):
-        op[i, :len(mono)] = [row[m] for m in mono]
-    coeffs = np.array(coeffs, complex)
-    children = [dim * _term_count(mono, dim) for mono in monomials]  # per step, at most
-
-    out = [(np.empty(0, np.intp), np.empty(0, dtype), np.empty(0), np.empty(0))]
-    start = 0
-    while start < len(monomials):
-        stop, budget = start + 1, children[start]
-        while stop < len(monomials) and budget + children[stop] <= _BATCH_CHILDREN:
-            budget += children[stop]
-            stop += 1
-        term = np.arange(start, stop)
-        key = np.zeros(stop - start, dtype)
-        re, im = coeffs.real[start:stop], coeffs.imag[start:stop]
-        parts = []
-        for t in itertools.count():
-            done = lengths[term] == t
-            parts.append((term[done], key[done], re[done], im[done]))
-            if done.all():
-                break
-            go = ~done
-            term, key, re, im = _photon_step(term[go], key[go], re[go], im[go],
-                                             op[term[go], t], e_re, e_im, digits)
-        term, key, re, im = (np.concatenate(part) for part in zip(*parts))
-        order = np.argsort(term, kind="stable")
-        out.append((term[order], key[order], re[order], im[order]))
-        start = stop
-    return tuple(np.concatenate(part) for part in zip(*out))
+        op[i, :len(mono)] = [pols.index(m.pol) * dim + m.port - 1 for m in mono]
+    coeffs = np.array(coeffs, complex).reshape(-1, 1)
+    steps, done = {(0,) * len(pols): [(np.arange(len(monomials)), coeffs.real, coeffs.imag)]}, {}
+    for t in range(top + 1):
+        groups, steps = steps, {}
+        for counts, blocks in groups.items():
+            term, re, im = (np.concatenate(part) for part in zip(*blocks))
+            pol, port = np.divmod(op[term, t], dim)
+            for q in np.unique(pol).tolist():
+                rows = np.flatnonzero(pol == q)
+                if q < 0:  # the terms that end here
+                    done[counts] = term[rows], re[rows], im[rows]
+                    continue
+                child = _kept(("step", dim, counts, q), lambda: _step_table(sets, counts, q))[0]
+                grown = counts[:q] + (counts[q] + 1,) + counts[q + 1:]
+                size = math.prod(len(sets[k]) for k in grown)
+                batch = max(1, _BATCH_CHILDREN // child.size)
+                for r in (rows[lo:lo + batch] for lo in range(0, len(rows), batch)):
+                    a, b = re[r, :, None], im[r, :, None]
+                    er, ei = e_re[port[r], None], e_im[port[r], None]
+                    slot = (np.arange(len(r))[:, None, None] * size + child).ravel()
+                    s_re = np.bincount(slot, (a * er - b * ei).ravel(), len(r) * size)
+                    s_im = np.bincount(slot, (a * ei + b * er).ravel(), len(r) * size)
+                    dead = np.hypot(s_re, s_im) < MERGE_TOL
+                    s_re[dead] = s_im[dead] = 0.0
+                    steps.setdefault(grown, []).append(
+                        (term[r], s_re.reshape(len(r), size), s_im.reshape(len(r), size)))
+    return done
 
 
 class Cells(NamedTuple):
     """The nonzero cells of :func:`propagate`, one per (pattern, register) pair, in table order.
 
-    Pattern ``j`` has ``occupations[j, i]`` photons in output mode
-    ``modes[i]``; the patterns are in canonical order, the order of their
-    Fock keys (:func:`_canonical_order`).  Cell ``c`` is ``amplitudes[c]`` on
-    pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as
-    a binary integer); cells are sorted by pattern, then by register, so the
-    (pattern, register) pairs strictly increase.
-    """
+    Pattern ``j`` has ``occupations[j, i]`` photons in output mode ``modes[i]``, the
+    patterns in Fock-key order (:func:`_canonical_order`).  Cell ``c`` is ``amplitudes[c]``
+    on pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a
+    binary integer), sorted by pattern, then register."""
 
     modes: list[Mode]  # sorted
     occupations: np.ndarray
@@ -407,12 +420,8 @@ class Cells(NamedTuple):
 
 
 def _canonical_order(occupations: np.ndarray) -> np.ndarray:
-    """The order of the rows of ``occupations`` by their Fock keys.
-
-    A Fock key lists its occupied modes in mode order as ``(mode, k)`` pairs,
-    so two keys compare by the first pair they differ in, a prefix first.
-    Each pair is coded as ``mode index * base + k`` and a missing one as -1.
-    """
+    """The order of the rows of ``occupations`` by their Fock keys, whose ``(mode, k)``
+    pairs (in mode order) are coded as ``mode index * base + k``, a missing one as -1."""
     import numpy as np
 
     rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
@@ -426,23 +435,13 @@ def _canonical_order(occupations: np.ndarray) -> np.ndarray:
 def propagate(state: HybridState, inverse_matrix) -> Cells:
     """Expand every term of ``state`` over the output modes, summed into cells.
 
-    While expanding, an output pattern is an int with one digit per output
-    mode (in sorted :class:`Mode` order) in base ``max photons + 1``; the
-    distinct patterns are decoded together at the end and numbered in
-    canonical order (:func:`_canonical_order`), so the cells come out in
-    table order.  A cell whose summed amplitude is below ``MERGE_TOL`` is
-    dropped (a NaN is kept, for the norm check), and so is a pattern left
-    with no cell.
-
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
-    :func:`expand_to_fock` fused.  The input coefficient is ``amp / fact``.
-    The terms expand in batches of consecutive terms (:func:`_expand_terms`),
-    one photon of every term of a batch per :func:`_photon_step`, which sums
-    each (term, pattern) once.  Each output term is multiplied by ``prod
-    sqrt(k!)``, and the input terms are summed into each cell in
-    :meth:`HybridState.items` order from ``0.0``.  The cells agree with that
-    reference to rounding: its dicts add in insertion order and restart a
-    sum that cancels below ``MERGE_TOL`` on the way, which moves last bits.
+    :func:`expand_to_fock` fused (:func:`_expand`): coefficients ``amp / fact``
+    in, output terms times ``prod sqrt(k!)`` summed into each cell in
+    :meth:`HybridState.items` order from ``0.0``.  A cell below ``MERGE_TOL``
+    is dropped (a NaN is kept, for the norm check), and so is a pattern left
+    with no cell.  It agrees with the reference to rounding: the reference's
+    dicts restart a sum that cancels below ``MERGE_TOL``.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -450,6 +449,7 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
             before any term is expanded.
     """
     import numpy as np  # imported where used, so states and modes import without it
+    from .bipartitions import _gather
 
     dim = inverse_matrix.dim
     inputs = []
@@ -462,40 +462,39 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         if abs(coeff) >= MERGE_TOL:
             inputs.append((atoms, fock.monomial(), coeff))
     check_capacity((mono for _, mono, _ in inputs), dim)
+    if not inputs:
+        return Cells([], np.zeros((0, 0), np.uint8), *(np.zeros(0, t) for t in (int, int, complex)))
 
     pols = sorted({m.pol for _, mono, _ in inputs for m in mono})
-    modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    base = max((len(mono) for _, mono, _ in inputs), default=0) + 1
-    weights = {m: base ** i for i, m in enumerate(modes)}
-
-    dtype = np.int64 if base ** len(modes) <= 2 ** 63 else object  # wider keys stay ints
-    term, keys, c_re, c_im = _expand_terms([mono for _, mono, _ in inputs],
-                                           [coeff for _, _, coeff in inputs],
-                                           inverse_matrix.entries, weights, dtype)
-    rest, pattern = np.unique(keys, return_inverse=True)
-    sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(base)])
-    occupations = np.empty((len(rest), len(modes)), dtype=np.min_scalar_type(base - 1))
-    fact = np.ones(len(rest))
-    for i in range(len(modes)):  # sorted-mode order; the factor is 1.0 for k <= 1
-        occupations[:, i] = rest % base
-        rest = rest // base
-        fact = fact * sqrt_fact[occupations[:, i]]
-    order = _canonical_order(occupations)
-    occupations, fact = occupations[order], fact[order]
-    pattern = np.argsort(order)[pattern]  # each term's pattern, numbered in table order
-    re, im = c_re * fact[pattern], c_im * fact[pattern]
-
-    n = state.n_atoms
+    top = max(len(mono) for _, mono, _ in inputs)
+    sets = _kept(("sets", dim, top), lambda: _multisets(dim, top))
+    done = _expand([mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs],
+                   inverse_matrix.entries, pols, sets)
+    sectors = sorted(done)
+    fact, place = _kept(("sectors", dim, *sectors), lambda: _sector_table(sets, sectors))
     registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
-    cells, cell = np.unique(pattern << n | registers[term], return_inverse=True)
-    amplitudes = np.empty(len(cells), complex)
-    # bincount adds each cell's terms in input order, starting from zero
-    amplitudes.real = np.bincount(cell, weights=re, minlength=len(cells))
-    amplitudes.imag = np.bincount(cell, weights=im, minlength=len(cells))
-    kept = ~(np.abs(amplitudes) < MERGE_TOL)  # a NaN stays
-    cells = cells[kept]
-    live, pattern = np.unique(cells >> n, return_inverse=True)
-    return Cells(modes, occupations[live], pattern, cells & (1 << n) - 1, amplitudes[kept])
+    parts, start = [], 0
+    for counts in sectors:
+        term, re, im = done[counts]
+        order, n = np.argsort(term), re.shape[1]  # the terms in input order
+        regs, col = np.unique(registers[term[order]], return_inverse=True)
+        slot, f = (np.arange(n) * len(regs) + col[:, None]).ravel(), fact[start:start + n]
+        amplitudes = np.empty(n * len(regs), complex)
+        amplitudes.real = np.bincount(slot, (re[order] * f).ravel(), len(amplitudes))
+        amplitudes.imag = np.bincount(slot, (im[order] * f).ravel(), len(amplitudes))
+        kept = np.flatnonzero(~(np.abs(amplitudes) < MERGE_TOL))  # a NaN stays
+        pattern, reg = np.divmod(kept, len(regs))
+        first = np.flatnonzero(np.diff(pattern, prepend=-1))  # each live pattern's first cell
+        parts.append((place[start + pattern[first]], np.diff(first, append=len(kept)),
+                      _patterns(sets, counts, pattern[first]), regs[reg], amplitudes[kept]))
+        start += n
+    place, sizes, occupations, registers, amplitudes = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(place)  # the live patterns in canonical order
+    cells = _gather(np.concatenate(([0], np.cumsum(sizes))), order)[1]
+    modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
+    return Cells(modes, occupations[order].astype(np.min_scalar_type(top)),
+                 np.repeat(np.arange(len(order)), sizes[order]), registers[cells],
+                 amplitudes[cells])
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

@@ -147,6 +147,8 @@ def test_wpe_rejects_empty_m_list(tmp_path, capsys, m):
     ("wpe --n 4 --m 1 --sweep 0:1:2.5", "error: bad grid '0:1:2.5'; use start:stop[:num]\n"),
     ("compare --eta-grid 0:1:2.5", "error: bad grid '0:1:2.5'; use start:stop[:num]\n"),
     ("compare --eta-grid 0:x", "error: bad grid '0:x'; use start:stop[:num]\n"),
+    ("wpe --n 4 --m 1,x --p 0.1", "error: bad list --m '1,x'; use comma-separated integers\n"),
+    ("compare --eta-grid 0.1,x", "error: bad list '0.1,x'; use comma-separated numbers\n"),
 ])
 def test_parse_errors_name_the_flag_value(capsys, argv, want):
     assert run_cli(*shlex.split(argv), capsys=capsys) == (2, "", want)
@@ -163,13 +165,13 @@ def test_parse_errors_name_the_flag_value(capsys, argv, want):
     ("wpe --n 0 --m 1 --p 0.1", "need at least 1 node, got n_nodes=0"),
     ("wpe --n 4 --m 5 --p 0.1", "need 1 <= m <= 4, got m=5"),
     ("wpe --n 4 --m 3..1 --p 0.1", "--m '3..1' selects no excitation number"),
-    ("wpe --n 4 --m x --p 0.1", "invalid literal for int() with base 10: 'x'"),
+    ("wpe --n 4 --m x --p 0.1", "bad list --m 'x'; use comma-separated integers"),
     ("wpe --n 4 --m 1 --sweep 0.1:0.5:0", "grid needs at least one point"),
     ("wpe --n 4 --m 1 --sweep 0:1:2:3", "bad grid '0:1:2:3'; use start:stop[:num]"),
     ("wpe --n 4 --m 1 --sweep 0.1:0.5:3 --eta 2", "eta_det must be in [0, 1], got 2.0"),
     ("compare --eta-grid 1.5", "eta_det must be in [0, 1], got 1.5"),
     ("compare --eta-grid 0.5 --r-t -1", "r_t must be finite and nonnegative, got -1.0"),
-    ("compare --eta-grid x", "could not convert string to float: 'x'"),
+    ("compare --eta-grid x", "bad list 'x'; use comma-separated numbers"),
     ("analytics em-fidelity --n 3 --f-ph 0.9 --p-em 0 --p-false 0",
      "p_em + p_false must be positive"),
     ("analytics em-fidelity --n 0 --f-ph 0.9 --p-em 1 --p-false 0", "need at least 1 node"),

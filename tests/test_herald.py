@@ -85,13 +85,13 @@ def test_run_gbsa_probabilities_complete(n, builder):
 def _count_expansions(monkeypatch):
     """Record every input term that ``run_gbsa`` hands to the expansion."""
     calls = []
-    expand = entnet.photonics._expand_terms
+    expand = entnet.photonics._expand
 
     def counted(monomials, *args):
         calls.extend(monomials)
         return expand(monomials, *args)
 
-    monkeypatch.setattr(entnet.photonics, "_expand_terms", counted)
+    monkeypatch.setattr(entnet.photonics, "_expand", counted)
     return calls
 
 
@@ -215,7 +215,8 @@ def test_reference_drops_and_restarts_sums_on_the_sym2d_swap(monkeypatch):
 
 
 def test_pattern_keys_wider_than_int64_match_the_reference():
-    # 3 photons on 32 output modes: patterns are base-4 ints of 64 bits
+    # 3 photons on 32 output modes, whose keys with one digit per mode would
+    # need 64 bits
     state, u = prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4)
     assert_matches_reference(run_gbsa(state, u), state, u)
 
@@ -280,11 +281,39 @@ def test_propagate_returns_cells_in_table_order(case):
 
 
 def test_propagate_returns_wide_keyed_cells_in_table_order():
-    # 3 photons on 32 output modes: the patterns expand as object-dtype ints
+    # 3 photons on 32 output modes
     state, u = prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4)
     cells = propagate(state, inverse(u))
     assert 4 ** len(cells.modes) > 2 ** 63
     assert_in_table_order(cells)
+
+
+def _untaken_inputs():
+    """Inputs the swap never makes, with a random unitary for each."""
+    h1, v1, h2, v3 = Mode(1, "H"), Mode(1, "V"), Mode(2, "H"), Mode(3, "V")
+    repeated = HybridState(1, {("0", ((h1, 2), (h2, 1))): 0.6, ("1", ((h2, 1), (v3, 1))): 0.8})
+    both = HybridState(2, {("00", ((h1, 1), (v1, 1))): 0.6j, ("01", ((h1, 1), (v3, 2))): -0.48,
+                           ("11", ((v1, 1), (h2, 1))): 0.64})
+    eraser = wpe_state(4, 0.3, [0.2, 1.1, 2.5, 0.7])  # 0 to 4 photons
+    return [(repeated, 3, 41), (both, 4, 42), (eraser, 6, 43)]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["repeated-mode", "both-polarizations",
+                                                 "eraser"])
+def test_inputs_the_swap_never_makes_match_the_reference(index):
+    state, dim, seed = _untaken_inputs()[index]
+    u = MultiportMatrix(dim, _haar_unitary(np.random.default_rng(seed), dim))
+    assert_matches_reference(run_gbsa(state, u), state, u)
+    assert_in_table_order(propagate(state, inverse(u)))
+
+
+def test_tables_kept_across_calls_stay_small(monkeypatch):
+    # the expansion keeps only tables of at most _BATCH_CHILDREN entries; after
+    # one sym2d_swap table they stay far below the process's memory bound
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    run_gbsa(prepare_swap_input(4, [1, -1, 1, 1], [1, 3, 5, 8]), symmetric_multiport(3))
+    tables = entnet.photonics._tables.values()
+    assert tables and sum(a.nbytes for table in tables for a in table) <= 0.5 * 2 ** 20
 
 
 def _sym2d_swap_record():
@@ -523,14 +552,15 @@ def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
     assert walks == [len(rows)]
 
 
-def test_patterns_wider_than_int64_walk_every_row(monkeypatch):
-    # 3 photons on the 32 modes of the 16-port butterfly: base-4 keys of 64 bits
+def test_patterns_wider_than_int64_walk_one_row_per_orbit(monkeypatch):
+    # 3 photons on the 32 modes of the 16-port butterfly, whose keys with one
+    # digit per mode would need 64 bits: the per-polarization ranks fit
     rows = run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4))
     assert len(rows.symmetries) == 15
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
-    assert walks == [len(rows)]
+    assert len(walks) == 1 and walks[0] < len(rows)
 
 
 def test_label_symmetries_survive_take():
@@ -667,7 +697,7 @@ def test_run_gbsa_refuses_an_unnormalized_input(monkeypatch):
 
 def test_bool_port_is_refused_before_any_term_is_expanded(monkeypatch):
     calls = []
-    monkeypatch.setattr(entnet.photonics, "_expand_terms", lambda *args: calls.append(args))
+    monkeypatch.setattr(entnet.photonics, "_expand", lambda *args: calls.append(args))
     with pytest.raises(DimensionMismatch) as err:
         run_gbsa(prepare_swap_input(2, ports=[True, 2]), quarter())
     assert err.value.port is True and calls == []
