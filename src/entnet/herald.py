@@ -152,12 +152,14 @@ class DetectionTable:
         entry = np.full(int(ranks.max()) + 1, -1)
         entry[ranks.ravel()] = np.arange(ranks.size)  # each multiset is imaged once
         seen = entry >= 0
-        images = _multiset_ranks(counts.reshape(ranks.size, -1)[entry[seen]][:, np.argsort(perms, 1)])
-        index = (np.cumsum(seen) - 1)[ranks]
-        keys = images[index[:, 0]]
+        moved = counts.reshape(ranks.size, -1)[entry[seen]][:, np.argsort(perms, 1)]
+        images, index = _multiset_ranks(moved).T, (np.cumsum(seen) - 1)[ranks]
+        span = int(images.max()) + 1
+        images = images.astype(np.int32 if span ** pols < 2 ** 31 else np.int64)
+        keys = images[:, index[:, 0]]  # (images, rows)
         for q in range(1, pols):  # the (H, V) pair
-            keys = keys * (int(images.max()) + 1) + images[index[:, q]]
-        _, first, orbit = np.unique(keys.min(axis=1), return_index=True, return_inverse=True)
+            keys = keys * span + images[:, index[:, q]]
+        _, first, orbit = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
         sizes = np.diff(self.offsets)
         lone = np.flatnonzero(sizes != sizes[first][orbit])
         orbit[lone] = len(first) + np.arange(len(lone))

@@ -382,7 +382,7 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
         for counts, blocks in groups.items():
             term, re, im = (np.concatenate(part) for part in zip(*blocks))
             pol, port = np.divmod(op[term, t], dim)
-            for q in np.unique(pol).tolist():
+            for q in sorted(set(pol.tolist())):
                 rows = np.flatnonzero(pol == q)
                 if q < 0:  # the terms that end here
                     done[counts] = term[rows], re[rows], im[rows]
