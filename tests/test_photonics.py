@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from entnet.photonics import (MERGE_TOL, CapacityError, DimensionMismatch, FockS
                               HybridState, Mode, PhotonPolynomial, RegisterMismatch,
                               apply_mode_transform, check_capacity, expand_to_fock,
                               fock_to_polynomial, mode, propagate)
+from entnet.photonics import _multiset_ranks
 from entnet.sources import prepare_swap_input
 
 BS_INV = MultiportMatrix(2, np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2), "bs^-1")
@@ -261,6 +263,18 @@ def test_projected_coincidence_amplitude_through_quarter():
     coincidence = FockState({Mode(p, "H"): 1 for p in range(1, 5)})
     amp = terms[("0000", coincidence.key)]
     assert abs(amp) ** 2 == pytest.approx(1 / 64, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim,top", [(1, 3), (3, 4), (8, 3)])
+def test_multiset_ranks_number_by_size_then_highest_port_first(dim, top):
+    # the photon steps add a child's parents in rank order, which must be the
+    # order of keys with one digit per port and the last port leading
+    counts = [[ms.count(p) for p in range(dim)] for k in range(top + 1)
+              for ms in itertools.combinations_with_replacement(range(dim), k)]
+    want = sorted(range(len(counts)), key=lambda i: (sum(counts[i]), counts[i][::-1]))
+    ranks = _multiset_ranks(np.array(counts, np.uint8))
+    assert sorted(ranks.tolist()) == list(range(len(counts)))
+    assert np.argsort(ranks).tolist() == want
 
 
 def test_propagate_peak_memory_of_a_benchmark_swap():
