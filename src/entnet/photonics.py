@@ -437,11 +437,11 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused (:func:`_expand`): coefficients ``amp / fact``
-    in, output terms times ``prod sqrt(k!)`` summed into each cell in
-    :meth:`HybridState.items` order from ``0.0``.  A cell below ``MERGE_TOL``
-    is dropped (a NaN is kept, for the norm check), and so is a pattern left
-    with no cell.  It agrees with the reference to rounding: the reference's
-    dicts restart a sum that cancels below ``MERGE_TOL``.
+    in, output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
+    into each cell in :meth:`HybridState.items` order from ``0.0``.  A cell
+    below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm check), and so
+    is a pattern left with no cell.  It agrees with the reference to rounding:
+    the reference's dicts restart a sum that cancels below ``MERGE_TOL``.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
