@@ -286,7 +286,7 @@ _tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from
 
 
 def _kept(key: tuple, build) -> tuple:
-    """The arrays ``build()`` returns, kept under ``key`` if they are small."""
+    """The arrays ``build()`` returns, kept under ``key`` if small; no caller writes to them."""
     table = _tables.get(key) or build()
     if key not in _tables and sum(a.size for a in table) <= _BATCH_CHILDREN:
         _tables[key] = table
