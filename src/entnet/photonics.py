@@ -361,7 +361,7 @@ def _sector_table(sets: tuple, sectors: list[tuple]) -> tuple:
 
 def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: list[str],
             sets: tuple) -> dict:
-    """Each sector's (photons per polarization) terms and ``(terms x patterns)`` amplitude parts.
+    """Per sector (photons per polarization), its terms in input order and (terms x patterns) parts.
 
     A term takes a photon step per operator, in order, with the terms of as many
     photons per polarization, in blocks of at most ``_BATCH_CHILDREN`` children:
@@ -384,7 +384,8 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
             pol, port = np.divmod(op[term, t], dim)
             for q in sorted(set(pol.tolist())):
                 rows = np.flatnonzero(pol == q)
-                if q < 0:  # the terms that end here
+                if q < 0:  # the terms that end here, in input order
+                    rows = rows[np.argsort(term[rows])]
                     done[counts] = term[rows], re[rows], im[rows]
                     continue
                 child = _kept(("step", dim, counts, q), lambda: _step_table(sets, counts, q))[0]
@@ -476,12 +477,12 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     parts, start = [], 0
     for counts in sectors:
         term, re, im = done[counts]
-        order, n = np.argsort(term), re.shape[1]  # the terms in input order
-        regs, col = np.unique(registers[term[order]], return_inverse=True)
+        n = re.shape[1]
+        regs, col = np.unique(registers[term], return_inverse=True)
         slot, f = (np.arange(n) * len(regs) + col[:, None]).ravel(), fact[start:start + n]
         amplitudes = np.empty(n * len(regs), complex)
-        amplitudes.real = np.bincount(slot, (re[order] * f).ravel(), len(amplitudes))
-        amplitudes.imag = np.bincount(slot, (im[order] * f).ravel(), len(amplitudes))
+        amplitudes.real = np.bincount(slot, (re * f).ravel(), len(amplitudes))
+        amplitudes.imag = np.bincount(slot, (im * f).ravel(), len(amplitudes))
         kept = np.flatnonzero(~(np.abs(amplitudes) < MERGE_TOL))  # a NaN stays
         pattern, reg = np.divmod(kept, len(regs))
         first = np.flatnonzero(np.diff(pattern, prepend=-1))  # each live pattern's first cell
