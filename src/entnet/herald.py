@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .interferometers import MultiportMatrix, inverse
-from .photonics import (NORM_TOL, FockState, HybridState, Mode, _is_integer,
-                        _multiset_ranks, propagate)
+from .photonics import (NORM_TOL, FockState, HybridState, Mode, _is_integer, _kept,
+                        _multiset_ranks, _multisets, _sector_table, propagate)
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
@@ -91,9 +90,9 @@ class DetectionTable:
     None): :meth:`classify` sets them all at once.  ``dicke`` is an eraser
     table's :func:`dicke_family_fidelity` column.
 
-    ``symmetries`` are permutations of the columns of ``occupations``, each
-    of which maps every row's pattern to one whose state is the row's own up
-    to a phase per qubit, so both have one label (:meth:`orbits`).
+    ``symmetries`` are output port permutations, as :class:`MultiportMatrix`
+    gives them, each of which maps every row's pattern to one whose state is
+    the row's own up to a phase per qubit, so both have one label (:meth:`orbits`).
     """
 
     def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
@@ -135,30 +134,27 @@ class DetectionTable:
         Two rows share an orbit when a symmetry maps one pattern to the
         other, found as the same least key over their images, and they have
         as many cells; the walked row is the orbit's first.  A key is the
-        pair of the pattern's multiset ranks, one per polarization
-        (:func:`~entnet.photonics._multiset_ranks`), so it fits int64 at
-        every size.  A table without symmetries has one row per orbit.
+        pair of the pattern's multiset ranks, one per polarization, read
+        through a kept table of every multiset's images
+        (:func:`~entnet.photonics._multisets`), so it fits int64 at every
+        size.  A table without symmetries has one row per orbit.
         """
         n_rows, n_modes = self.occupations.shape
         if not (self.symmetries and n_modes):
             rows = np.arange(n_rows)
             return rows, rows
         pols = len({m.pol for m in self.modes})
+        dim, top = n_modes // pols, int(self.n_photons.max(initial=0))
         # each row's photons per port of each polarization: (rows, pols, ports)
-        counts = self.occupations[:, np.arange(n_modes).reshape(-1, pols).T]
-        ranks = _multiset_ranks(counts)
-        # each image's ports: the photons on port k move to port perm[k]
-        perms = np.array([np.arange(n_modes), *self.symmetries])[:, ::pols] // pols
-        entry = np.full(int(ranks.max()) + 1, -1)
-        entry[ranks.ravel()] = np.arange(ranks.size)  # each multiset is imaged once
-        seen = entry >= 0
-        moved = counts.reshape(ranks.size, -1)[entry[seen]][:, np.argsort(perms, 1)]
-        images, index = _multiset_ranks(moved).T, (np.cumsum(seen) - 1)[ranks]
-        span = int(images.max()) + 1
-        images = images.astype(np.int32 if span ** pols < 2 ** 31 else np.int64)
-        keys = images[:, index[:, 0]]  # (images, rows)
-        for q in range(1, pols):  # the (H, V) pair
-            keys = keys * span + images[:, index[:, q]]
+        ranks = _multiset_ranks(self.occupations[:, np.arange(n_modes).reshape(-1, pols).T])
+        every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
+        # each image moves the photons on port k to port perm[k]: (images, multisets)
+        moved = np.argsort([np.arange(dim), *self.symmetries], axis=1)
+        images = _kept(("images", dim, top, pols, moved.tobytes()), lambda: (_multiset_ranks(
+            every[:, moved]).T.astype(np.min_scalar_type(len(every) ** pols)),))[0]
+        keys = 0
+        for q in range(pols):  # the (H, V) pair
+            keys = keys * len(every) + images[:, ranks[:, q]]
         _, first, orbit = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
         sizes = np.diff(self.offsets)
         lone = np.flatnonzero(sizes != sizes[first][orbit])
@@ -334,11 +330,10 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
     return DetectionTable(
         state.n_atoms, out.modes, out.occupations, probs.tolist(), offsets, out.registers,
-        amplitudes, symmetries=_label_symmetries(state, u, out.modes))
+        amplitudes, symmetries=_label_symmetries(state, u))
 
 
-def _label_symmetries(state: HybridState, u: MultiportMatrix,
-                      modes: list[Mode]) -> list[np.ndarray]:
+def _label_symmetries(state: HybridState, u: MultiportMatrix) -> list[np.ndarray]:
     """The output symmetries of ``u`` that keep the labels of ``state``'s rows.
 
     A symmetry ``U[perm[j], k] = d1[j] U[j, k] d2[k]`` maps pattern ``O`` to
@@ -350,8 +345,8 @@ def _label_symmetries(state: HybridState, u: MultiportMatrix,
     term that differs there alone, or zero), the term phases factor into
     one phase per qubit, a local unitary, under every symmetry, and all are
     kept; otherwise none is.  Swap and eraser inputs (each node's photon
-    leaves one fixed port, or none) keep all.  Each is returned as the
-    permutation of the columns of ``modes`` (ports move, polarizations stay).
+    leaves one fixed port, or none) keep all.  Each is returned as a
+    permutation of the output ports, as ``u.symmetries`` gives it.
     """
     bits = np.array([[int(b) for b in atoms] for atoms, _ in state.terms], int)
     flips = bits ^ bits[0]  # (terms x qubits)
@@ -363,8 +358,7 @@ def _label_symmetries(state: HybridState, u: MultiportMatrix,
     steps = counts[alone.argmax(axis=0)] - counts[0]  # (qubits x ports)
     if not np.array_equal(counts[0] + flips @ steps, counts):
         return []
-    pols = len(modes) // u.dim  # ``modes`` is every port for each polarization, sorted by port
-    return [(perm[:, None] * pols + np.arange(pols)).ravel() for perm in u.symmetries[1:]]
+    return list(u.symmetries[1:])
 
 
 def suppressed_patterns(state: HybridState, u: MultiportMatrix,
@@ -374,30 +368,37 @@ def suppressed_patterns(state: HybridState, u: MultiportMatrix,
     A candidate is any ``total_clicks``-photon multiset over the output
     modes whose per-polarization photon counts match some input term (the
     multiport preserves polarization, so those counts are conserved);
-    suppressed means the full enumeration assigns it no probability.
+    suppressed means the full enumeration assigns it no probability.  Like
+    :class:`HeraldRule`, it refuses a ``total_clicks`` that is a bool or not
+    an integer >= 0 (0 is the vacuum pattern) before any work.
     """
+    if not _is_integer(total_clicks) or total_clicks < 0:
+        raise ValueError(f"total_clicks must be an integer >= 0, got {total_clicks!r}")
     return _suppressed(state, u.dim, run_gbsa(state, u), total_clicks)
 
 
-def _suppressed(state: HybridState, dim: int, rows: Sequence[ProjectionRow],
+def _suppressed(state: HybridState, dim: int, table: DetectionTable,
                 total_clicks: int) -> list[DetectionPattern]:
-    """:func:`suppressed_patterns` against rows already enumerated from ``state``.
+    """:func:`suppressed_patterns` against the table already built from ``state``.
 
-    Each feasible polarization sector is enumerated directly, as the product
-    over polarizations of the multisets of that polarization's output modes.
+    The candidates are the patterns of the feasible polarization sectors,
+    read in Fock-key order from the expansion's kept sector table
+    (:func:`~entnet.photonics._sector_table`); those that no row of the
+    table realizes, compared as bytes of occupations, are suppressed.
     """
-    sectors = {tuple(sorted(Counter(m.pol for m, k in fkey for _ in range(k)).items()))
-               for _, fkey in state.terms if sum(k for _, k in fkey) == total_clicks}
-    realized = {row.pattern.key for row in rows if row.n_photons == total_clicks}
-    out = []
-    for sector in sectors:
-        per_pol = [itertools.combinations_with_replacement(
-            [Mode(port, pol) for port in range(1, dim + 1)], k) for pol, k in sector]
-        for parts in itertools.product(*per_pol):
-            fock = FockState.from_monomial(tuple(itertools.chain(*parts)))
-            if fock.key not in realized:
-                out.append(fock)
-    return sorted(out, key=lambda f: f.key)
+    pols = sorted({m.pol for _, fkey in state.terms for m, _ in fkey})
+    sectors = sorted({tuple(sum(k for m, k in fkey if m.pol == pol) for pol in pols)
+                      for _, fkey in state.terms if sum(k for _, k in fkey) == total_clicks})
+    if not sectors:
+        return []
+    modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
+    every = _kept(("sets", dim, total_clicks), lambda: _multisets(dim, total_clicks))[0]
+    candidates = _kept(("sectors", dim, *sectors), lambda: _sector_table(every, sectors))[2]
+    realized = set(map(bytes, table.occupations[table.n_photons == total_clicks].tolist()))
+    # a candidate's photons on the table's modes, which hold all of a realized row's photons
+    seen = candidates[:, [modes.index(m) for m in table.modes]].tolist()
+    return [FockState.from_key([(m, k) for m, k in zip(modes, counts) if k])
+            for counts, row in zip(candidates.tolist(), seen) if bytes(row) not in realized]
 
 
 def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule) -> np.ndarray:

@@ -280,15 +280,15 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     return out
 
 
-#: children a photon step makes at once (or one term's, if more); also the largest kept table
+#: children a photon step makes at once (or one term's, if more)
 _BATCH_CHILDREN = 1 << 16
-_tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from
+_tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from; read-only
 
 
 def _kept(key: tuple, build) -> tuple:
-    """The arrays ``build()`` returns, kept under ``key`` if small; no caller writes to them."""
+    """``build()``'s arrays, kept under ``key`` if no larger than ``_BATCH_CHILDREN`` float64s."""
     table = _tables.get(key) or build()
-    if key not in _tables and sum(a.size for a in table) <= _BATCH_CHILDREN:
+    if key not in _tables and sum(a.nbytes for a in table) <= 8 * _BATCH_CHILDREN:
         _tables[key] = table
     return table
 
@@ -309,67 +309,77 @@ def _multiset_ranks(counts: np.ndarray) -> np.ndarray:
 
 
 def _multisets(dim: int, top: int) -> tuple:
-    """For each ``k <= top``, the multisets of ``k`` of ``dim`` ports in rank order (uint8)."""
+    """The one enumeration of port multisets: ``every[r]`` holds multiset number ``r``
+    (:func:`_multiset_ranks`) of at most ``top`` photons as photons per port (uint8), and
+    ``grow[r, k]`` numbers it plus a photon on port ``k``, for ``r`` of fewer than ``top``.
+    Those of ``k`` photons are the ``C(dim + k - 1, k)`` rows from ``C(dim + k - 1, dim)`` on."""
     import numpy as np
-    sets = [np.zeros((1, dim), np.uint8)]
-    for k in range(1, top + 1):
-        grown = (sets[-1][:, None] + np.eye(dim, dtype=np.uint8)).reshape(-1, dim)
-        sets.append(np.empty((math.comb(dim + k - 1, k), dim), np.uint8))
-        sets[-1][_multiset_ranks(grown) - math.comb(dim + k - 1, dim)] = grown
-    return tuple(sets)
+    every = np.zeros((math.comb(dim + top, dim), dim), np.uint8)
+    grow = np.empty((math.comb(dim + top - 1, dim), dim), np.min_scalar_type(len(every)))
+    for k in range(top):
+        lo, hi = math.comb(dim + k - 1, dim), math.comb(dim + k, dim)
+        grown = every[lo:hi, None] + np.eye(dim, dtype=np.uint8)
+        grow[lo:hi] = _multiset_ranks(grown)
+        every[grow[lo:hi]] = grown
+    return every, grow
 
 
-def _step_table(sets: tuple, counts: tuple, pol: int) -> tuple:
+def _step_table(grow: np.ndarray, counts: tuple, pol: int) -> tuple:
     """Entry ``[j, k]`` numbers pattern ``j`` of ``counts`` plus a photon of ``pol`` on port ``k``.
 
-    A pattern with ``counts[q]`` photons of polarization ``q`` is numbered by its
-    multisets' ranks in ``sets``, a digit per polarization, the last the fastest."""
+    A pattern with ``counts[q]`` photons of polarization ``q`` is numbered by its multisets'
+    places among those of as many photons, a digit per polarization, the last the fastest;
+    the digit of ``pol`` moves as ``grow`` (:func:`_multisets`) says."""
     import numpy as np
-    dim, sizes = sets[0].shape[1], [len(sets[k]) for k in counts]
-    digits = [d[:, None] for d in np.unravel_index(np.arange(math.prod(sizes)), sizes)]
-    grown = sets[counts[pol]][:, None] + np.eye(dim, dtype=np.uint8)
-    into = _multiset_ranks(grown) - math.comb(dim + counts[pol], dim)
-    digits[pol], sizes[pol] = into[digits[pol][:, 0]], len(sets[counts[pol] + 1])
-    return (np.ravel_multi_index(digits, sizes).astype(np.min_scalar_type(math.prod(sizes))),)
+    dim, k = grow.shape[1], counts[pol]
+    sizes = [math.comb(dim + c - 1, c) for c in counts]
+    lo, hi, size = math.comb(dim + k - 1, dim), math.comb(dim + k, dim), math.comb(dim + k, k + 1)
+    high, low = math.prod(sizes[:pol]), math.prod(sizes[pol + 1:])
+    child = (np.arange(high)[:, None, None, None] * size + grow[lo:hi, None] - hi) * low
+    return ((child + np.arange(low)[:, None]).reshape(-1, dim).astype(
+        np.min_scalar_type(high * size * low)),)
 
 
-def _patterns(sets: tuple, counts: tuple, numbers: np.ndarray) -> np.ndarray:
-    """The photons per output mode (sorted :class:`Mode` order) of patterns ``numbers``."""
+def _sector_table(every: np.ndarray, sectors: list[tuple]) -> tuple:
+    """Over the patterns of ``sectors`` (photons per polarization), numbered sector by sector
+    as in :func:`_step_table`: each one's ``prod sqrt(k!)``, taken in mode order, and place in
+    canonical (Fock-key) order, then the photons per output mode (sorted :class:`Mode` order)
+    of the pattern at each place.  A key's ``(mode, k)`` pairs (in mode order) are sorted as
+    codes ``mode index * base + k``, a missing one as -1."""
     import numpy as np
-    pols = len(counts)
-    out = np.empty((len(numbers), pols * sets[0].shape[1]), np.uint8)
-    for pol in reversed(range(pols)):
-        numbers, digit = np.divmod(numbers, len(sets[counts[pol]]))
-        out[:, pol::pols] = sets[counts[pol]][digit]
-    return out
-
-
-def _sector_table(sets: tuple, sectors: list[tuple]) -> tuple:
-    """Each pattern's ``prod sqrt(k!)``, taken in mode order, and its place in canonical order,
-    over the patterns of ``sectors`` numbered sector by sector."""
-    import numpy as np
-    occupations = np.concatenate([_patterns(sets, c, np.arange(math.prod(len(sets[k]) for k in c)))
-                                  for c in sectors])
-    sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(len(sets))])
+    dim, parts = every.shape[1], []
+    for counts in sectors:  # each pattern's multisets, interleaved port by port
+        sizes = [math.comb(dim + k - 1, k) for k in counts]
+        digits = np.indices(sizes).reshape(len(counts), math.prod(sizes))
+        digits += np.array([math.comb(dim + k - 1, dim) for k in counts], int)[:, None]
+        parts.append(every[digits].transpose(1, 2, 0).reshape(math.prod(sizes), -1))
+    occupations = np.concatenate(parts)
+    base = int(occupations.max(initial=0)) + 1
+    sqrt_fact = np.array([math.sqrt(math.factorial(k)) for k in range(base)])
     fact = np.ones(len(occupations))
     for column in occupations.T:  # the factor is 1.0 for k <= 1
         fact = fact * sqrt_fact[column]
+    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
+    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
+    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
+    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + occupations[rows, cols]
+    order = np.lexsort(code.T[::-1])
     place = np.empty(len(occupations), np.min_scalar_type(len(occupations)))
-    place[_canonical_order(occupations)] = np.arange(len(occupations))
-    return fact, place
+    place[order] = np.arange(len(occupations))
+    return fact, place, occupations[order]
 
 
 def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: list[str],
-            sets: tuple) -> dict:
+            grow: np.ndarray) -> dict:
     """Per sector (photons per polarization), its terms in input order and (terms x patterns) parts.
 
     A term takes a photon step per operator, in order, with the terms of as many
     photons per polarization, in blocks of at most ``_BATCH_CHILDREN`` children:
     each pattern times a row of the inverse matrix ``entries`` in two float parts,
-    each child's parents added in order from ``0.0`` (:func:`_step_table`).  A sum
+    each child's parents added in order from ``0.0`` (:func:`_step_table` on ``grow``).  A sum
     below ``MERGE_TOL`` is set to zero (a NaN stays), so its children move no sum."""
     import numpy as np
-    dim, top = sets[0].shape[1], len(sets) - 1
+    dim, top = grow.shape[1], max(map(len, monomials))
     e = np.array(entries, complex).reshape(dim, dim)
     e_re, e_im = e.real.copy(), e.imag.copy()
     op = np.full((len(monomials), top + 1), -1)  # each photon's pol * dim + port, -1 past the last
@@ -388,9 +398,9 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
                     rows = rows[np.argsort(term[rows])]
                     done[counts] = term[rows], re[rows], im[rows]
                     continue
-                child = _kept(("step", dim, counts, q), lambda: _step_table(sets, counts, q))[0]
+                child = _kept(("step", dim, counts, q), lambda: _step_table(grow, counts, q))[0]
                 grown = counts[:q] + (counts[q] + 1,) + counts[q + 1:]
-                size = math.prod(len(sets[k]) for k in grown)
+                size = math.prod(math.comb(dim + k - 1, k) for k in grown)
                 batch = max(1, _BATCH_CHILDREN // child.size)
                 for r in (rows[lo:lo + batch] for lo in range(0, len(rows), batch)):
                     a, b = re[r, :, None], im[r, :, None]
@@ -409,7 +419,7 @@ class Cells(NamedTuple):
     """The nonzero cells of :func:`propagate`, one per (pattern, register) pair, in table order.
 
     Pattern ``j`` has ``occupations[j, i]`` photons in output mode ``modes[i]``, the
-    patterns in Fock-key order (:func:`_canonical_order`).  Cell ``c`` is ``amplitudes[c]``
+    patterns in Fock-key order (:func:`_sector_table`).  Cell ``c`` is ``amplitudes[c]``
     on pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a
     binary integer), sorted by pattern, then register."""
 
@@ -420,19 +430,6 @@ class Cells(NamedTuple):
     amplitudes: np.ndarray
 
 
-def _canonical_order(occupations: np.ndarray) -> np.ndarray:
-    """The order of the rows of ``occupations`` by their Fock keys, whose ``(mode, k)``
-    pairs (in mode order) are coded as ``mode index * base + k``, a missing one as -1."""
-    import numpy as np
-
-    rows, cols = np.nonzero(occupations)  # row-major: each row's modes in mode order
-    base = int(occupations.max(initial=0)) + 1
-    start = np.searchsorted(rows, np.arange(len(occupations) + 1))
-    code = np.full((len(occupations), max(1, int(np.diff(start).max(initial=0)))), -1)
-    code[rows, np.arange(len(rows)) - start[rows]] = cols * base + occupations[rows, cols]
-    return np.lexsort(code.T[::-1])
-
-
 def propagate(state: HybridState, inverse_matrix) -> Cells:
     """Expand every term of ``state`` over the output modes, summed into cells.
 
@@ -441,8 +438,9 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     in, output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
     into each cell in :meth:`HybridState.items` order from ``0.0``.  A cell
     below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm check), and so
-    is a pattern left with no cell.  It agrees with the reference to rounding:
-    the reference's dicts restart a sum that cancels below ``MERGE_TOL``.
+    is a pattern left with no cell; the rest are sorted once, stably, by their
+    pattern's place in canonical order.  It agrees with the reference to
+    rounding: the reference's dicts restart a sum that cancels below ``MERGE_TOL``.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -450,7 +448,6 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
             before any term is expanded.
     """
     import numpy as np  # imported where used, so states and modes import without it
-    from .bipartitions import _gather
 
     dim = inverse_matrix.dim
     inputs = []
@@ -468,15 +465,16 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     pols = sorted({m.pol for _, mono, _ in inputs for m in mono})
     top = max(len(mono) for _, mono, _ in inputs)
-    sets = _kept(("sets", dim, top), lambda: _multisets(dim, top))
+    every, grow = _kept(("sets", dim, top), lambda: _multisets(dim, top))
     done = _expand([mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs],
-                   inverse_matrix.entries, pols, sets)
+                   inverse_matrix.entries, pols, grow)
     sectors = sorted(done)
-    fact, place = _kept(("sectors", dim, *sectors), lambda: _sector_table(sets, sectors))
+    fact, place, occupations = _kept(("sectors", dim, *sectors),
+                                     lambda: _sector_table(every, sectors))
     registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
     parts, start = [], 0
     for counts in sectors:
-        term, re, im = done[counts]
+        term, re, im = done.pop(counts)  # each sector's parts go once summed
         n = re.shape[1]
         regs, col = np.unique(registers[term], return_inverse=True)
         slot, f = (np.arange(n) * len(regs) + col[:, None]).ravel(), fact[start:start + n]
@@ -485,17 +483,17 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         amplitudes.imag = np.bincount(slot, (im * f).ravel(), len(amplitudes))
         kept = np.flatnonzero(~(np.abs(amplitudes) < MERGE_TOL))  # a NaN stays
         pattern, reg = np.divmod(kept, len(regs))
-        first = np.flatnonzero(np.diff(pattern, prepend=-1))  # each live pattern's first cell
-        parts.append((place[start + pattern[first]], np.diff(first, append=len(kept)),
-                      _patterns(sets, counts, pattern[first]), regs[reg], amplitudes[kept]))
+        parts.append((place[start + pattern], regs[reg], amplitudes[kept]))
         start += n
-    place, sizes, occupations, registers, amplitudes = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(place)  # the live patterns in canonical order
-    cells = _gather(np.concatenate(([0], np.cumsum(sizes))), order)[1]
+    place, registers, amplitudes = (np.concatenate(p) for p in zip(*parts))
+    del parts  # before the sorted copies, which would otherwise raise the peak
+    order = np.argsort(place, kind="stable")  # by place, each pattern's cells by register
+    place = place[order]
+    first = np.ones(len(place), bool)  # each live pattern's first cell
+    first[1:] = place[1:] != place[:-1]
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    return Cells(modes, occupations[order].astype(np.min_scalar_type(top)),
-                 np.repeat(np.arange(len(order)), sizes[order]), registers[cells],
-                 amplitudes[cells])
+    return Cells(modes, occupations[place[first]], np.cumsum(first) - 1, registers[order],
+                 amplitudes[order])
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

@@ -398,6 +398,39 @@ def test_suppressed_patterns_scan_only_the_input_sectors():
     assert suppressed_patterns(state, quarter(), 3) == []
 
 
+def _suppressed_by_brute_force(state, table, dim, clicks):
+    """Each feasible sector's multisets of output modes, one polarization at a time, less
+    the patterns that a row of ``clicks`` photons realizes, sorted by Fock key."""
+    sectors = {tuple(sorted(Counter(m.pol for m, k in fkey for _ in range(k)).items()))
+               for _, fkey in state.terms if sum(k for _, k in fkey) == clicks}
+    realized = {row.pattern.key for row in table if row.n_photons == clicks}
+    candidates = {FockState.from_monomial(tuple(itertools.chain(*parts))).key
+                  for sector in sectors
+                  for parts in itertools.product(*(itertools.combinations_with_replacement(
+                      [Mode(port, pol) for port in range(1, dim + 1)], k) for pol, k in sector))}
+    return sorted(candidates - realized)
+
+
+@pytest.mark.parametrize("u,n,at_n", [(quarter, 4, 24), (tritter, 3, 6),
+                                      (lambda: symmetric_multiport(3), 6, 848)],
+                         ids=["quarter", "tritter", "sym2d"])
+def test_eraser_suppressed_lists_match_a_brute_force_enumeration(u, n, at_n):
+    state, u = wpe_state(n, 0.2), u()
+    table = run_gbsa(state, u)
+    for clicks in range(n + 1):  # 0 clicks is the vacuum pattern, which the table realizes
+        want = _suppressed_by_brute_force(state, table, u.dim, clicks)
+        assert [p.key for p in suppressed_patterns(state, u, clicks)] == want
+        assert len(want) == (at_n if clicks == n else 0)
+
+
+@pytest.mark.parametrize("clicks", [True, 2.5, -1, "3"])
+def test_suppressed_patterns_refuse_a_bad_click_count_before_any_work(monkeypatch, clicks):
+    calls = _count_expansions(monkeypatch)
+    with pytest.raises(ValueError, match="total_clicks must be an integer >= 0"):
+        suppressed_patterns(wpe_state(3, 0.2), quarter(), clicks)
+    assert calls == []
+
+
 def test_aggregate_quarter():
     rows = run_gbsa(prepare_swap_input(4), quarter())
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
@@ -958,7 +991,9 @@ def test_detector_and_rule_validation():
 def test_aggregate_with_no_accepted_row_is_a_float_zero():
     rows = run_gbsa(prepare_swap_input(2), beam_splitter())
     empty = wpe_herald(wpe_state(2, 0.2), quarter(), 3)  # 2 nodes fire at most 2 detectors
-    assert len(empty) == 0
+    assert len(empty) == 0 and empty.symmetries
+    empty.classify()  # its orbits are empty too
+    assert (empty.codes.tolist(), empty.labels) == ([], [])
     for got in (aggregate_heralding(rows, THRESHOLD, HeraldRule(3)),
                 aggregate_heralding(empty, NUMBER_RESOLVED, HeraldRule(2))):
         assert got == 0.0 and type(got) is float

@@ -120,3 +120,13 @@ def test_one_norm_tolerance_is_shared():
     photonics = entnet.photonics
     assert entnet.states.NORM_TOL is photonics.NORM_TOL is entnet.herald.NORM_TOL
     assert entnet.states.NORM_TOL == 1e-9
+
+
+def test_swap_table_does_not_import_numpy_ma(tmp_path):
+    """``numpy.ma``, which a bare ``np.unique`` imports (and ``np.isin``, on some
+    inputs), costs a ``swap-table`` process about 1 MB of its peak RSS."""
+    proc = _run("import sys\nfrom entnet.cli import main\nstatus = main(sys.argv[1:])\n"
+                "assert 'numpy.ma' not in sys.modules\nsys.exit(status)",
+                "swap-table", "--n", "4", "--output", str(tmp_path / "f.csv"), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (tmp_path / "f.csv").stat().st_size > 0
