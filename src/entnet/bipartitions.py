@@ -58,12 +58,12 @@ def _three_tangle(a: Mapping[str, complex]) -> float:
 
 
 def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
-    """Entanglement labels of same-size pure states, in order, each stored on its state.
+    """Entanglement labels of same-size pure states, in order.
 
-    States that already store a label keep it.  The others are packed, about
-    ``_BLOCK_AMPS`` amplitudes at a time, into the CSR arrays that
-    :func:`entanglement_classes_csr` walks, so the temporaries do not grow
-    with the number of states and no dense state vector is built.  See
+    The states are packed, about ``_BLOCK_AMPS`` amplitudes at a time, into
+    the CSR arrays that :func:`entanglement_classes_csr` walks, so the
+    temporaries do not grow with the number of states and no dense state
+    vector is built.  The states are left as they are.  See
     :func:`~entnet.states.entanglement_class` for the labels.
 
     Raises:
@@ -71,24 +71,22 @@ def entanglement_classes(states: Sequence[QubitState]) -> list[str]:
     """
     if len({state.n_qubits for state in states}) > 1:
         raise ValueError("states differ in qubit count")
-    todo = [state for state in states if state._label is None]
+    labels: list[str] = []
     start = 0
-    while start < len(todo):
+    while start < len(states):
         stop, size = start, 0
-        while stop < len(todo) and size < _BLOCK_AMPS:
-            size += len(todo[stop].amplitudes)
+        while stop < len(states) and size < _BLOCK_AMPS:
+            size += len(states[stop].amplitudes)
             stop += 1
-        block = todo[start:stop]
+        block = states[start:stop]
         offsets = np.cumsum([0] + [len(state.amplitudes) for state in block])
         atoms = np.fromiter((int(bits, 2) for state in block for bits in state.amplitudes),
                             dtype=int, count=size)
         amps = np.fromiter((a for state in block for a in state.amplitudes.values()),
                            dtype=complex, count=size)
-        codes = entanglement_classes_csr(block[0].n_qubits, offsets, atoms, amps)
-        for state, label in zip(block, LABELS[codes].tolist()):
-            state._label = label
+        labels += LABELS[entanglement_classes_csr(block[0].n_qubits, offsets, atoms, amps)].tolist()
         start = stop
-    return [state._label for state in states]
+    return labels
 
 
 def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarray,

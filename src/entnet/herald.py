@@ -86,8 +86,9 @@ class DetectionTable:
     has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
     ``atoms[...]`` (bitstrings as binary integers, ascending).  ``codes``
     (int8, into :data:`~entnet.bipartitions.LABELS`) and ``labels`` hold each
-    row's entanglement class, for every row or for none (``codes`` is then
-    None): :meth:`classify` sets them all at once.  ``dicke`` is an eraser
+    row's entanglement class, for every row or for none (both are then
+    None): :meth:`classify` sets them all at once.  They are the only store
+    of the labels; a row's state carries none.  ``dicke`` is an eraser
     table's :func:`dicke_family_fidelity` column.
 
     ``symmetries`` are output port permutations, as :class:`MultiportMatrix`
@@ -107,7 +108,7 @@ class DetectionTable:
         self.max_per_detector = occupations.max(axis=1, initial=0)
         self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
         self.codes = codes
-        self.labels = [None] * len(probabilities) if codes is None else LABELS[codes].tolist()
+        self.labels = None if codes is None else LABELS[codes].tolist()
         self.symmetries = symmetries
         self.dicke: list[float] | None = None
         self._entries = None  # the CSR block as Python lists, made for the first state read
@@ -193,8 +194,8 @@ class ProjectionRow:
 
     A row of a :class:`DetectionTable`, such as :func:`run_gbsa` returns, is
     a view of one of its rows; its pattern and state are built each time
-    they are read, the state with the row's label at that time.  A row
-    built by hand is the row of a one-row table of its own.  Two rows are
+    they are read, and the state carries no label.  A row built by hand is
+    the row of a one-row table of its own, unlabelled.  Two rows are
     equal, and hash alike, when they are the same index of the same table.
     """
 
@@ -212,13 +213,11 @@ class ProjectionRow:
     def __init__(self, pattern: DetectionPattern, state: QubitState, probability: float,
                  dicke_fidelity: float | None = None):
         bits, amps = zip(*sorted(state.amplitudes.items()))
-        label = state._label
         table = DetectionTable(
             state.n_qubits, [m for m, _ in pattern.key],
             np.array([[k for _, k in pattern.key]], dtype=int), [probability],
             np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
-            np.array(amps, dtype=complex),
-            None if label is None else np.array([LABELS.tolist().index(label)], np.int8))
+            np.array(amps, dtype=complex))
         table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
         self._table, self._index = table, 0
 
@@ -245,8 +244,7 @@ class ProjectionRow:
                               table.amplitudes.tolist())
         offsets, bits, amps = table._entries
         lo, hi = offsets[i], offsets[i + 1]
-        return QubitState._trusted(table.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])),
-                                   table.labels[i])
+        return QubitState._trusted(table.n_atoms, dict(zip(bits[lo:hi], amps[lo:hi])))
 
     @property
     def probability(self) -> float:
@@ -278,7 +276,7 @@ class ProjectionRow:
         label.
         """
         table = self._table
-        if table.labels[self._index] is None:
+        if table.labels is None:
             table.classify()
         return table.labels[self._index]
 
@@ -300,7 +298,7 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order, and works on all rows at once in numpy.  Each
     probability is one ``bincount`` of the cells' squared magnitudes
-    (``hypot``, squared as ``x * x``), added in register order from ``0.0``;
+    (``re * re + im * im``), added in register order from ``0.0``;
     the amplitudes are scaled by ``1 / sqrt(p)`` and checked to be
     normalized.  The table agrees with the one built from the polynomial
     reference to rounding, not bit for bit (see
@@ -320,9 +318,8 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     out = propagate(state, inverse(u))
     owner, n_rows = out.pattern, len(out.occupations)  # each cell's row
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_rows))))
-    # ``hypot`` is CPython's abs(complex); numpy's complex ``abs`` differs from it
-    squares = np.hypot(out.amplitudes.real, out.amplitudes.imag) ** 2
-    probs = np.bincount(owner, weights=squares, minlength=n_rows)
+    probs = np.bincount(owner, weights=out.amplitudes.real ** 2 + out.amplitudes.imag ** 2,
+                        minlength=n_rows)
     amplitudes = out.amplitudes * (1 / np.sqrt(probs))[owner]
     norms = np.bincount(owner, weights=amplitudes.real ** 2 + amplitudes.imag ** 2,
                         minlength=n_rows)
@@ -392,7 +389,9 @@ def _suppressed(state: HybridState, dim: int, table: DetectionTable,
     if not sectors:
         return []
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    every = _kept(("sets", dim, total_clicks), lambda: _multisets(dim, total_clicks))[0]
+    # the expansion's table: every multiset of up to the input's largest photon count
+    top = max(sum(k for _, k in fkey) for _, fkey in state.terms)
+    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
     candidates = _kept(("sectors", dim, *sectors), lambda: _sector_table(every, sectors))[2]
     realized = set(map(bytes, table.occupations[table.n_photons == total_clicks].tolist()))
     # a candidate's photons on the table's modes, which hold all of a realized row's photons
@@ -457,10 +456,11 @@ def dicke_family_fidelity(state: QubitState, m: int) -> float:
     It is reached only when the components' phases factor that way, which
     the states heralded by a symmetric eraser need not do: at 6 nodes and
     3 clicks on the 8-port butterfly, rows of weight 0.0358 read 1.0 here
-    although their phases are not per-node ones.
+    although their phases are not per-node ones.  Like :class:`HeraldRule`,
+    it refuses an ``m`` that is a bool or not an integer.
     """
-    if not 0 <= m <= state.n_qubits:
-        raise ValueError(f"need 0 <= m <= {state.n_qubits}, got m={m}")
+    if not _is_integer(m) or not 0 <= m <= state.n_qubits:
+        raise ValueError(f"need 0 <= m <= {state.n_qubits}, got m={m!r}")
     total = sum(abs(a) for bits, a in state.amplitudes.items()
                 if bits.count("1") == m)
     return total ** 2 / math.comb(state.n_qubits, m)

@@ -31,14 +31,12 @@ class QubitState:
     """Pure state of ``n_qubits`` qubits as a sparse bitstring-amplitude map.
 
     The amplitudes must be finite and normalized to within ``NORM_TOL``,
-    unless ``normalize`` asks for them to be rescaled.
-
-    The state stores its :func:`entanglement_class` after the first query;
-    the label derives from the amplitudes alone, so concurrent first queries
-    store the same value.
+    unless ``normalize`` asks for them to be rescaled.  The state stores no
+    entanglement label: :func:`entanglement_class` walks it on each query,
+    and a detection table keeps the labels of its rows.
     """
 
-    __slots__ = ("n_qubits", "amplitudes", "_label")
+    __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: Mapping[str, complex],
                  normalize: bool = False):
@@ -62,14 +60,12 @@ class QubitState:
                 raise ValueError(f"state is not normalized (norm^2 = {norm_sq})")
         self.n_qubits = n_qubits
         self.amplitudes = amps
-        self._label = None
 
     @classmethod
-    def _trusted(cls, n_qubits: int, amplitudes: dict[str, complex],
-                 label: str | None = None) -> "QubitState":
+    def _trusted(cls, n_qubits: int, amplitudes: dict[str, complex]) -> "QubitState":
         """A state of amplitudes already checked and normalized, kept as given."""
         state = cls.__new__(cls)
-        state.n_qubits, state.amplitudes, state._label = n_qubits, amplitudes, label
+        state.n_qubits, state.amplitudes = n_qubits, amplitudes
         return state
 
     @classmethod
@@ -97,9 +93,9 @@ class QubitState:
         """Rotate the first nonzero amplitude (lexicographic) to positive real."""
         first = min(self.amplitudes)
         phase = self.amplitudes[first] / abs(self.amplitudes[first])
-        # a unit phase keeps the amplitudes checked and normalized, and the class label
+        # a unit phase keeps the amplitudes checked and normalized
         return QubitState._trusted(self.n_qubits,
-                                   {b: a / phase for b, a in self.amplitudes.items()}, self._label)
+                                   {b: a / phase for b, a in self.amplitudes.items()})
 
     def __repr__(self) -> str:
         parts = [f"({a:.4g})|{b}>" for b, a in sorted(self.amplitudes.items())]
@@ -321,12 +317,13 @@ def classify_three_qubit(state: QubitState) -> str:
 
 
 def entanglement_class(state: QubitState) -> str:
-    """Entanglement label of a pure state, stored on the state once computed.
+    """Entanglement label of a pure state.
 
     The label is ``product`` when every qubit is pure, ``biseparable`` when
     the state is entangled but some bipartition leaves it product, and
     ``entangled`` when none does; three-qubit states split ``entangled``
     into ``GHZ-class`` (nonzero three-tangle) and ``W-class``.  This is
-    the stored label, else ``entanglement_classes([state])[0]``.
+    ``entanglement_classes([state])[0]``: each query walks the state, which
+    stores no label.
     """
-    return state._label or entanglement_classes([state])[0]
+    return entanglement_classes([state])[0]

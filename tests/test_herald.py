@@ -308,7 +308,7 @@ def test_inputs_the_swap_never_makes_match_the_reference(index):
 
 
 def test_tables_kept_across_calls_stay_small(monkeypatch):
-    # the expansion keeps only tables of at most _BATCH_CHILDREN entries; after
+    # the expansion keeps only tables of at most 8 * _BATCH_CHILDREN bytes; after
     # one sym2d_swap table they stay far below the process's memory bound
     monkeypatch.setattr(entnet.photonics, "_tables", {})
     run_gbsa(prepare_swap_input(4, [1, -1, 1, 1], [1, 3, 5, 8]), symmetric_multiport(3))
@@ -423,6 +423,15 @@ def test_eraser_suppressed_lists_match_a_brute_force_enumeration(u, n, at_n):
         assert len(want) == (at_n if clicks == n else 0)
 
 
+def test_suppressed_lists_share_the_expansions_multiset_table(monkeypatch):
+    # every click count reads the multisets of the expansion's own kept table
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    for clicks in range(7):
+        suppressed_patterns(wpe_state(6, 0.2), symmetric_multiport(3), clicks)
+    assert [key for key in entnet.photonics._tables if key[:2] == ("sets", 8)] == \
+        [("sets", 8, 6)]
+
+
 @pytest.mark.parametrize("clicks", [True, 2.5, -1, "3"])
 def test_suppressed_patterns_refuse_a_bad_click_count_before_any_work(monkeypatch, clicks):
     calls = _count_expansions(monkeypatch)
@@ -476,7 +485,7 @@ def test_aggregates_reuse_row_classes(monkeypatch):
     for row in rows:
         row.state_class()
     assert walks == [72] and len(rows) == 258  # one walk, one row per orbit
-    assert all(row.state._label is not None for row in rows)
+    assert rows.codes is not None and len(rows.labels) == len(rows)
     walks.clear()
     thr = aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
     nr = aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
@@ -488,7 +497,7 @@ def test_tables_are_returned_unlabelled():
     rows = run_gbsa(prepare_swap_input(4), quarter())
     kept = wpe_herald(wpe_state(4, 0.2), quarter(), 2)
     assert rows and kept
-    assert all(row.state._label is None for row in [*rows, *kept])
+    assert all(table.codes is None and table.labels is None for table in (rows, kept))
 
 
 def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monkeypatch):
@@ -499,7 +508,7 @@ def test_default_aggregate_as_first_label_query_walks_the_whole_table_once(monke
     accepted = entnet.herald._accepted(rows, THRESHOLD, rule)
     assert 0 < accepted.sum() < len(rows) == 258
     assert walks == [72]  # one walk over the orbits' walked rows
-    assert all(row.state._label is not None for row in rows)
+    assert rows.codes is not None and len(rows.labels) == len(rows)
     assert aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4)) == \
         pytest.approx(7 / 8, abs=1e-9)
     assert walks == [72]
@@ -515,7 +524,7 @@ def test_first_state_class_labels_the_whole_table_in_one_walk(monkeypatch, table
     walks = _count_walked_rows(monkeypatch)
     first = rows[len(rows) // 2].state_class()
     assert walks == [orbits] and len(rows) == n_rows  # one row per orbit
-    assert all(row.state._label is not None for row in rows)
+    assert rows.codes is not None and len(rows.labels) == len(rows)
     labels = [row.state_class() for row in rows]
     assert walks == [orbits]
     assert labels[len(rows) // 2] == first
@@ -683,7 +692,7 @@ def test_a_row_outlives_its_table_reference():
     del rows
     assert row.probability == want
     assert row.state_class() == entanglement_classes([QubitState(4, row.state.amplitudes)])[0]
-    assert row.state._label == row.state_class()
+    assert row._table.labels[100] == row.state_class()
 
 
 def test_a_dropped_table_is_freed_without_the_cyclic_collector():
@@ -836,7 +845,7 @@ def test_walks_build_no_dense_state_vectors(monkeypatch):
     monkeypatch.setattr(QubitState, "vector", lambda self: built.append(self) or vector(self))
     for rows in tables:
         rows[len(rows) // 2].state_class()
-        assert all(row.state._label is not None for row in rows)
+        assert rows.codes is not None and len(rows.labels) == len(rows)
         entanglement_classes([QubitState(row.state.n_qubits, row.state.amplitudes)
                               for row in rows])
     entanglement_classes(mixed)
@@ -865,8 +874,8 @@ def test_hand_built_row_is_a_table_of_its_own(monkeypatch):
     row = rows[len(rows) // 2]
     copy = dataclasses.replace(row, probability=0.25)
     assert (copy.pattern, copy.probability) == (row.pattern, 0.25)
-    assert (copy.state.amplitudes, copy.state._label) == \
-        (row.state.amplitudes, row.state._label)
+    assert copy.state.amplitudes == row.state.amplitudes
+    assert copy._table.labels is None  # a hand-built row starts unlabelled
     assert (copy.n_photons, copy.n_detectors, copy.max_per_detector, copy.dicke_fidelity) == \
         (row.n_photons, row.n_detectors, row.max_per_detector, None)
     walks = _count_walked_rows(monkeypatch)
@@ -1194,6 +1203,15 @@ def test_dicke_family_fidelity_refuses_m_outside_the_register():
     for m in (-1, 2):
         with pytest.raises(ValueError, match=rf"need 0 <= m <= 1, got m={m}"):
             dicke_family_fidelity(one, m)
+
+
+@pytest.mark.parametrize("m", [1.5, 1.0, True, False, "1", None])
+def test_dicke_family_fidelity_refuses_m_that_is_not_an_integer(m):
+    # a bool is not read as 0 or 1, and a float is not passed on to math.comb
+    pair = QubitState(2, {"01": 1})
+    with pytest.raises(ValueError, match="need 0 <= m <= 2"):
+        dicke_family_fidelity(pair, m)
+    assert dicke_family_fidelity(pair, np.int64(1)) == 0.5
 
 
 def test_wpe_fidelity_sim_refuses_an_underflowing_tail():

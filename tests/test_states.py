@@ -252,29 +252,24 @@ def _reference_class(state):
 @given(qubit_states(), st.data())
 def test_entanglement_class_matches_every_bipartition(state, data):
     expect = _reference_class(state)
-    fresh = functools.partial(QubitState, state.n_qubits, state.amplitudes)
     assert entanglement_class(state) == expect
-    assert entanglement_class(state) == expect  # stored label
-    assert is_product_state(fresh()) == (expect == "product")
-    assert genuinely_entangled(fresh()) == (expect not in ("product", "biseparable"))
+    assert is_product_state(state) == (expect == "product")
+    assert genuinely_entangled(state) == (expect not in ("product", "biseparable"))
     if state.n_qubits == 3:
-        assert classify_three_qubit(fresh()) == expect
+        assert classify_three_qubit(state) == expect
     else:
         with pytest.raises(ValueError):
-            classify_three_qubit(fresh())
+            classify_three_qubit(state)
 
-    # the batched walk: same-size states, some already labelled, spanning the
-    # sector of all strings and sectors of one Hamming weight
+    # the batched walk: same-size states spanning the sector of all strings
+    # and sectors of one Hamming weight
     n = state.n_qubits
     batch = data.draw(st.permutations(
         data.draw(st.lists(qubit_states(n), max_size=2))
         + [data.draw(qubit_states(n, ("haar", "ghz"))),
            data.draw(qubit_states(n, ("weight", "weights")))]))
     expects = [_reference_class(s) for s in batch]
-    stored = data.draw(st.lists(st.booleans(), min_size=len(batch), max_size=len(batch)))
-    for s, want, keep in zip(batch, expects, stored):
-        if keep:
-            s._label = want
+    before = [(s.n_qubits, dict(s.amplitudes)) for s in batch]
     built, walked = [], []
     vector, walk = QubitState.vector, entnet.bipartitions.entanglement_classes_csr
     with mock.patch.object(QubitState, "vector",
@@ -283,12 +278,13 @@ def test_entanglement_class_matches_every_bipartition(state, data):
                               lambda k, offsets, *cols: walked.append(len(offsets) - 1)
                               or walk(k, offsets, *cols)):
         assert entanglement_classes(batch) == expects
-    assert [s._label for s in batch] == expects
+    # the walk stores nothing on a state, which holds its qubit count and amplitudes only
+    assert [tuple(getattr(s, slot) for slot in QubitState.__slots__) for s in batch] == before
     assert built == []  # no dense state vector
-    assert sum(walked) == stored.count(False)  # stored labels are not walked again
+    assert sum(walked) == len(batch)
     other = data.draw(st.integers(1, 6).filter(lambda k: k != n))
     with pytest.raises(ValueError):
-        entanglement_classes([fresh(), data.draw(qubit_states(other))])
+        entanglement_classes([state, data.draw(qubit_states(other))])
 
 
 def test_batched_walk_memory_does_not_grow_with_the_table():
