@@ -93,13 +93,16 @@ class DetectionTable:
 
     ``symmetries`` are output port permutations, as :class:`MultiportMatrix`
     gives them, each of which maps every row's pattern to one whose state is
-    the row's own up to a phase per qubit, so both have one label (:meth:`orbits`).
+    the row's own up to a phase per qubit, so both have one label.
+    ``orbit_keys`` holds each row's least key over its pattern's images under
+    them (:func:`_least_keys`), which :meth:`orbits` groups; without it each
+    row is its own orbit.
     """
 
     def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
                  probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
                  amplitudes: np.ndarray, codes: np.ndarray | None = None,
-                 symmetries: Sequence[np.ndarray] = ()):
+                 symmetries: Sequence[np.ndarray] = (), orbit_keys: np.ndarray | None = None):
         self.n_atoms = n_atoms
         self.modes, self.occupations = modes, occupations
         self.probabilities = probabilities
@@ -110,6 +113,7 @@ class DetectionTable:
         self.codes = codes
         self.labels = None if codes is None else LABELS[codes].tolist()
         self.symmetries = symmetries
+        self.orbit_keys = np.arange(len(occupations)) if orbit_keys is None else orbit_keys
         self.dicke: list[float] | None = None
         self._entries = None  # the CSR block as Python lists, made for the first state read
 
@@ -132,31 +136,11 @@ class DetectionTable:
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """The orbit column: each row's orbit, and the row of each orbit that is walked.
 
-        Two rows share an orbit when a symmetry maps one pattern to the
-        other, found as the same least key over their images, and they have
-        as many cells; the walked row is the orbit's first.  A key is the
-        pair of the pattern's multiset ranks, one per polarization, read
-        through a kept table of every multiset's images
-        (:func:`~entnet.photonics._multisets`), so it fits int64 at every
-        size.  A table without symmetries has one row per orbit.
+        Two rows share an orbit when they have one orbit key, so that a
+        symmetry maps one pattern to the other, and as many cells; the
+        walked row is the orbit's first.
         """
-        n_rows, n_modes = self.occupations.shape
-        if not (self.symmetries and n_modes):
-            rows = np.arange(n_rows)
-            return rows, rows
-        pols = len({m.pol for m in self.modes})
-        dim, top = n_modes // pols, int(self.n_photons.max(initial=0))
-        # each row's photons per port of each polarization: (rows, pols, ports)
-        ranks = _multiset_ranks(self.occupations[:, np.arange(n_modes).reshape(-1, pols).T])
-        every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
-        # each image moves the photons on port k to port perm[k]: (images, multisets)
-        moved = np.argsort([np.arange(dim), *self.symmetries], axis=1)
-        images = _kept(("images", dim, top, pols, moved.tobytes()), lambda: (_multiset_ranks(
-            every[:, moved]).T.astype(np.min_scalar_type(len(every) ** pols)),))[0]
-        keys = 0
-        for q in range(pols):  # the (H, V) pair
-            keys = keys * len(every) + images[:, ranks[:, q]]
-        _, first, orbit = np.unique(keys.min(axis=0), return_index=True, return_inverse=True)
+        _, first, orbit = np.unique(self.orbit_keys, return_index=True, return_inverse=True)
         sizes = np.diff(self.offsets)
         lone = np.flatnonzero(sizes != sizes[first][orbit])
         orbit[lone] = len(first) + np.arange(len(lone))
@@ -177,15 +161,15 @@ class DetectionTable:
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order.
 
-        It keeps this table's symmetries, so its own first label query walks
-        one row per orbit of the rows taken, and any labels already set.
+        It keeps this table's symmetries and orbit keys, so its own first label
+        query walks one row per orbit of the rows taken, and any labels already set.
         """
         offsets, entries = _gather(self.offsets, rows)
         return DetectionTable(
             self.n_atoms, self.modes, self.occupations[rows],
             [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
             self.amplitudes[entries], None if self.codes is None else self.codes[rows],
-            self.symmetries)
+            self.symmetries, self.orbit_keys[rows])
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -292,8 +276,10 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     probabilities sum to 1, as the input must be normalized.  The returned
     :class:`DetectionTable` holds them as columns and makes each row when it
     is read.  It keeps the output symmetries of ``u`` under which
-    ``state``'s rows keep their labels (:func:`_label_symmetries`), so its
-    first label query walks one row per orbit.
+    ``state``'s rows keep their labels (:func:`_label_symmetries`), and each
+    row's orbit key under them, read by place from the keys kept for the
+    cells' sector table (:func:`_least_keys`), so its first label query
+    walks one row per orbit.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order, and works on all rows at once in numpy.  Each
@@ -316,7 +302,7 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     if not abs(norm_sq - 1.0) <= NORM_TOL:
         raise ValueError(f"the input's norm squared is {norm_sq!r}, not 1")
     out = propagate(state, inverse(u))
-    owner, n_rows = out.pattern, len(out.occupations)  # each cell's row
+    owner, n_rows = out.pattern, len(out.places)  # each cell's row
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=n_rows))))
     probs = np.bincount(owner, weights=out.amplitudes.real ** 2 + out.amplitudes.imag ** 2,
                         minlength=n_rows)
@@ -325,9 +311,42 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
                         minlength=n_rows)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
+    symmetries = _label_symmetries(state, u)
+    # each image moves the photons on port k to port perm[k]
+    moved = np.argsort([np.arange(u.dim), *symmetries], axis=1)
+    keys = _kept(("orbits", u.dim, *out.sectors, moved.tobytes()),
+                 lambda: (_least_keys(out.occupations, moved),))[0]
     return DetectionTable(
-        state.n_atoms, out.modes, out.occupations, probs.tolist(), offsets, out.registers,
-        amplitudes, symmetries=_label_symmetries(state, u))
+        state.n_atoms, out.modes, out.occupations[out.places], probs.tolist(), offsets,
+        out.registers, amplitudes, symmetries=symmetries, orbit_keys=keys[out.places])
+
+
+def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Each pattern's least key over its images, one image per row of ``moved``.
+
+    :func:`run_gbsa` keeps them for every pattern of a sector table
+    (:func:`~entnet.photonics._sector_table`), once per sector table and
+    symmetry set, and each row reads its pattern's by place.  It builds them
+    from the sector table that comes with the cells, so one too large to
+    keep is not built twice.  Image ``i`` puts the photons of port
+    ``moved[i, p]`` on port ``p``.  A key is the pair of the pattern's
+    multiset ranks, one per polarization (the patterns' modes are sorted, so
+    port by port), read through each image's ranks of every multiset
+    (:func:`~entnet.photonics._multisets`), so it fits int64 at every size;
+    the keys come in the smallest type that holds them.
+    """
+    dim = moved.shape[1]
+    pols, top = occupations.shape[1] // dim, int(occupations.sum(axis=1).max(initial=0))
+    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
+    # each pattern's photons per port of each polarization: (patterns, pols, ports)
+    ranks = _multiset_ranks(occupations[:, np.arange(dim * pols).reshape(dim, pols).T])
+    least = np.full(len(occupations), np.iinfo(np.int64).max)
+    for image in _multiset_ranks(every[:, moved]).T:  # each multiset's rank in one image
+        key = np.zeros(len(occupations), np.int64)
+        for q in range(pols):  # the (H, V) pair
+            key = key * len(every) + image[ranks[:, q]]
+        np.minimum(least, key, out=least)
+    return least.astype(np.min_scalar_type(len(every) ** pols))
 
 
 def _label_symmetries(state: HybridState, u: MultiportMatrix) -> list[np.ndarray]:

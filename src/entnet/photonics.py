@@ -377,7 +377,9 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
     photons per polarization, in blocks of at most ``_BATCH_CHILDREN`` children:
     each pattern times a row of the inverse matrix ``entries`` in two float parts,
     each child's parents added in order from ``0.0`` (:func:`_step_table` on ``grow``).  A sum
-    below ``MERGE_TOL`` is set to zero (a NaN stays), so its children move no sum."""
+    below ``MERGE_TOL`` is set to zero (a NaN stays), so its children move no sum.
+    Where every term has an H<->V partner, :func:`propagate` hands it only the terms
+    with no more H than V photons (:func:`_expand_mirrored`)."""
     import numpy as np
     dim, top = grow.shape[1], max(map(len, monomials))
     e = np.array(entries, complex).reshape(dim, dim)
@@ -415,16 +417,65 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
     return done
 
 
+def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
+                     pols: list[str], grow: np.ndarray) -> dict:
+    """:func:`_expand`'s sectors, with one sector of each H<->V-mirrored pair expanded.
+
+    Linear optics keeps polarization, so when the photons are H and V and every term
+    has a partner with each photon's polarization swapped, in the same order, and
+    coefficient ``S`` times its own for one ``S = +-1``, the partner's parts are the
+    term's with the H and V multisets swapped, times ``S``, to the bit.  Then only the
+    terms with no more H than V photons are expanded, and each sector ``(v, h)`` with
+    ``h < v`` is copied from ``(h, v)``: the pattern axes transposed, each row moved to
+    its term's partner, in input order, and negated as ``0.0 - x`` for ``S = -1`` (the
+    expansion's sums start at ``0.0``, so they hold no ``-0.0``).  Other inputs are
+    expanded whole.
+    """
+    import numpy as np
+    sign = None
+    if pols == ["H", "V"] and len(set(monomials)) == len(monomials):
+        index, flip = {mono: i for i, mono in enumerate(monomials)}, {"H": "V", "V": "H"}
+        partner = [index.get(tuple(Mode(m.port, flip[m.pol]) for m in mono))
+                   for mono in monomials]
+        sign = next((s for s in (1, -1) if None not in partner
+                     and all(coeffs[j] == s * c for j, c in zip(partner, coeffs))), None)
+    if sign is None:
+        return _expand(monomials, coeffs, entries, pols, grow)
+    stepped = np.flatnonzero([2 * sum(m.pol == "H" for m in mono) <= len(mono)
+                              for mono in monomials])
+    done = _expand([monomials[i] for i in stepped], [coeffs[i] for i in stepped], entries,
+                   pols, grow)
+    dim, partner = grow.shape[1], np.array(partner)
+    for (h, v), (term, re, im) in list(done.items()):
+        term = stepped[term]
+        done[h, v] = term, re, im
+        if h < v:
+            order = np.argsort(partner[term])
+            shape = (len(term), math.comb(dim + h - 1, h), math.comb(dim + v - 1, v))
+            mirrored = [x[order].reshape(shape).transpose(0, 2, 1).reshape(len(term), -1)
+                        for x in (re, im)]
+            if sign < 0:
+                for x in mirrored:
+                    np.subtract(0.0, x, out=x)
+            done[v, h] = partner[term][order], *mirrored
+    return done
+
+
 class Cells(NamedTuple):
     """The nonzero cells of :func:`propagate`, one per (pattern, register) pair, in table order.
 
-    Pattern ``j`` has ``occupations[j, i]`` photons in output mode ``modes[i]``, the
-    patterns in Fock-key order (:func:`_sector_table`).  Cell ``c`` is ``amplitudes[c]``
-    on pattern ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a
-    binary integer), sorted by pattern, then register."""
+    The sector table (:func:`_sector_table`) holds every pattern of the input's
+    polarization ``sectors`` (photons per polarization, sorted) in Fock-key order: the
+    one at place ``p`` has ``occupations[p, i]`` photons in output mode ``modes[i]``.
+    It is kept across calls, so it is read-only.  Pattern ``j`` is the one at place
+    ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
+    ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a binary integer),
+    sorted by pattern, then register."""
 
     modes: list[Mode]  # sorted
+    sectors: list[tuple]
     occupations: np.ndarray
+    places: np.ndarray
     pattern: np.ndarray
     registers: np.ndarray
     amplitudes: np.ndarray
@@ -435,7 +486,9 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused (:func:`_expand`): coefficients ``amp / fact``
-    in, output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
+    in, each sector with more H than V photons copied from its mirror when
+    every term has an H<->V partner (:func:`_expand_mirrored`, the same bits),
+    output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
     into each cell in :meth:`HybridState.items` order from ``0.0``.  A cell
     below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm check), and so
     is a pattern left with no cell; the rest are sorted once, stably, by their
@@ -461,13 +514,14 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
             inputs.append((atoms, fock.monomial(), coeff))
     check_capacity((mono for _, mono, _ in inputs), dim)
     if not inputs:
-        return Cells([], np.zeros((0, 0), np.uint8), *(np.zeros(0, t) for t in (int, int, complex)))
+        return Cells([], [], np.zeros((0, 0), np.uint8),
+                     *(np.zeros(0, t) for t in (int, int, int, complex)))
 
     pols = sorted({m.pol for _, mono, _ in inputs for m in mono})
     top = max(len(mono) for _, mono, _ in inputs)
     every, grow = _kept(("sets", dim, top), lambda: _multisets(dim, top))
-    done = _expand([mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs],
-                   inverse_matrix.entries, pols, grow)
+    done = _expand_mirrored([mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs],
+                            inverse_matrix.entries, pols, grow)
     sectors = sorted(done)
     fact, place, occupations = _kept(("sectors", dim, *sectors),
                                      lambda: _sector_table(every, sectors))
@@ -492,8 +546,8 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     first = np.ones(len(place), bool)  # each live pattern's first cell
     first[1:] = place[1:] != place[:-1]
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    return Cells(modes, occupations[place[first]], np.cumsum(first) - 1, registers[order],
-                 amplitudes[order])
+    return Cells(modes, sectors, occupations, place[first], np.cumsum(first) - 1,
+                 registers[order], amplitudes[order])
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

@@ -98,7 +98,10 @@ def _count_expansions(monkeypatch):
 def test_swap_capacity_refused_before_any_expansion(monkeypatch):
     calls = _count_expansions(monkeypatch)
     run_gbsa(prepare_swap_input(2), beam_splitter())
-    assert len(calls) == 4  # the counter sees every input term
+    assert len(calls) == 3  # the counter sees each term but the "00" one, mirrored from "11"
+    calls.clear()
+    run_gbsa(wpe_state(2, 0.2), beam_splitter())
+    assert len(calls) == 4  # the eraser's photons have no polarization to mirror
     calls.clear()
     with pytest.raises(CapacityError):  # 8 pairs on 8 ports: 22.2M output terms
         run_gbsa(prepare_swap_input(8), symmetric_multiport(3))
@@ -265,7 +268,7 @@ def test_run_gbsa_invariants_over_random_unitaries(case):
 def assert_in_table_order(cells):
     """Patterns in Fock-key order, each with a cell, and (pattern, register) pairs increasing."""
     keys = [tuple((m, k) for m, k in zip(cells.modes, row) if k)
-            for row in cells.occupations.tolist()]
+            for row in cells.occupations[cells.places].tolist()]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     pattern, registers = cells.pattern, cells.registers
     assert np.all((np.diff(pattern) > 0) | ((np.diff(pattern) == 0) & (np.diff(registers) > 0)))
@@ -335,6 +338,67 @@ def test_sym2d_swap_tables_match_the_benchmark_record(ports, want):
         assert abs(thr - want["threshold_distinct"]) <= 64 * EPS
         assert abs(nr - want["number_resolved"]) <= 64 * EPS
         assert abs(math.fsum(row.probability for row in rows) - 1) <= 4 * EPS * len(rows)
+
+
+def _expansion_arguments(state, u):
+    """What ``propagate`` hands the expansion for ``state`` (single photons) through ``u``."""
+    monomials, coeffs = zip(*((fock.monomial(), amp) for _, fock, amp in state.items()))
+    top = max(map(len, monomials))
+    pols = sorted({m.pol for mono in monomials for m in mono})
+    grow = entnet.photonics._multisets(u.dim, top)[1]
+    return list(monomials), list(coeffs), inverse(u).entries, pols, grow
+
+
+def _mirror_cases():
+    cases = [(f"{name}-{''.join('+-'[s < 0] for s in signs)}", n, None, signs, u)
+             for name, n, u in (("bs", 2, beam_splitter), ("tritter", 3, tritter),
+                                ("quarter", 4, quarter)) for signs in _all_signs(n)]
+    cases += [(f"sym2d-{ports}", 4, [int(p) for p in ports.split(",")],
+               random.Random(ports).choice(_all_signs(4)), lambda: symmetric_multiport(3))
+              for ports in sorted(_sym2d_swap_record())]
+    cases += [(f"8port-m{m}", m, None, [(-1) ** k for k in range(m)],
+               lambda: symmetric_multiport(3)) for m in (5, 6, 7)]
+    return {name: case for name, *case in cases}
+
+
+_MIRROR_CASES = _mirror_cases()
+
+
+@pytest.mark.parametrize("name", list(_MIRROR_CASES))
+def test_mirrored_sectors_equal_the_expanded_ones_to_the_bit(monkeypatch, name):
+    n, ports, signs, u = _MIRROR_CASES[name]
+    args = _expansion_arguments(prepare_swap_input(n, signs, ports), u())
+    want = entnet.photonics._expand(*args)
+    calls = _count_expansions(monkeypatch)
+    got = entnet.photonics._expand_mirrored(*args)
+    assert len(calls) == sum(math.comb(n, h) for h in range(n // 2 + 1))  # h H photons
+    assert got.keys() == want.keys()
+    for counts in want:  # the terms, then the real and imaginary parts, +-0 included
+        for a, b in zip(got[counts], want[counts], strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _unmirrored_inputs():
+    """Inputs some of whose terms have no H<->V partner (the eraser's photons have no
+    polarization)."""
+    turned = HybridState(3, {key: amp * (1j if key[0] == "111" else 1)
+                             for key, amp in prepare_swap_input(3, [1, -1, 1]).terms.items()})
+    pair = prepare_swap_input(2)
+    missing = HybridState(2, {key: amp * 2 / math.sqrt(3) for key, amp in pair.terms.items()
+                              if key[0] != "11"})
+    return {"partner-times-i": (turned, tritter()), "missing-partner": (missing, quarter()),
+            "eraser": (wpe_state(3, 0.2, [0.1, 0.4, 0.7]), quarter()),
+            "port-stepping": (_port_stepping_input(), symmetric_multiport(3))}
+
+
+@pytest.mark.parametrize("name", ["partner-times-i", "missing-partner", "eraser",
+                                  "port-stepping"])
+def test_inputs_without_mirror_partners_are_expanded_whole(monkeypatch, name):
+    state, u = _unmirrored_inputs()[name]
+    calls = _count_expansions(monkeypatch)
+    rows = run_gbsa(state, u)
+    assert len(calls) == len(state.terms)
+    assert_matches_reference(rows, state, u)
 
 
 def test_run_gbsa_deterministic():
@@ -603,6 +667,51 @@ def test_patterns_wider_than_int64_walk_one_row_per_orbit(monkeypatch):
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
     assert len(walks) == 1 and walks[0] < len(rows)
+
+
+def _walked_by_brute_force(table):
+    """Each row's walked row: the first row whose pattern a symmetry maps onto the
+    row's own, or the row itself when the two have different numbers of cells."""
+    pols = len({m.pol for m in table.modes})
+    dim, sizes, first, walked = len(table.modes) // pols, np.diff(table.offsets), {}, []
+    for i, counts in enumerate(table.occupations.tolist()):
+        ports = [tuple(counts[p * pols:(p + 1) * pols]) for p in range(dim)]
+        images = [tuple(ports[list(perm).index(p)] for p in range(dim))
+                  for perm in [range(dim), *table.symmetries]]  # port k's photons to perm[k]
+        j = first.setdefault(min(images), i)
+        walked.append(j if sizes[j] == sizes[i] else i)
+    return walked
+
+
+@pytest.mark.parametrize("table", [
+    lambda: run_gbsa(prepare_swap_input(4, [1, -1, -1, 1], [2, 3, 5, 8]),
+                     symmetric_multiport(3)),
+    lambda: run_gbsa(_port_stepping_input(), symmetric_multiport(3)),
+    lambda: wpe_herald(_phased_eraser(), symmetric_multiport(3), 3),
+    lambda: run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+                     MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
+], ids=["sym2d-m4-signs", "port-stepping", "eraser6-herald3", "haar"])
+def test_orbits_match_a_brute_force_search_of_the_images(table):
+    table = table()
+    walked, orbit = table.orbits()
+    assert walked[orbit].tolist() == _walked_by_brute_force(table)
+
+
+def test_orbit_keys_are_built_once_per_sector_table_and_symmetry_set(monkeypatch):
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    builds, sector_tables = [], []
+    for module, name, seen in ((entnet.herald, "_least_keys", builds),
+                               (entnet.photonics, "_sector_table", sector_tables)):
+        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), seen=seen:
+                            seen.append(args) or f(*args))
+    u = symmetric_multiport(3)
+    for signs, ports in (([1, -1, 1, 1], [1, 3, 5, 8]), ([-1, 1, 1, -1], [2, 4, 6, 7])):
+        assert len(run_gbsa(prepare_swap_input(4, signs, ports), u).symmetries) == 7
+    assert (len(builds), len(sector_tables)) == (1, 1)
+    # a 6-node sector table is too large to keep: its keys are built from it, not a rebuild
+    run_gbsa(prepare_swap_input(6), u)
+    assert (len(builds), len(sector_tables)) == (2, 2)
+    assert ("sectors", 8, *((h, 6 - h) for h in range(7))) not in entnet.photonics._tables
 
 
 def test_label_symmetries_survive_take():
