@@ -279,7 +279,7 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     ``state``'s rows keep their labels (:func:`_label_symmetries`), and each
     row's orbit key under them, read by place from the keys kept for the
     cells' sector table (:func:`_least_keys`), so its first label query
-    walks one row per orbit.
+    walks one row per orbit.  Without symmetries a row's key is its place.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order, and works on all rows at once in numpy.  Each
@@ -312,13 +312,15 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
     symmetries = _label_symmetries(state, u)
-    # each image moves the photons on port k to port perm[k]
-    moved = np.argsort([np.arange(u.dim), *symmetries], axis=1)
-    keys = _kept(("orbits", u.dim, *out.sectors, moved.tobytes()),
-                 lambda: (_least_keys(out.occupations, moved),))[0]
+    keys = out.places  # without symmetries each row is its own orbit
+    if symmetries:
+        # each image moves the photons on port k to port perm[k]
+        moved = np.argsort([np.arange(u.dim), *symmetries], axis=1)
+        keys = _kept(("orbits", u.dim, *out.sectors, moved.tobytes()),
+                     lambda: (_least_keys(out.occupations, moved),))[0][keys]
     return DetectionTable(
         state.n_atoms, out.modes, out.occupations[out.places], probs.tolist(), offsets,
-        out.registers, amplitudes, symmetries=symmetries, orbit_keys=keys[out.places])
+        out.registers, amplitudes, symmetries=symmetries, orbit_keys=keys)
 
 
 def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:

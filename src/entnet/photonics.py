@@ -467,7 +467,7 @@ class Cells(NamedTuple):
     The sector table (:func:`_sector_table`) holds every pattern of the input's
     polarization ``sectors`` (photons per polarization, sorted) in Fock-key order: the
     one at place ``p`` has ``occupations[p, i]`` photons in output mode ``modes[i]``.
-    It is kept across calls, so it is read-only.  Pattern ``j`` is the one at place
+    It may be kept across calls, so it is read-only.  Pattern ``j`` is the one at place
     ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
     ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a binary integer),
     sorted by pattern, then register."""
