@@ -150,7 +150,7 @@ def cmd_swap_table(args) -> int:
     u = _DEVICES[args.n]()
     state = herald.prepare_swap_input(args.n)
     rows = herald.run_gbsa(state, u)
-    suppressed = herald._suppressed(state, u.dim, rows, args.n)
+    suppressed = herald._suppressed(rows, args.n)
     if args.golden:
         name = _GOLDEN_NAMES[args.n]
         try:

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .interferometers import MultiportMatrix, inverse
-from .photonics import (NORM_TOL, FockState, HybridState, Mode, _is_integer, _kept,
-                        _multiset_ranks, _multisets, _sector_table, propagate)
+from .photonics import (NORM_TOL, FockState, HybridState, Mode, _is_integer, orbit_keys,
+                        propagate)
 # Not called here: perfbench/tracer.py wraps these three by name in this
 # module, so they stay importable from it.
 from .photonics import apply_mode_transform, expand_to_fock  # noqa: F401
@@ -77,9 +77,13 @@ class DetectionTable:
 
     The table holds columns only.  Each row is a :class:`ProjectionRow`
     view made when it is read: ``table[i]`` makes one, a slice makes a tuple
-    of them, and iteration makes one per row in turn.  Row ``i``'s
-    pattern has ``occupations[i, j]`` photons in output mode ``modes[j]``,
-    rows in canonical (Fock key) order; a key is built when read.
+    of them, and iteration makes one per row in turn.  ``patterns`` is the
+    sector table that the rows' patterns come from (``Cells.occupations`` of
+    :func:`~entnet.photonics.propagate`, every pattern of the expanded
+    sectors in canonical (Fock key) order, read-only when kept), and row
+    ``i``'s pattern is the one at place ``places[i]``: it has
+    ``occupations[i, j]`` photons in output mode ``modes[j]``, the column
+    gathered once as ``patterns[places]``.  A key is built when read.
     ``probabilities`` are the rows' float probabilities; the numpy columns
     ``n_detectors``, ``n_photons`` and ``max_per_detector`` count each row's
     clicks.  The normalized projected amplitudes are one CSR block: row ``i``
@@ -91,20 +95,19 @@ class DetectionTable:
     of the labels; a row's state carries none.  ``dicke`` is an eraser
     table's :func:`dicke_family_fidelity` column.
 
-    ``symmetries`` are output port permutations, as :class:`MultiportMatrix`
-    gives them, each of which maps every row's pattern to one whose state is
-    the row's own up to a phase per qubit, so both have one label.
-    ``orbit_keys`` holds each row's least key over its pattern's images under
-    them (:func:`_least_keys`), which :meth:`orbits` groups; without it each
-    row is its own orbit.
+    ``orbit_keys`` holds each row's key under the output symmetries that
+    keep every row's label (:func:`~entnet.photonics.orbit_keys`), which
+    :meth:`orbits` groups; by default it is ``places``, so that each row is
+    its own orbit.
     """
 
-    def __init__(self, n_atoms: int, modes: list[Mode], occupations: np.ndarray,
-                 probabilities: list[float], offsets: np.ndarray, atoms: np.ndarray,
-                 amplitudes: np.ndarray, codes: np.ndarray | None = None,
-                 symmetries: Sequence[np.ndarray] = (), orbit_keys: np.ndarray | None = None):
+    def __init__(self, n_atoms: int, modes: list[Mode], patterns: np.ndarray,
+                 places: np.ndarray, probabilities: list[float], offsets: np.ndarray,
+                 atoms: np.ndarray, amplitudes: np.ndarray, codes: np.ndarray | None = None,
+                 orbit_keys: np.ndarray | None = None):
         self.n_atoms = n_atoms
-        self.modes, self.occupations = modes, occupations
+        self.modes, self.patterns, self.places = modes, patterns, places
+        self.occupations = occupations = patterns[places]
         self.probabilities = probabilities
         self.n_detectors = (occupations > 0).sum(axis=1)
         self.n_photons = occupations.sum(axis=1, dtype=np.int64)
@@ -112,8 +115,7 @@ class DetectionTable:
         self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
         self.codes = codes
         self.labels = None if codes is None else LABELS[codes].tolist()
-        self.symmetries = symmetries
-        self.orbit_keys = np.arange(len(occupations)) if orbit_keys is None else orbit_keys
+        self.orbit_keys = places if orbit_keys is None else orbit_keys
         self.dicke: list[float] | None = None
         self._entries = None  # the CSR block as Python lists, made for the first state read
 
@@ -161,15 +163,16 @@ class DetectionTable:
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order.
 
-        It keeps this table's symmetries and orbit keys, so its own first label
-        query walks one row per orbit of the rows taken, and any labels already set.
+        It shares this table's sector table and keeps the rows' places and orbit
+        keys, so its own first label query walks one row per orbit of the rows
+        taken, and any labels already set.
         """
         offsets, entries = _gather(self.offsets, rows)
         return DetectionTable(
-            self.n_atoms, self.modes, self.occupations[rows],
+            self.n_atoms, self.modes, self.patterns, self.places[rows],
             [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
             self.amplitudes[entries], None if self.codes is None else self.codes[rows],
-            self.symmetries, self.orbit_keys[rows])
+            self.orbit_keys[rows])
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -179,7 +182,8 @@ class ProjectionRow:
     A row of a :class:`DetectionTable`, such as :func:`run_gbsa` returns, is
     a view of one of its rows; its pattern and state are built each time
     they are read, and the state carries no label.  A row built by hand is
-    the row of a one-row table of its own, unlabelled.  Two rows are
+    the row of a one-row table of its own, at place 0 of its own one-pattern
+    sector table, unlabelled.  Two rows are
     equal, and hash alike, when they are the same index of the same table.
     """
 
@@ -199,7 +203,8 @@ class ProjectionRow:
         bits, amps = zip(*sorted(state.amplitudes.items()))
         table = DetectionTable(
             state.n_qubits, [m for m, _ in pattern.key],
-            np.array([[k for _, k in pattern.key]], dtype=int), [probability],
+            np.array([[k for _, k in pattern.key]], dtype=int), np.zeros(1, int),
+            [probability],
             np.array([0, len(bits)]), np.array([int(b, 2) for b in bits], dtype=int),
             np.array(amps, dtype=complex))
         table.dicke = None if dicke_fidelity is None else [dicke_fidelity]
@@ -275,11 +280,11 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     normalized projected atomic state and the exact pattern probability; the
     probabilities sum to 1, as the input must be normalized.  The returned
     :class:`DetectionTable` holds them as columns and makes each row when it
-    is read.  It keeps the output symmetries of ``u`` under which
-    ``state``'s rows keep their labels (:func:`_label_symmetries`), and each
-    row's orbit key under them, read by place from the keys kept for the
-    cells' sector table (:func:`_least_keys`), so its first label query
-    walks one row per orbit.  Without symmetries a row's key is its place.
+    is read.  It holds the cells' sector table and each row's place in it,
+    and each row's orbit key under the output symmetries of ``u`` under
+    which ``state``'s rows keep their labels (:func:`_label_symmetries`,
+    :func:`~entnet.photonics.orbit_keys`), so its first label query walks
+    one row per orbit.  Without symmetries a row's key is its place.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order, and works on all rows at once in numpy.  Each
@@ -311,44 +316,9 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
                         minlength=n_rows)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
-    symmetries = _label_symmetries(state, u)
-    keys = out.places  # without symmetries each row is its own orbit
-    if symmetries:
-        # each image moves the photons on port k to port perm[k]
-        moved = np.argsort([np.arange(u.dim), *symmetries], axis=1)
-        keys = _kept(("orbits", u.dim, *out.sectors, moved.tobytes()),
-                     lambda: (_least_keys(out.occupations, moved),))[0][keys]
     return DetectionTable(
-        state.n_atoms, out.modes, out.occupations[out.places], probs.tolist(), offsets,
-        out.registers, amplitudes, symmetries=symmetries, orbit_keys=keys)
-
-
-def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
-    """Each pattern's least key over its images, one image per row of ``moved``.
-
-    :func:`run_gbsa` keeps them for every pattern of a sector table
-    (:func:`~entnet.photonics._sector_table`), once per sector table and
-    symmetry set, and each row reads its pattern's by place.  It builds them
-    from the sector table that comes with the cells, so one too large to
-    keep is not built twice.  Image ``i`` puts the photons of port
-    ``moved[i, p]`` on port ``p``.  A key is the pair of the pattern's
-    multiset ranks, one per polarization (the patterns' modes are sorted, so
-    port by port), read through each image's ranks of every multiset
-    (:func:`~entnet.photonics._multisets`), so it fits int64 at every size;
-    the keys come in the smallest type that holds them.
-    """
-    dim = moved.shape[1]
-    pols, top = occupations.shape[1] // dim, int(occupations.sum(axis=1).max(initial=0))
-    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
-    # each pattern's photons per port of each polarization: (patterns, pols, ports)
-    ranks = _multiset_ranks(occupations[:, np.arange(dim * pols).reshape(dim, pols).T])
-    least = np.full(len(occupations), np.iinfo(np.int64).max)
-    for image in _multiset_ranks(every[:, moved]).T:  # each multiset's rank in one image
-        key = np.zeros(len(occupations), np.int64)
-        for q in range(pols):  # the (H, V) pair
-            key = key * len(every) + image[ranks[:, q]]
-        np.minimum(least, key, out=least)
-    return least.astype(np.min_scalar_type(len(every) ** pols))
+        state.n_atoms, out.modes, out.occupations, out.places, probs.tolist(), offsets,
+        out.registers, amplitudes, orbit_keys=orbit_keys(out, _label_symmetries(state, u)))
 
 
 def _label_symmetries(state: HybridState, u: MultiportMatrix) -> list[np.ndarray]:
@@ -384,41 +354,31 @@ def suppressed_patterns(state: HybridState, u: MultiportMatrix,
     """Patterns reachable by photon bookkeeping whose amplitude cancels.
 
     A candidate is any ``total_clicks``-photon multiset over the output
-    modes whose per-polarization photon counts match some input term (the
-    multiport preserves polarization, so those counts are conserved);
-    suppressed means the full enumeration assigns it no probability.  Like
-    :class:`HeraldRule`, it refuses a ``total_clicks`` that is a bool or not
-    an integer >= 0 (0 is the vacuum pattern) before any work.
+    modes whose per-polarization photon counts match some expanded input
+    term (the multiport preserves polarization, so those counts are
+    conserved); suppressed means the full enumeration assigns it no
+    probability.  The expanded terms are those that
+    :func:`~entnet.photonics.propagate` keeps: a term whose amplitude over
+    ``prod sqrt(k!)`` falls below ``MERGE_TOL`` is dropped before the
+    expansion, so a sector that only such terms reach has no candidates.
+    Like :class:`HeraldRule`, it refuses a ``total_clicks`` that is a bool
+    or not an integer >= 0 (0 is the vacuum pattern) before any work.
     """
     if not _is_integer(total_clicks) or total_clicks < 0:
         raise ValueError(f"total_clicks must be an integer >= 0, got {total_clicks!r}")
-    return _suppressed(state, u.dim, run_gbsa(state, u), total_clicks)
+    return _suppressed(run_gbsa(state, u), total_clicks)
 
 
-def _suppressed(state: HybridState, dim: int, table: DetectionTable,
-                total_clicks: int) -> list[DetectionPattern]:
-    """:func:`suppressed_patterns` against the table already built from ``state``.
+def _suppressed(table: DetectionTable, total_clicks: int) -> list[DetectionPattern]:
+    """:func:`suppressed_patterns` against a table that :func:`run_gbsa` built.
 
-    The candidates are the patterns of the feasible polarization sectors,
-    read in Fock-key order from the expansion's kept sector table
-    (:func:`~entnet.photonics._sector_table`); those that no row of the
-    table realizes, compared as bytes of occupations, are suppressed.
+    The candidates are the ``total_clicks``-photon patterns of the table's
+    sector table, in Fock-key order; those at no row's place are suppressed.
     """
-    pols = sorted({m.pol for _, fkey in state.terms for m, _ in fkey})
-    sectors = sorted({tuple(sum(k for m, k in fkey if m.pol == pol) for pol in pols)
-                      for _, fkey in state.terms if sum(k for _, k in fkey) == total_clicks})
-    if not sectors:
-        return []
-    modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    # the expansion's table: every multiset of up to the input's largest photon count
-    top = max(sum(k for _, k in fkey) for _, fkey in state.terms)
-    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
-    candidates = _kept(("sectors", dim, *sectors), lambda: _sector_table(every, sectors))[2]
-    realized = set(map(bytes, table.occupations[table.n_photons == total_clicks].tolist()))
-    # a candidate's photons on the table's modes, which hold all of a realized row's photons
-    seen = candidates[:, [modes.index(m) for m in table.modes]].tolist()
-    return [FockState.from_key([(m, k) for m, k in zip(modes, counts) if k])
-            for counts, row in zip(candidates.tolist(), seen) if bytes(row) not in realized]
+    candidates = table.patterns.sum(axis=1) == total_clicks
+    candidates[table.places] = False
+    return [FockState.from_key([(m, k) for m, k in zip(table.modes, counts) if k])
+            for counts in table.patterns[candidates].tolist()]
 
 
 def _accepted(table: DetectionTable, model: DetectorModel, rule: HeraldRule) -> np.ndarray:
@@ -501,9 +461,10 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
 
     The rows are picked on the click columns of :func:`run_gbsa`'s table,
     not row by row, and taken into a table of their own
-    (:meth:`DetectionTable.take`), which keeps the symmetries: its first
-    label query walks one row per orbit.  :class:`HeraldRule` refuses an
-    ``m_clicks`` that is not an integer >= 1, before any work.
+    (:meth:`DetectionTable.take`), which keeps their places in the sector
+    table and their orbit keys: its first label query walks one row per
+    orbit.  :class:`HeraldRule` refuses an ``m_clicks`` that is not an
+    integer >= 1, before any work.
     """
     rule = HeraldRule(m_clicks)
     table = run_gbsa(state, u)

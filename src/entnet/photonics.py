@@ -286,9 +286,12 @@ _tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from
 
 
 def _kept(key: tuple, build) -> tuple:
-    """``build()``'s arrays, kept under ``key`` if no larger than ``_BATCH_CHILDREN`` float64s."""
+    """``build()``'s arrays, kept read-only under ``key`` if no larger than ``_BATCH_CHILDREN``
+    float64s."""
     table = _tables.get(key) or build()
     if key not in _tables and sum(a.nbytes for a in table) <= 8 * _BATCH_CHILDREN:
+        for a in table:  # handed out, as Cells.occupations and DetectionTable.patterns
+            a.setflags(write=False)
         _tables[key] = table
     return table
 
@@ -464,10 +467,11 @@ def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
 class Cells(NamedTuple):
     """The nonzero cells of :func:`propagate`, one per (pattern, register) pair, in table order.
 
-    The sector table (:func:`_sector_table`) holds every pattern of the input's
-    polarization ``sectors`` (photons per polarization, sorted) in Fock-key order: the
+    The sector table (:func:`_sector_table`) holds every pattern of the polarization
+    ``sectors`` (photons per polarization, sorted) of the expanded terms in Fock-key order: the
     one at place ``p`` has ``occupations[p, i]`` photons in output mode ``modes[i]``.
-    It may be kept across calls, so it is read-only.  Pattern ``j`` is the one at place
+    It may be kept across calls, and is then read-only (:func:`_kept`); a detection
+    table holds it as its ``patterns``.  Pattern ``j`` is the one at place
     ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
     ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a binary integer),
     sorted by pattern, then register."""
@@ -548,6 +552,50 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
     return Cells(modes, sectors, occupations, place[first], np.cumsum(first) - 1,
                  registers[order], amplitudes[order])
+
+
+def orbit_keys(cells: Cells, permutations) -> np.ndarray:
+    """Each pattern's orbit key under the output port ``permutations``, by place.
+
+    ``permutations`` are given as :attr:`MultiportMatrix.symmetries
+    <entnet.interferometers.MultiportMatrix.symmetries>` gives them: each moves
+    the photons on port ``k`` to port ``perm[k]``.  A key is the least over a
+    pattern's images (:func:`_least_keys`); the keys are built once per sector table
+    and permutation set, for every pattern of the sector table, and kept, and each
+    of ``cells``' patterns reads its key by place.  A sector table too large to keep
+    hands its own patterns to the builder, so it is not built twice.  Without
+    permutations each pattern's key is its place.
+    """
+    import numpy as np
+    if not len(permutations):
+        return cells.places
+    moved = np.argsort([np.arange(len(permutations[0])), *permutations], axis=1)
+    return _kept(("orbits", moved.shape[1], *cells.sectors, moved.tobytes()),
+                 lambda: (_least_keys(cells.occupations, moved),))[0][cells.places]
+
+
+def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
+    """Each pattern's least key over its images, one image per row of ``moved``.
+
+    Image ``i`` puts the photons of port ``moved[i, p]`` on port ``p``.  A key is the
+    pair of the pattern's multiset ranks, one per polarization (the patterns' modes
+    are sorted, so port by port), read through each image's ranks of every multiset
+    (:func:`_multisets`), so it fits int64 at every size; the keys come in the
+    smallest type that holds them.
+    """
+    import numpy as np
+    dim = moved.shape[1]
+    pols, top = occupations.shape[1] // dim, int(occupations.sum(axis=1).max(initial=0))
+    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
+    # each pattern's photons per port of each polarization: (patterns, pols, ports)
+    ranks = _multiset_ranks(occupations[:, np.arange(dim * pols).reshape(dim, pols).T])
+    least = np.full(len(occupations), np.iinfo(np.int64).max)
+    for image in _multiset_ranks(every[:, moved]).T:  # each multiset's rank in one image
+        key = np.zeros(len(occupations), np.int64)
+        for q in range(pols):  # the (H, V) pair
+            key = key * len(every) + image[ranks[:, q]]
+        np.minimum(least, key, out=least)
+    return least.astype(np.min_scalar_type(len(every) ** pols))
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

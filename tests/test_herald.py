@@ -20,7 +20,8 @@ import entnet.photonics
 from entnet.analytics import wpe_fidelity, wpe_rate
 from entnet.bipartitions import LABELS
 from entnet.herald import (NUMBER_RESOLVED, THRESHOLD, DetectionTable, DetectorModel,
-                           HeraldRule, ProjectionRow, _product_state, aggregate_heralding,
+                           HeraldRule, ProjectionRow, _label_symmetries, _product_state,
+                           _suppressed, aggregate_heralding,
                            dicke_family_fidelity, entanglement_classes_csr,
                            prepare_swap_input, run_gbsa, subnetwork_swap, suppressed_patterns,
                            wpe_fidelity_sim, wpe_herald, wpe_rate_sim, wpe_sector_probabilities,
@@ -444,11 +445,15 @@ def test_suppressed_patterns_tritter():
         "v1^2 v2", "v1^2 v3", "v1 v2^2", "v1 v3^2", "v2^2 v3", "v2 v3^2"}
 
 
-def test_suppressed_patterns_scan_only_the_input_sectors():
-    # two excitations of four: every term is 2H2V, so 1-3H sectors are infeasible
+def _two_excitation_quarter_input():
+    """Two excitations of four: every term is 2H2V, so the 1-3H sectors are infeasible."""
     full = prepare_swap_input(4)
-    state = HybridState(4, {key: amp * 4 / math.sqrt(6) for key, amp in full.terms.items()
-                            if key[0].count("1") == 2})
+    return HybridState(4, {key: amp * 4 / math.sqrt(6) for key, amp in full.terms.items()
+                           if key[0].count("1") == 2})
+
+
+def test_suppressed_patterns_scan_only_the_input_sectors():
+    state = _two_excitation_quarter_input()
     rows = run_gbsa(state, quarter())
     modes = [Mode(port, pol) for pol in "HV" for port in range(1, 5)]
     candidates = {FockState.from_monomial(combo).key
@@ -487,13 +492,72 @@ def test_eraser_suppressed_lists_match_a_brute_force_enumeration(u, n, at_n):
         assert len(want) == (at_n if clicks == n else 0)
 
 
+@pytest.mark.parametrize("make", [
+    *(lambda n=n, u=u, signs=signs: (prepare_swap_input(n, signs), u(), [n - 1, n, n + 1])
+      for n, u in ((2, beam_splitter), (3, tritter), (4, quarter)) for signs in _all_signs(n)),
+    *(lambda ports=ports: (prepare_swap_input(4, random.Random(ports).choice(_all_signs(4)),
+                                              [int(p) for p in ports.split(",")]),
+                           symmetric_multiport(3), [4])
+      for ports in sorted(_sym2d_swap_record())[::10]),
+    lambda: (prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+             MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4)), [3]),
+    lambda: (_two_excitation_quarter_input(), quarter(), [3, 4]),
+], ids=[*(f"{name}-{''.join('+-'[s < 0] for s in signs)}"
+          for name, n in (("bs", 2), ("tritter", 3), ("quarter", 4)) for signs in _all_signs(n)),
+        *(f"sym2d-{ports}" for ports in sorted(_sym2d_swap_record())[::10]),
+        "haar4-m3", "two-excitation-quarter"])
+def test_swap_suppressed_lists_match_a_brute_force_enumeration(make):
+    state, u, click_counts = make()
+    table = run_gbsa(state, u)
+    for clicks in click_counts:
+        assert [p.key for p in suppressed_patterns(state, u, clicks)] == \
+            _suppressed_by_brute_force(state, table, u.dim, clicks)
+
+
+def test_suppressed_candidates_are_the_expanded_sectors():
+    # the only (2, 1) term's amplitude over sqrt(2!) is 8.5e-13, below MERGE_TOL,
+    # so the expansion drops it and its 40 patterns are no candidates
+    h1, v1 = Mode(1, "H"), Mode(1, "V")
+    terms = dict(prepare_swap_input(2).terms)
+    terms["01", ((h1, 2), (v1, 1))] = 1.2e-12
+    state, u = HybridState(2, terms), quarter()
+    assert len(state.terms) == 5
+    table = run_gbsa(state, u)
+    assert table.n_photons.tolist() == [2] * len(table)
+    assert suppressed_patterns(state, u, 3) == []
+    assert len(_suppressed_by_brute_force(state, table, u.dim, 3)) == 40
+    assert [p.key for p in suppressed_patterns(state, u, 2)] == \
+        _suppressed_by_brute_force(state, table, u.dim, 2)
+
+
 def test_suppressed_lists_share_the_expansions_multiset_table(monkeypatch):
-    # every click count reads the multisets of the expansion's own kept table
+    # every click count reads the table's own sector table: no call keeps a table
     monkeypatch.setattr(entnet.photonics, "_tables", {})
+    state, u = wpe_state(6, 0.2), symmetric_multiport(3)
+    table = run_gbsa(state, u)
+    kept = dict(entnet.photonics._tables)
+    assert [key for key in kept if key[0] == "sectors"] == \
+        [("sectors", 8, *((k,) for k in range(7)))]  # single-rail photons
     for clicks in range(7):
-        suppressed_patterns(wpe_state(6, 0.2), symmetric_multiport(3), clicks)
-    assert [key for key in entnet.photonics._tables if key[:2] == ("sets", 8)] == \
-        [("sets", 8, 6)]
+        assert _suppressed(table, clicks) == suppressed_patterns(state, u, clicks)
+    assert entnet.photonics._tables.keys() == kept.keys()
+    assert all(entnet.photonics._tables[key] is kept[key] for key in kept)
+
+
+def test_kept_tables_are_read_only(monkeypatch):
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    state, u = prepare_swap_input(4, [1, -1, 1, 1], [1, 3, 5, 8]), symmetric_multiport(3)
+    table = run_gbsa(state, u)
+    assert entnet.photonics._tables
+    assert not any(a.flags.writeable for kept in entnet.photonics._tables.values()
+                   for a in kept)
+    patterns = table.patterns.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        table.patterns[table.places[0], 0] += 1
+    again = run_gbsa(state, u)
+    assert again.patterns is table.patterns  # the kept sector table, handed out again
+    assert np.array_equal(again.patterns, patterns)
+    assert np.array_equal(again.occupations, table.occupations)
 
 
 @pytest.mark.parametrize("clicks", [True, 2.5, -1, "3"])
@@ -612,8 +676,9 @@ def _port_stepping_input():
 
 def test_inputs_whose_port_counts_step_per_qubit_keep_every_symmetry(monkeypatch):
     # each term's port counts are the first term's plus e_(2k+2) - e_(2k+1) per set bit k
-    rows = run_gbsa(_port_stepping_input(), symmetric_multiport(3))
-    assert len(rows.symmetries) == 7
+    state, u = _port_stepping_input(), symmetric_multiport(3)
+    assert len(_label_symmetries(state, u)) == 7
+    rows = run_gbsa(state, u)
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
@@ -639,19 +704,20 @@ def test_orbit_labels_match_a_full_walk(monkeypatch, tables):
 
 
 @pytest.mark.parametrize("rows", [
-    lambda: run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
-                     MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
+    lambda: (prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+             MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
     # the |11> term's photons both leave port 1, so under the port swap
     # (d2 = (i, -i)) the term phases are (1, 1, 1, -1): no phase per qubit
-    lambda: run_gbsa(HybridState(2, {
+    lambda: (HybridState(2, {
         ("00", ((Mode(1, "H"), 1), (Mode(2, "H"), 1))): 0.5,
         ("01", ((Mode(1, "H"), 1), (Mode(2, "V"), 1))): 0.5,
         ("10", ((Mode(1, "V"), 1), (Mode(2, "H"), 1))): 0.5,
         ("11", ((Mode(1, "V"), 2),)): 0.5}), beam_splitter()),
 ], ids=["haar", "unfactored-phases"])
 def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
-    rows = rows()
-    assert rows.symmetries == []
+    state, u = rows()
+    assert _label_symmetries(state, u) == []
+    rows = run_gbsa(state, u)
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
@@ -661,52 +727,56 @@ def test_tables_without_label_symmetries_walk_every_row(monkeypatch, rows):
 def test_patterns_wider_than_int64_walk_one_row_per_orbit(monkeypatch):
     # 3 photons on the 32 modes of the 16-port butterfly, whose keys with one
     # digit per mode would need 64 bits: the per-polarization ranks fit
-    rows = run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4))
-    assert len(rows.symmetries) == 15
+    state, u = prepare_swap_input(3, [1, -1, 1], [1, 7, 16]), symmetric_multiport(4)
+    assert len(_label_symmetries(state, u)) == 15
+    rows = run_gbsa(state, u)
     want = _full_walk_labels(rows)
     walks = _count_walked_rows(monkeypatch)
     assert [row.state_class() for row in rows] == want
     assert len(walks) == 1 and walks[0] < len(rows)
 
 
-def _walked_by_brute_force(table):
-    """Each row's walked row: the first row whose pattern a symmetry maps onto the
-    row's own, or the row itself when the two have different numbers of cells."""
+def _walked_by_brute_force(table, symmetries):
+    """Each row's walked row: the first row whose pattern one of ``symmetries`` maps
+    onto the row's own, or the row itself when the two have different numbers of cells."""
     pols = len({m.pol for m in table.modes})
     dim, sizes, first, walked = len(table.modes) // pols, np.diff(table.offsets), {}, []
     for i, counts in enumerate(table.occupations.tolist()):
         ports = [tuple(counts[p * pols:(p + 1) * pols]) for p in range(dim)]
         images = [tuple(ports[list(perm).index(p)] for p in range(dim))
-                  for perm in [range(dim), *table.symmetries]]  # port k's photons to perm[k]
+                  for perm in [range(dim), *symmetries]]  # port k's photons to perm[k]
         j = first.setdefault(min(images), i)
         walked.append(j if sizes[j] == sizes[i] else i)
     return walked
 
 
 @pytest.mark.parametrize("table", [
-    lambda: run_gbsa(prepare_swap_input(4, [1, -1, -1, 1], [2, 3, 5, 8]),
-                     symmetric_multiport(3)),
-    lambda: run_gbsa(_port_stepping_input(), symmetric_multiport(3)),
-    lambda: wpe_herald(_phased_eraser(), symmetric_multiport(3), 3),
-    lambda: run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
-                     MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
+    lambda: (prepare_swap_input(4, [1, -1, -1, 1], [2, 3, 5, 8]), symmetric_multiport(3),
+             run_gbsa),
+    lambda: (_port_stepping_input(), symmetric_multiport(3), run_gbsa),
+    lambda: (_phased_eraser(), symmetric_multiport(3), lambda s, u: wpe_herald(s, u, 3)),
+    lambda: (prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+             MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4)), run_gbsa),
 ], ids=["sym2d-m4-signs", "port-stepping", "eraser6-herald3", "haar"])
 def test_orbits_match_a_brute_force_search_of_the_images(table):
-    table = table()
+    state, u, build = table()
+    table = build(state, u)
     walked, orbit = table.orbits()
-    assert walked[orbit].tolist() == _walked_by_brute_force(table)
+    assert walked[orbit].tolist() == _walked_by_brute_force(table, _label_symmetries(state, u))
 
 
 def test_orbit_keys_are_built_once_per_sector_table_and_symmetry_set(monkeypatch):
     monkeypatch.setattr(entnet.photonics, "_tables", {})
     builds, sector_tables = [], []
-    for module, name, seen in ((entnet.herald, "_least_keys", builds),
-                               (entnet.photonics, "_sector_table", sector_tables)):
-        monkeypatch.setattr(module, name, lambda *args, f=getattr(module, name), seen=seen:
+    for name, seen in (("_least_keys", builds), ("_sector_table", sector_tables)):
+        monkeypatch.setattr(entnet.photonics, name,
+                            lambda *args, f=getattr(entnet.photonics, name), seen=seen:
                             seen.append(args) or f(*args))
     u = symmetric_multiport(3)
     for signs, ports in (([1, -1, 1, 1], [1, 3, 5, 8]), ([-1, 1, 1, -1], [2, 4, 6, 7])):
-        assert len(run_gbsa(prepare_swap_input(4, signs, ports), u).symmetries) == 7
+        state = prepare_swap_input(4, signs, ports)
+        assert len(_label_symmetries(state, u)) == 7
+        run_gbsa(state, u)
     assert (len(builds), len(sector_tables)) == (1, 1)
     # a 6-node sector table is too large to keep: its keys are built from it, not a rebuild
     run_gbsa(prepare_swap_input(6), u)
@@ -715,11 +785,15 @@ def test_orbit_keys_are_built_once_per_sector_table_and_symmetry_set(monkeypatch
 
 
 def test_label_symmetries_survive_take():
-    rows = run_gbsa(_phased_eraser(), symmetric_multiport(3))
-    assert len(rows.symmetries) == 7
-    kept = wpe_herald(_phased_eraser(), symmetric_multiport(3), 3)
-    assert [list(perm) for perm in kept.symmetries] == \
-        [list(perm) for perm in rows.symmetries]
+    state, u = _phased_eraser(), symmetric_multiport(3)
+    assert len(_label_symmetries(state, u)) == 7
+    rows = run_gbsa(state, u)
+    taken = np.flatnonzero(rows.n_detectors == 3)
+    kept = wpe_herald(state, u, 3)
+    assert kept.patterns is rows.patterns  # one kept sector table
+    assert np.array_equal(kept.places, rows.places[taken])
+    assert np.array_equal(kept.orbit_keys, rows.orbit_keys[taken])
+    assert len(np.unique(kept.orbit_keys)) < len(kept)
 
 
 def test_aggregating_a_table_reads_its_columns(monkeypatch):
@@ -1109,7 +1183,7 @@ def test_detector_and_rule_validation():
 def test_aggregate_with_no_accepted_row_is_a_float_zero():
     rows = run_gbsa(prepare_swap_input(2), beam_splitter())
     empty = wpe_herald(wpe_state(2, 0.2), quarter(), 3)  # 2 nodes fire at most 2 detectors
-    assert len(empty) == 0 and empty.symmetries
+    assert len(empty) == 0 and _label_symmetries(wpe_state(2, 0.2), quarter())
     empty.classify()  # its orbits are empty too
     assert (empty.codes.tolist(), empty.labels) == ([], [])
     for got in (aggregate_heralding(rows, THRESHOLD, HeraldRule(3)),

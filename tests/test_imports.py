@@ -1,6 +1,7 @@
 """The package imports lazily: every exported name resolves to its module's own
 object, and the numpy-free commands run in fresh processes without numpy."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -130,3 +131,16 @@ def test_swap_table_does_not_import_numpy_ma(tmp_path):
                 "swap-table", "--n", "4", "--output", str(tmp_path / "f.csv"), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert (tmp_path / "f.csv").stat().st_size > 0
+
+
+def test_herald_reads_no_private_photonics_helper():
+    """``herald`` reaches the expansion through ``propagate``'s cells and
+    ``orbit_keys`` only, so no pattern table or its cache leaks into it."""
+    tree = ast.parse((SRC / "entnet" / "herald.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level == 1 and node.module == "photonics" for alias in node.names]
+    assert "propagate" in imported
+    assert [name for name in imported if name.startswith("_")] == ["_is_integer"]
+    # nor through the module itself
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "photonics"]
