@@ -98,13 +98,15 @@ def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarr
     entry per row.  This is the one bipartition walk behind every label;
     see :func:`~entnet.states.entanglement_class` for the labels.
 
-    Rows are walked by Hamming-weight sector.  A row whose basis states all
-    have ``w`` excitations has coordinates on the ``C(n, w)`` strings of
-    that weight only, and for a cut A|B its reduced state on A is
-    block-diagonal by the weight ``w_A`` on A.  So ``tr rho_A^2`` is the
-    sum over blocks of ``||M M^+||_F^2``, where ``M`` is the
-    ``C(|A|, w_A) x C(|B|, w - w_A)`` matrix of the row's amplitudes on the
-    block; a block with one row (or column) gives the square of its weight.
+    A row with one entry is a basis state, so product, and gets code 0
+    without a walk.  The other rows are walked by Hamming-weight sector.  A
+    row whose basis states all have ``w`` excitations has coordinates on the
+    ``C(n, w)`` strings of that weight only, and for a cut A|B its reduced
+    state on A is block-diagonal by the weight ``w_A`` on A.  So
+    ``tr rho_A^2`` is the sum over blocks of ``||M M^+||_F^2``, where ``M``
+    is the ``C(|A|, w_A) x C(|B|, w - w_A)`` matrix of the row's amplitudes
+    on the block; a block with one row (or column) gives the square of its
+    weight.
     A row with several weights has coordinates on all ``2^n`` strings, one
     block per cut.  A sector's blocks are built when the walk first
     reaches their cuts, and kept for later walks up to ``_KEPT_QUBITS``
@@ -115,18 +117,19 @@ def entanglement_classes_csr(n_qubits: int, offsets: np.ndarray, atoms: np.ndarr
     when its purity exceeds ``(1 - PURITY_TOL) ||psi||^4``; the single-qubit
     cuts come first, and a row leaves the walk once its label is settled.
     """
-    n_rows = len(offsets) - 1
     counts = _ones(atoms, n_qubits)
     low = np.minimum.reduceat(counts, offsets[:-1]).astype(int)
-    # each row's sector: 1 + the weight of all its basis states, or 0 if they differ
-    sectors = np.where(low == np.maximum.reduceat(counts, offsets[:-1]), low, -1) + 1
+    # each row's sector: 2 + the weight of all its basis states, 1 if they differ,
+    # or 0 for one basis state, which is not walked
+    sectors = np.where(low == np.maximum.reduceat(counts, offsets[:-1]), low + 2, 1)
+    sectors[np.diff(offsets) == 1] = 0
     order = np.argsort(sectors, kind="stable")
     stacked, entries = _gather(offsets, order)
-    codes = np.empty(n_rows, dtype=np.int8)
+    codes = np.zeros(len(offsets) - 1, dtype=np.int8)  # 0 = "product"
     sizes = np.bincount(sectors)
     ends = np.cumsum(sizes)
-    for sector in np.flatnonzero(sizes).tolist():
-        plan = _plan(n_qubits, sector - 1)
+    for sector in (np.flatnonzero(sizes[1:]) + 1).tolist():
+        plan = _plan(n_qubits, sector - 2)
         step = max(1, _BLOCK_AMPS // len(plan.atoms))
         for first in range(ends[sector] - sizes[sector], ends[sector], step):
             last = min(first + step, ends[sector])

@@ -82,42 +82,52 @@ class DetectionTable:
     :func:`~entnet.photonics.propagate`, every pattern of the expanded
     sectors in canonical (Fock key) order, read-only when kept), and row
     ``i``'s pattern is the one at place ``places[i]``: it has
-    ``occupations[i, j]`` photons in output mode ``modes[j]``, the column
-    gathered once as ``patterns[places]``.  A key is built when read.
+    ``patterns[places[i], j]`` photons in output mode ``modes[j]``.  A row
+    reads its own pattern, and a key is built when read; ``occupations``,
+    the whole (rows x modes) matrix, is gathered only when it is read.
     ``probabilities`` are the rows' float probabilities; the numpy columns
     ``n_detectors``, ``n_photons`` and ``max_per_detector`` count each row's
-    clicks.  The normalized projected amplitudes are one CSR block: row ``i``
-    has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the atomic registers
-    ``atoms[...]`` (bitstrings as binary integers, ascending).  ``codes``
-    (int8, into :data:`~entnet.bipartitions.LABELS`) and ``labels`` hold each
-    row's entanglement class, for every row or for none (both are then
-    None): :meth:`classify` sets them all at once.  They are the only store
-    of the labels; a row's state carries none.  ``dicke`` is an eraser
-    table's :func:`dicke_family_fidelity` column.
+    clicks.  They are gathered by place from ``clicks``, the same three
+    counts per pattern of ``patterns`` (``Cells.clicks``, kept with the
+    sector table), or counted from ``patterns`` when none are given, as for
+    a hand-built row.  The normalized projected amplitudes are one CSR
+    block: row ``i`` has ``amplitudes[offsets[i]:offsets[i + 1]]`` on the
+    atomic registers ``atoms[...]`` (bitstrings as binary integers,
+    ascending).  ``codes`` (int8, into :data:`~entnet.bipartitions.LABELS`)
+    and ``labels`` hold each row's entanglement class, for every row or for
+    none (both are then None): :meth:`classify` sets them all at once.
+    They are the only store of the labels; a row's state carries none.
+    ``dicke`` is an eraser table's :func:`dicke_family_fidelity` column.
 
-    ``orbit_keys`` holds each row's key under the output symmetries that
-    keep every row's label (:func:`~entnet.photonics.orbit_keys`), which
-    :meth:`orbits` groups; by default it is ``places``, so that each row is
-    its own orbit.
+    ``orbit_keys`` holds each row's orbit number under the output symmetries
+    that keep every row's label (:func:`~entnet.photonics.orbit_keys`), below
+    ``len(patterns)``, which :meth:`orbits` groups; by default it is
+    ``places``, so that each row is its own orbit.
     """
 
     def __init__(self, n_atoms: int, modes: list[Mode], patterns: np.ndarray,
                  places: np.ndarray, probabilities: list[float], offsets: np.ndarray,
                  atoms: np.ndarray, amplitudes: np.ndarray, codes: np.ndarray | None = None,
-                 orbit_keys: np.ndarray | None = None):
+                 orbit_keys: np.ndarray | None = None, clicks: tuple | None = None):
         self.n_atoms = n_atoms
         self.modes, self.patterns, self.places = modes, patterns, places
-        self.occupations = occupations = patterns[places]
         self.probabilities = probabilities
-        self.n_detectors = (occupations > 0).sum(axis=1)
-        self.n_photons = occupations.sum(axis=1, dtype=np.int64)
-        self.max_per_detector = occupations.max(axis=1, initial=0)
+        if clicks is None:
+            clicks = ((patterns > 0).sum(axis=1), patterns.sum(axis=1, dtype=np.int64),
+                      patterns.max(axis=1, initial=0))
+        self._clicks = clicks
+        self.n_detectors, self.n_photons, self.max_per_detector = (c[places] for c in clicks)
         self.offsets, self.atoms, self.amplitudes = offsets, atoms, amplitudes
         self.codes = codes
         self.labels = None if codes is None else LABELS[codes].tolist()
         self.orbit_keys = places if orbit_keys is None else orbit_keys
         self.dicke: list[float] | None = None
         self._entries = None  # the CSR block as Python lists, made for the first state read
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """Each row's photons per output mode, ``patterns[places]``, gathered on each read."""
+        return self.patterns[self.places]
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -127,7 +137,11 @@ class DetectionTable:
         return tuple(map(self._row, picked)) if isinstance(index, slice) else self._row(picked)
 
     def __iter__(self):
-        return map(self._row, range(len(self.probabilities)))
+        new = ProjectionRow.__new__
+        for i in range(len(self.probabilities)):
+            row = new(ProjectionRow)
+            row._table, row._index = self, i
+            yield row
 
     def _row(self, i: int) -> "ProjectionRow":
         """A new view of row ``i``."""
@@ -138,15 +152,22 @@ class DetectionTable:
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """The orbit column: each row's orbit, and the row of each orbit that is walked.
 
-        Two rows share an orbit when they have one orbit key, so that a
+        Two rows share an orbit when they have one orbit number, so that a
         symmetry maps one pattern to the other, and as many cells; the
-        walked row is the orbit's first.
+        walked row is the orbit's first, found by one ``np.minimum.at``
+        scatter over the ``len(patterns)`` orbit numbers, in orbit-number
+        order.  A row with another cell count than its orbit's first row is
+        walked alone, after them.
         """
-        _, first, orbit = np.unique(self.orbit_keys, return_index=True, return_inverse=True)
+        keys, n_rows = self.orbit_keys, len(self.orbit_keys)
+        first = np.full(len(self.patterns), n_rows)
+        np.minimum.at(first, keys, np.arange(n_rows))
+        seen = first < n_rows
+        walked, orbit = first[seen], (np.cumsum(seen) - 1)[keys]
         sizes = np.diff(self.offsets)
-        lone = np.flatnonzero(sizes != sizes[first][orbit])
-        orbit[lone] = len(first) + np.arange(len(lone))
-        return np.concatenate((first, lone)), orbit
+        lone = np.flatnonzero(sizes != sizes[walked][orbit])
+        orbit[lone] = len(walked) + np.arange(len(lone))
+        return np.concatenate((walked, lone)), orbit
 
     def classify(self) -> None:
         """Label every row in one walk of the CSR rows of its orbits' walked rows.
@@ -163,16 +184,16 @@ class DetectionTable:
     def take(self, rows: Sequence[int]) -> "DetectionTable":
         """A table of the rows ``rows`` of this one, in that order.
 
-        It shares this table's sector table and keeps the rows' places and orbit
-        keys, so its own first label query walks one row per orbit of the rows
-        taken, and any labels already set.
+        It shares this table's sector table and its click counts per pattern, and
+        keeps the rows' places and orbit numbers, so its own first label query walks
+        one row per orbit of the rows taken, and any labels already set.
         """
         offsets, entries = _gather(self.offsets, rows)
         return DetectionTable(
             self.n_atoms, self.modes, self.patterns, self.places[rows],
             [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
             self.amplitudes[entries], None if self.codes is None else self.codes[rows],
-            self.orbit_keys[rows])
+            self.orbit_keys[rows], self._clicks)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -221,7 +242,7 @@ class ProjectionRow:
     @property
     def pattern(self) -> DetectionPattern:
         table = self._table
-        counts = table.occupations[self._index].tolist()
+        counts = table.patterns[table.places[self._index]].tolist()
         return FockState.from_key([(m, k) for m, k in zip(table.modes, counts) if k])
 
     @property
@@ -281,10 +302,11 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
     probabilities sum to 1, as the input must be normalized.  The returned
     :class:`DetectionTable` holds them as columns and makes each row when it
     is read.  It holds the cells' sector table and each row's place in it,
-    and each row's orbit key under the output symmetries of ``u`` under
+    the rows' click counts gathered by place from the sector table's, and
+    each row's orbit number under the output symmetries of ``u`` under
     which ``state``'s rows keep their labels (:func:`_label_symmetries`,
     :func:`~entnet.photonics.orbit_keys`), so its first label query walks
-    one row per orbit.  Without symmetries a row's key is its place.
+    one row per orbit.  Without symmetries a row's number is its place.
 
     The table takes the cells of :func:`~entnet.photonics.propagate` as they
     come, in table order, and works on all rows at once in numpy.  Each
@@ -299,7 +321,7 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
         ValueError: the input's norm squared is off 1 by more than
             ``NORM_TOL`` (raised before any term is expanded), or an
             amplitude is not finite, so a row cannot be normalized.
-        CapacityError: the whole expansion is oversize.
+        CapacityError: the terms that the expansion steps are oversize.
         DimensionMismatch: a photon sits on a port that is not an integer in
             ``1..dim``.  Both are raised before any term is expanded.
     """
@@ -318,7 +340,8 @@ def run_gbsa(state: HybridState, u: MultiportMatrix) -> DetectionTable:
         raise ValueError("a projected state cannot be normalized: an amplitude is not finite")
     return DetectionTable(
         state.n_atoms, out.modes, out.occupations, out.places, probs.tolist(), offsets,
-        out.registers, amplitudes, orbit_keys=orbit_keys(out, _label_symmetries(state, u)))
+        out.registers, amplitudes, orbit_keys=orbit_keys(out, _label_symmetries(state, u)),
+        clicks=out.clicks)
 
 
 def _label_symmetries(state: HybridState, u: MultiportMatrix) -> list[np.ndarray]:
@@ -373,9 +396,10 @@ def _suppressed(table: DetectionTable, total_clicks: int) -> list[DetectionPatte
     """:func:`suppressed_patterns` against a table that :func:`run_gbsa` built.
 
     The candidates are the ``total_clicks``-photon patterns of the table's
-    sector table, in Fock-key order; those at no row's place are suppressed.
+    sector table (read off its photon counts per pattern), in Fock-key order;
+    those at no row's place are suppressed.
     """
-    candidates = table.patterns.sum(axis=1) == total_clicks
+    candidates = table._clicks[1] == total_clicks
     candidates[table.places] = False
     return [FockState.from_key([(m, k) for m, k in zip(table.modes, counts) if k])
             for counts in table.patterns[candidates].tolist()]
@@ -462,7 +486,7 @@ def wpe_herald(state: HybridState, u: MultiportMatrix, m_clicks: int,
     The rows are picked on the click columns of :func:`run_gbsa`'s table,
     not row by row, and taken into a table of their own
     (:meth:`DetectionTable.take`), which keeps their places in the sector
-    table and their orbit keys: its first label query walks one row per
+    table and their orbit numbers: its first label query walks one row per
     orbit.  :class:`HeraldRule` refuses an ``m_clicks`` that is not an
     integer >= 1, before any work.
     """

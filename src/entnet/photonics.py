@@ -347,8 +347,10 @@ def _sector_table(every: np.ndarray, sectors: list[tuple]) -> tuple:
     """Over the patterns of ``sectors`` (photons per polarization), numbered sector by sector
     as in :func:`_step_table`: each one's ``prod sqrt(k!)``, taken in mode order, and place in
     canonical (Fock-key) order, then the photons per output mode (sorted :class:`Mode` order)
-    of the pattern at each place.  A key's ``(mode, k)`` pairs (in mode order) are sorted as
-    codes ``mode index * base + k``, a missing one as -1."""
+    of the pattern at each place and its click columns: modes fired, photons, and the most
+    photons in one mode, each in the smallest unsigned type that holds it.  A key's
+    ``(mode, k)`` pairs (in mode order) are sorted as codes ``mode index * base + k``, a
+    missing one as -1."""
     import numpy as np
     dim, parts = every.shape[1], []
     for counts in sectors:  # each pattern's multisets, interleaved port by port
@@ -369,7 +371,10 @@ def _sector_table(every: np.ndarray, sectors: list[tuple]) -> tuple:
     order = np.lexsort(code.T[::-1])
     place = np.empty(len(occupations), np.min_scalar_type(len(occupations)))
     place[order] = np.arange(len(occupations))
-    return fact, place, occupations[order]
+    occupations = occupations[order]
+    fired = (occupations > 0).sum(axis=1, dtype=np.min_scalar_type(occupations.shape[1]))
+    photons = occupations.sum(axis=1, dtype=np.min_scalar_type(max(map(sum, sectors))))
+    return fact, place, occupations, fired, photons, occupations.max(axis=1, initial=0)
 
 
 def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: list[str],
@@ -420,19 +425,13 @@ def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: lis
     return done
 
 
-def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
-                     pols: list[str], grow: np.ndarray) -> dict:
-    """:func:`_expand`'s sectors, with one sector of each H<->V-mirrored pair expanded.
+def _mirror(monomials: list[Monomial], coeffs: list[complex], pols: list[str]) -> tuple:
+    """The terms that :func:`_expand_mirrored` steps, each term's H<->V partner, and ``S``.
 
     Linear optics keeps polarization, so when the photons are H and V and every term
     has a partner with each photon's polarization swapped, in the same order, and
-    coefficient ``S`` times its own for one ``S = +-1``, the partner's parts are the
-    term's with the H and V multisets swapped, times ``S``, to the bit.  Then only the
-    terms with no more H than V photons are expanded, and each sector ``(v, h)`` with
-    ``h < v`` is copied from ``(h, v)``: the pattern axes transposed, each row moved to
-    its term's partner, in input order, and negated as ``0.0 - x`` for ``S = -1`` (the
-    expansion's sums start at ``0.0``, so they hold no ``-0.0``).  Other inputs are
-    expanded whole.
+    coefficient ``S`` times its own for one ``S = +-1``, only the terms with no more H
+    than V photons are stepped.  Other inputs step every term, with no partner or sign.
     """
     import numpy as np
     sign = None
@@ -443,12 +442,30 @@ def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
         sign = next((s for s in (1, -1) if None not in partner
                      and all(coeffs[j] == s * c for j, c in zip(partner, coeffs))), None)
     if sign is None:
-        return _expand(monomials, coeffs, entries, pols, grow)
+        return np.arange(len(monomials)), None, None
     stepped = np.flatnonzero([2 * sum(m.pol == "H" for m in mono) <= len(mono)
                               for mono in monomials])
+    return stepped, np.array(partner), sign
+
+
+def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
+                     pols: list[str], grow: np.ndarray, mirror: tuple) -> dict:
+    """:func:`_expand`'s sectors, with one sector of each H<->V-mirrored pair expanded.
+
+    With a ``mirror`` (:func:`_mirror`), the partner's parts are the term's with the H
+    and V multisets swapped, times ``S``, to the bit.  So only the stepped terms are
+    expanded, and each sector ``(v, h)`` with ``h < v`` is copied from ``(h, v)``: the
+    pattern axes transposed, each row moved to its term's partner, in input order, and
+    negated as ``0.0 - x`` for ``S = -1`` (the expansion's sums start at ``0.0``, so
+    they hold no ``-0.0``).  Other inputs are expanded whole.
+    """
+    import numpy as np
+    stepped, partner, sign = mirror
+    if sign is None:
+        return _expand(monomials, coeffs, entries, pols, grow)
     done = _expand([monomials[i] for i in stepped], [coeffs[i] for i in stepped], entries,
                    pols, grow)
-    dim, partner = grow.shape[1], np.array(partner)
+    dim = grow.shape[1]
     for (h, v), (term, re, im) in list(done.items()):
         term = stepped[term]
         done[h, v] = term, re, im
@@ -469,16 +486,19 @@ class Cells(NamedTuple):
 
     The sector table (:func:`_sector_table`) holds every pattern of the polarization
     ``sectors`` (photons per polarization, sorted) of the expanded terms in Fock-key order: the
-    one at place ``p`` has ``occupations[p, i]`` photons in output mode ``modes[i]``.
-    It may be kept across calls, and is then read-only (:func:`_kept`); a detection
-    table holds it as its ``patterns``.  Pattern ``j`` is the one at place
-    ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
+    one at place ``p`` has ``occupations[p, i]`` photons in output mode ``modes[i]``, and
+    ``clicks`` holds its modes fired, photons and most photons in one mode, counted once
+    per pattern at ``clicks[0][p]``, ``clicks[1][p]`` and ``clicks[2][p]``.  Both may be
+    kept across calls, and are then read-only (:func:`_kept`); a detection table holds
+    the patterns as its ``patterns`` and gathers its rows' clicks.  Pattern ``j`` is the
+    one at place ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
     ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a binary integer),
     sorted by pattern, then register."""
 
     modes: list[Mode]  # sorted
     sectors: list[tuple]
     occupations: np.ndarray
+    clicks: tuple  # (modes fired, photons, most photons in one mode), per place
     places: np.ndarray
     pattern: np.ndarray
     registers: np.ndarray
@@ -491,7 +511,8 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
     :func:`expand_to_fock` fused (:func:`_expand`): coefficients ``amp / fact``
     in, each sector with more H than V photons copied from its mirror when
-    every term has an H<->V partner (:func:`_expand_mirrored`, the same bits),
+    every term has an H<->V partner (:func:`_mirror`, :func:`_expand_mirrored`,
+    the same bits), the terms it steps sized first (:func:`check_capacity`),
     output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
     into each cell in :meth:`HybridState.items` order from ``0.0``.  A cell
     below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm check), and so
@@ -501,7 +522,7 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
-        CapacityError: the whole expansion is oversize.  Both are raised
+        CapacityError: the terms it steps expand oversize.  Both are raised
             before any term is expanded.
     """
     import numpy as np  # imported where used, so states and modes import without it
@@ -516,19 +537,20 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
         coeff = amp / fact
         if abs(coeff) >= MERGE_TOL:
             inputs.append((atoms, fock.monomial(), coeff))
-    check_capacity((mono for _, mono, _ in inputs), dim)
     if not inputs:
-        return Cells([], [], np.zeros((0, 0), np.uint8),
+        return Cells([], [], np.zeros((0, 0), np.uint8), (np.zeros(0, np.uint8),) * 3,
                      *(np.zeros(0, t) for t in (int, int, int, complex)))
 
-    pols = sorted({m.pol for _, mono, _ in inputs for m in mono})
-    top = max(len(mono) for _, mono, _ in inputs)
+    monomials, coeffs = [mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs]
+    pols = sorted({m.pol for mono in monomials for m in mono})
+    mirror = _mirror(monomials, coeffs, pols)
+    check_capacity((monomials[i] for i in mirror[0]), dim)
+    top = max(map(len, monomials))
     every, grow = _kept(("sets", dim, top), lambda: _multisets(dim, top))
-    done = _expand_mirrored([mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs],
-                            inverse_matrix.entries, pols, grow)
+    done = _expand_mirrored(monomials, coeffs, inverse_matrix.entries, pols, grow, mirror)
     sectors = sorted(done)
-    fact, place, occupations = _kept(("sectors", dim, *sectors),
-                                     lambda: _sector_table(every, sectors))
+    fact, place, occupations, *clicks = _kept(("sectors", dim, *sectors),
+                                              lambda: _sector_table(every, sectors))
     registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
     parts, start = [], 0
     for counts in sectors:
@@ -550,28 +572,34 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     first = np.ones(len(place), bool)  # each live pattern's first cell
     first[1:] = place[1:] != place[:-1]
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
-    return Cells(modes, sectors, occupations, place[first], np.cumsum(first) - 1,
+    return Cells(modes, sectors, occupations, tuple(clicks), place[first], np.cumsum(first) - 1,
                  registers[order], amplitudes[order])
 
 
 def orbit_keys(cells: Cells, permutations) -> np.ndarray:
-    """Each pattern's orbit key under the output port ``permutations``, by place.
+    """Each pattern's orbit number under the output port ``permutations``, by place.
 
     ``permutations`` are given as :attr:`MultiportMatrix.symmetries
     <entnet.interferometers.MultiportMatrix.symmetries>` gives them: each moves
-    the photons on port ``k`` to port ``perm[k]``.  A key is the least over a
-    pattern's images (:func:`_least_keys`); the keys are built once per sector table
-    and permutation set, for every pattern of the sector table, and kept, and each
-    of ``cells``' patterns reads its key by place.  A sector table too large to keep
+    the photons on port ``k`` to port ``perm[k]``.  Two patterns share an orbit when
+    they have one least key over their images (:func:`_least_keys`), and the orbits
+    are numbered densely in the order of those keys, so every number is below the
+    number of patterns.  The numbers are built once per sector table and permutation
+    set, for every pattern of the sector table, by one ``np.unique``, and kept; each of
+    ``cells``' patterns reads its number by place.  A sector table too large to keep
     hands its own patterns to the builder, so it is not built twice.  Without
-    permutations each pattern's key is its place.
+    permutations each pattern's number is its place.
     """
     import numpy as np
     if not len(permutations):
         return cells.places
     moved = np.argsort([np.arange(len(permutations[0])), *permutations], axis=1)
-    return _kept(("orbits", moved.shape[1], *cells.sectors, moved.tobytes()),
-                 lambda: (_least_keys(cells.occupations, moved),))[0][cells.places]
+
+    def build():
+        orbit = np.unique(_least_keys(cells.occupations, moved), return_inverse=True)[1]
+        return (orbit.astype(np.min_scalar_type(len(orbit))),)
+    key = ("orbits", moved.shape[1], *cells.sectors, moved.tobytes())
+    return _kept(key, build)[0][cells.places]
 
 
 def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -580,8 +608,7 @@ def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
     Image ``i`` puts the photons of port ``moved[i, p]`` on port ``p``.  A key is the
     pair of the pattern's multiset ranks, one per polarization (the patterns' modes
     are sorted, so port by port), read through each image's ranks of every multiset
-    (:func:`_multisets`), so it fits int64 at every size; the keys come in the
-    smallest type that holds them.
+    (:func:`_multisets`), so it fits int64 at every size.
     """
     import numpy as np
     dim = moved.shape[1]
@@ -595,7 +622,7 @@ def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
         for q in range(pols):  # the (H, V) pair
             key = key * len(every) + image[ranks[:, q]]
         np.minimum(least, key, out=least)
-    return least.astype(np.min_scalar_type(len(every) ** pols))
+    return least
 
 
 def expand_to_fock(poly: PhotonPolynomial, atoms: str = "") -> HybridState:

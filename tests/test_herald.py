@@ -104,7 +104,7 @@ def test_swap_capacity_refused_before_any_expansion(monkeypatch):
     run_gbsa(wpe_state(2, 0.2), beam_splitter())
     assert len(calls) == 4  # the eraser's photons have no polarization to mirror
     calls.clear()
-    with pytest.raises(CapacityError):  # 8 pairs on 8 ports: 22.2M output terms
+    with pytest.raises(CapacityError):  # 8 pairs on 8 ports: 14.9M terms from the stepped half
         run_gbsa(prepare_swap_input(8), symmetric_multiport(3))
     assert calls == []
 
@@ -371,7 +371,9 @@ def test_mirrored_sectors_equal_the_expanded_ones_to_the_bit(monkeypatch, name):
     args = _expansion_arguments(prepare_swap_input(n, signs, ports), u())
     want = entnet.photonics._expand(*args)
     calls = _count_expansions(monkeypatch)
-    got = entnet.photonics._expand_mirrored(*args)
+    monomials, coeffs, _, pols, _ = args
+    got = entnet.photonics._expand_mirrored(*args,
+                                            entnet.photonics._mirror(monomials, coeffs, pols))
     assert len(calls) == sum(math.comb(n, h) for h in range(n // 2 + 1))  # h H photons
     assert got.keys() == want.keys()
     for counts in want:  # the terms, then the real and imaginary parts, +-0 included
@@ -794,6 +796,112 @@ def test_label_symmetries_survive_take():
     assert np.array_equal(kept.places, rows.places[taken])
     assert np.array_equal(kept.orbit_keys, rows.orbit_keys[taken])
     assert len(np.unique(kept.orbit_keys)) < len(kept)
+
+
+def _counted_clicks(table):
+    """The click columns as the reductions of the table's occupation matrix give them."""
+    occupations = table.occupations
+    return [(occupations > 0).sum(axis=1).tolist(), occupations.sum(axis=1).tolist(),
+            occupations.max(axis=1, initial=0).tolist()]
+
+
+def test_click_columns_are_gathered_from_the_sector_tables_counts(monkeypatch):
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    u = symmetric_multiport(3)
+    state = prepare_swap_input(4, [1, -1, 1, 1], [1, 2, 4, 7])
+    kept = run_gbsa(state, u)
+    assert run_gbsa(state, u).patterns is kept.patterns  # a kept sector table
+    unkept = subnetwork_swap(6, u)
+    assert ("sectors", 8, *((h, 6 - h) for h in range(7))) not in entnet.photonics._tables
+    taken = kept.take(np.flatnonzero(kept.n_detectors == 3)[::-1])
+    row = kept[len(kept) // 2]
+    hand_built = dataclasses.replace(row, probability=0.5)._table
+    for table in (kept, unkept, taken, hand_built):
+        assert [table.n_detectors.tolist(), table.n_photons.tolist(),
+                table.max_per_detector.tolist()] == _counted_clicks(table)
+        assert "occupations" not in vars(table)  # the matrix is gathered only when read
+    assert len(taken) and set(taken.n_detectors.tolist()) == {3}
+    assert (hand_built.n_photons.tolist(), hand_built.n_detectors.tolist()) == \
+        ([row.n_photons], [row.n_detectors])
+    clicks = propagate(state, inverse(u)).clicks  # the kept counts, one per pattern
+    assert [len(c) for c in clicks] == [len(kept.patterns)] * 3
+    assert not any(c.flags.writeable for c in clicks)
+    with pytest.raises(ValueError, match="read-only"):
+        clicks[1][0] = 9
+
+
+def _orbits_by_unique(table):
+    """The orbit column as one ``np.unique`` of the orbit numbers, with the lone guard."""
+    _, first, orbit = np.unique(table.orbit_keys, return_index=True, return_inverse=True)
+    sizes = np.diff(table.offsets)
+    lone = np.flatnonzero(sizes != sizes[first][orbit])
+    orbit[lone] = len(first) + np.arange(len(lone))
+    return np.concatenate((first, lone)).tolist(), orbit.tolist()
+
+
+def _every_seventh_reversed(table):
+    return table.take(np.arange(len(table))[::-7])
+
+
+def _one_orbit(table):
+    """``table`` with every row given orbit number 0, so rows of other cell counts are lone."""
+    table.orbit_keys = np.zeros(len(table), np.uint8)
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    lambda: run_gbsa(prepare_swap_input(4, [1, -1, -1, 1], [2, 3, 5, 8]),
+                     symmetric_multiport(3)),
+    lambda: run_gbsa(prepare_swap_input(3, [1, -1, 1], [1, 2, 4]),
+                     MultiportMatrix(4, _haar_unitary(np.random.default_rng(17), 4))),
+    lambda: _every_seventh_reversed(run_gbsa(_phased_eraser(), symmetric_multiport(3))),
+    lambda: run_gbsa(prepare_swap_input(4), quarter()).take([]),
+    lambda: _one_orbit(run_gbsa(prepare_swap_input(4), quarter())),
+], ids=["symmetries", "no-symmetries", "take-reversed", "empty", "lone-rows"])
+def test_orbits_give_the_partition_of_one_unique_of_the_orbit_numbers(table):
+    table = table()
+    walked, orbit = table.orbits()
+    assert (walked.tolist(), orbit.tolist()) == _orbits_by_unique(table)
+    assert all(0 <= k < len(table.patterns) for k in table.orbit_keys.tolist())
+
+
+class _Watched(np.ndarray):
+    """An occupation matrix that records each ufunc reduction along its mode axis."""
+
+    reductions: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if method == "reduce" and kwargs.get("axis") in (1, -1, (1,), (-1,)):
+            _Watched.reductions.append(ufunc.__name__)
+        plain = [x.view(np.ndarray) if isinstance(x, _Watched) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, _Watched) else x
+                                  for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        # an elementwise result, such as ``patterns > 0``, is watched in turn
+        if method == "__call__" and out is None and isinstance(result, np.ndarray):
+            return result.view(_Watched)
+        return result
+
+
+def test_warm_swap_tables_are_built_and_labelled_without_sorts_or_row_reductions(monkeypatch):
+    state, u = prepare_swap_input(4, [1, -1, 1, 1], [1, 2, 4, 7]), symmetric_multiport(3)
+    run_gbsa(state, u)  # warm: the sector table, its counts and the orbit numbers are kept
+    cells = propagate(state, inverse(u))
+    watched = cells._replace(occupations=cells.occupations.view(_Watched))
+    monkeypatch.setattr(entnet.herald, "propagate", lambda *args: watched)
+    monkeypatch.setattr(_Watched, "reductions", [])
+    sorts, unique = [], np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *args, **kw: sorts.append(args) or unique(*args, **kw))
+    rows = run_gbsa(state, u)
+    labels = [row.state_class() for row in rows]
+    aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
+    aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
+    assert (sorts, _Watched.reductions) == ([], [])
+    assert len(labels) == len(rows) == 3516 and isinstance(rows.patterns, _Watched)
+    rows.occupations.max(axis=1)  # the watch sees a reduction when there is one
+    assert _Watched.reductions == ["maximum"]
 
 
 def test_aggregating_a_table_reads_its_columns(monkeypatch):

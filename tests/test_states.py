@@ -287,6 +287,36 @@ def test_entanglement_class_matches_every_bipartition(state, data):
         entanglement_classes([state, data.draw(qubit_states(other))])
 
 
+def test_one_cell_rows_are_product_and_never_walked(monkeypatch):
+    rng = np.random.default_rng(3)
+    walked, walk_sector = [], entnet.bipartitions._walk_sector
+
+    def checked(n_qubits, plan, vecs):
+        assert ((vecs != 0).sum(axis=0) > 1).all()  # no column holds one basis state
+        walked.append(vecs.shape[1])
+        return walk_sector(n_qubits, plan, vecs)
+
+    monkeypatch.setattr(entnet.bipartitions, "_walk_sector", checked)
+    singles = [QubitState(4, {"0110": 1j}), QubitState(4, {"1111": -1.0}),
+               QubitState(4, {"0000": 1.0})]
+    fixed = [_weight_state(rng, 4, 2), dicke_state(1, 4)]  # one Hamming weight each
+    mixed = [_haar_state(rng, 4), ghz_basis_state(1, "-", 4)]  # several weights
+    batch = [singles[0], fixed[0], mixed[0], singles[1], fixed[1], mixed[1], singles[2]]
+    labels = entanglement_classes(batch)
+    assert labels == [_reference_class(s) for s in batch]
+    assert labels == [entanglement_class(s) for s in batch]
+    assert [labels[i] for i in (0, 3, 6)] == ["product"] * 3
+    assert sum(walked) == 8  # the four several-cell states, in each of the two passes
+    codes = entnet.bipartitions.entanglement_classes_csr(
+        3, np.zeros(1, int), np.zeros(0, int), np.zeros(0, complex))
+    assert (codes.dtype, codes.shape) == (np.int8, (0,))  # an empty block
+    assert entanglement_classes([]) == []
+    walked.clear()
+    one_qubit = [QubitState(1, {"1": 1.0}), QubitState(1, {"0": 1 / S2, "1": 1j / S2})]
+    assert entanglement_classes(one_qubit) == ["product", "product"]
+    assert walked == [1]  # the superposition alone
+
+
 def test_batched_walk_memory_does_not_grow_with_the_table():
     states = [row.state for row in subnetwork_swap(4, symmetric_multiport(3))]
     assert len(states) > 2500
