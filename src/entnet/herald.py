@@ -186,12 +186,15 @@ class DetectionTable:
 
         It shares this table's sector table and its click counts per pattern, and
         keeps the rows' places and orbit numbers, so its own first label query walks
-        one row per orbit of the rows taken, and any labels already set.
+        one row per orbit of the rows taken, and any labels already set.  ``rows``
+        indexes as a numpy array does: negative indices count from the end, a boolean
+        mask picks its rows, and an index out of range raises :class:`IndexError`.
         """
+        rows = np.arange(len(self))[rows]  # one set of rows for every column
         offsets, entries = _gather(self.offsets, rows)
         return DetectionTable(
             self.n_atoms, self.modes, self.patterns, self.places[rows],
-            [self.probabilities[i] for i in rows], offsets, self.atoms[entries],
+            [self.probabilities[i] for i in rows.tolist()], offsets, self.atoms[entries],
             self.amplitudes[entries], None if self.codes is None else self.codes[rows],
             self.orbit_keys[rows], self._clicks)
 

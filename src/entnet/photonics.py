@@ -5,8 +5,11 @@ Photonic states are sums of creation-operator monomials acting on vacuum
 (:class:`HybridState`), pure and immutable after construction; coefficients
 below ``MERGE_TOL`` are dropped.  :func:`propagate` is the expansion that
 detection tables use: linear optics keeps each photon's polarization, so it
-numbers each partial pattern by dense multiset ranks, one per polarization,
-and looks each photon step up in a table.  The polynomial path
+numbers each partial pattern by dense multiset ranks, one per polarization.
+All of its index bookkeeping is one expansion plan (:func:`_plan`), built once
+per input structure and kept while small: each photon step is one gather and
+a bincount pair over one flat array of every term's patterns, and the cells
+are gathered straight into table order.  The polynomial path
 (:func:`fock_to_polynomial`, :func:`apply_mode_transform`,
 :func:`expand_to_fock`) is its reference; the two agree to rounding.  Each
 complex product is two float parts, as CPython multiplies: numpy's complex
@@ -16,10 +19,11 @@ multiply rounds differently and changes 9 lines of ``swap-table --n 3
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -280,20 +284,29 @@ def apply_mode_transform(poly: PhotonPolynomial, inverse_matrix) -> PhotonPolyno
     return out
 
 
-#: children a photon step makes at once (or one term's, if more)
+#: children a photon step makes at once (or one term's, if more), and cells one gather fills
 _BATCH_CHILDREN = 1 << 16
 _tables: dict[tuple, tuple] = {}  # the kept tables, by what they are built from; read-only
 
 
-def _kept(key: tuple, build) -> tuple:
-    """``build()``'s arrays, kept read-only under ``key`` if no larger than ``_BATCH_CHILDREN``
-    float64s."""
-    table = _tables.get(key) or build()
-    if key not in _tables and sum(a.nbytes for a in table) <= 8 * _BATCH_CHILDREN:
-        for a in table:  # handed out, as Cells.occupations and DetectionTable.patterns
+def _kept(key: tuple, build) -> Iterator[np.ndarray]:
+    """The arrays that ``build()`` makes, one at a time, or those kept under ``key``.
+
+    Built arrays are kept, read-only, once the last is handed out, if together they are
+    no larger than ``_BATCH_CHILDREN`` float64s.  Past that none is held, so that a build
+    too large to keep makes each array when its user reaches it, and drops it after."""
+    if key in _tables:
+        yield from _tables[key]
+        return
+    kept, size = [], 0
+    for a in build():
+        size += a.nbytes
+        kept = size <= 8 * _BATCH_CHILDREN and kept + [a]  # False once over the budget
+        yield a
+    if kept:
+        for a in kept:  # handed out, as Cells.occupations and DetectionTable.patterns
             a.setflags(write=False)
-        _tables[key] = table
-    return table
+        _tables[key] = tuple(kept)
 
 
 def _multiset_ranks(counts: np.ndarray) -> np.ndarray:
@@ -327,27 +340,11 @@ def _multisets(dim: int, top: int) -> tuple:
     return every, grow
 
 
-def _step_table(grow: np.ndarray, counts: tuple, pol: int) -> tuple:
-    """Entry ``[j, k]`` numbers pattern ``j`` of ``counts`` plus a photon of ``pol`` on port ``k``.
-
-    A pattern with ``counts[q]`` photons of polarization ``q`` is numbered by its multisets'
-    places among those of as many photons, a digit per polarization, the last the fastest;
-    the digit of ``pol`` moves as ``grow`` (:func:`_multisets`) says."""
-    import numpy as np
-    dim, k = grow.shape[1], counts[pol]
-    sizes = [math.comb(dim + c - 1, c) for c in counts]
-    lo, hi, size = math.comb(dim + k - 1, dim), math.comb(dim + k, dim), math.comb(dim + k, k + 1)
-    high, low = math.prod(sizes[:pol]), math.prod(sizes[pol + 1:])
-    child = (np.arange(high)[:, None, None, None] * size + grow[lo:hi, None] - hi) * low
-    return ((child + np.arange(low)[:, None]).reshape(-1, dim).astype(
-        np.min_scalar_type(high * size * low)),)
-
-
 def _sector_table(every: np.ndarray, sectors: list[tuple]) -> tuple:
     """Over the patterns of ``sectors`` (photons per polarization), numbered sector by sector
-    as in :func:`_step_table`: each one's ``prod sqrt(k!)``, taken in mode order, and place in
-    canonical (Fock-key) order, then the photons per output mode (sorted :class:`Mode` order)
-    of the pattern at each place and its click columns: modes fired, photons, and the most
+    as in :func:`_plan`: each one's place in canonical (Fock-key) order, then, by place,
+    each pattern's ``prod sqrt(k!)``, taken in mode order, its photons per output mode (sorted
+    :class:`Mode` order) and its click columns: modes fired, photons, and the most
     photons in one mode, each in the smallest unsigned type that holds it.  A key's
     ``(mode, k)`` pairs (in mode order) are sorted as codes ``mode index * base + k``, a
     missing one as -1."""
@@ -374,59 +371,11 @@ def _sector_table(every: np.ndarray, sectors: list[tuple]) -> tuple:
     occupations = occupations[order]
     fired = (occupations > 0).sum(axis=1, dtype=np.min_scalar_type(occupations.shape[1]))
     photons = occupations.sum(axis=1, dtype=np.min_scalar_type(max(map(sum, sectors))))
-    return fact, place, occupations, fired, photons, occupations.max(axis=1, initial=0)
-
-
-def _expand(monomials: list[Monomial], coeffs: list[complex], entries, pols: list[str],
-            grow: np.ndarray) -> dict:
-    """Per sector (photons per polarization), its terms in input order and (terms x patterns) parts.
-
-    A term takes a photon step per operator, in order, with the terms of as many
-    photons per polarization, in blocks of at most ``_BATCH_CHILDREN`` children:
-    each pattern times a row of the inverse matrix ``entries`` in two float parts,
-    each child's parents added in order from ``0.0`` (:func:`_step_table` on ``grow``).  A sum
-    below ``MERGE_TOL`` is set to zero (a NaN stays), so its children move no sum.
-    Where every term has an H<->V partner, :func:`propagate` hands it only the terms
-    with no more H than V photons (:func:`_expand_mirrored`)."""
-    import numpy as np
-    dim, top = grow.shape[1], max(map(len, monomials))
-    e = np.array(entries, complex).reshape(dim, dim)
-    e_re, e_im = e.real.copy(), e.imag.copy()
-    op = np.full((len(monomials), top + 1), -1)  # each photon's pol * dim + port, -1 past the last
-    for i, mono in enumerate(monomials):
-        op[i, :len(mono)] = [pols.index(m.pol) * dim + m.port - 1 for m in mono]
-    coeffs = np.array(coeffs, complex).reshape(-1, 1)
-    steps, done = {(0,) * len(pols): [(np.arange(len(monomials)), coeffs.real, coeffs.imag)]}, {}
-    for t in range(top + 1):
-        groups, steps = steps, {}
-        for counts, blocks in groups.items():
-            term, re, im = (np.concatenate(part) for part in zip(*blocks))
-            pol, port = np.divmod(op[term, t], dim)
-            for q in sorted(set(pol.tolist())):
-                rows = np.flatnonzero(pol == q)
-                if q < 0:  # the terms that end here, in input order
-                    rows = rows[np.argsort(term[rows])]
-                    done[counts] = term[rows], re[rows], im[rows]
-                    continue
-                child = _kept(("step", dim, counts, q), lambda: _step_table(grow, counts, q))[0]
-                grown = counts[:q] + (counts[q] + 1,) + counts[q + 1:]
-                size = math.prod(math.comb(dim + k - 1, k) for k in grown)
-                batch = max(1, _BATCH_CHILDREN // child.size)
-                for r in (rows[lo:lo + batch] for lo in range(0, len(rows), batch)):
-                    a, b = re[r, :, None], im[r, :, None]
-                    er, ei = e_re[port[r], None], e_im[port[r], None]
-                    slot = (np.arange(len(r))[:, None, None] * size + child).ravel()
-                    s_re = np.bincount(slot, (a * er - b * ei).ravel(), len(r) * size)
-                    s_im = np.bincount(slot, (a * ei + b * er).ravel(), len(r) * size)
-                    dead = np.hypot(s_re, s_im) < MERGE_TOL
-                    s_re[dead] = s_im[dead] = 0.0
-                    steps.setdefault(grown, []).append(
-                        (term[r], s_re.reshape(len(r), size), s_im.reshape(len(r), size)))
-    return done
+    return place, fact[order], occupations, fired, photons, occupations.max(axis=1, initial=0)
 
 
 def _mirror(monomials: list[Monomial], coeffs: list[complex], pols: list[str]) -> tuple:
-    """The terms that :func:`_expand_mirrored` steps, each term's H<->V partner, and ``S``.
+    """The terms that :func:`_expand` steps, each term's H<->V partner, and ``S``.
 
     Linear optics keeps polarization, so when the photons are H and V and every term
     has a partner with each photon's polarization swapped, in the same order, and
@@ -434,51 +383,120 @@ def _mirror(monomials: list[Monomial], coeffs: list[complex], pols: list[str]) -
     than V photons are stepped.  Other inputs step every term, with no partner or sign.
     """
     import numpy as np
-    sign = None
-    if pols == ["H", "V"] and len(set(monomials)) == len(monomials):
-        index, flip = {mono: i for i, mono in enumerate(monomials)}, {"H": "V", "V": "H"}
-        partner = [index.get(tuple(Mode(m.port, flip[m.pol]) for m in mono))
-                   for mono in monomials]
-        sign = next((s for s in (1, -1) if None not in partner
-                     and all(coeffs[j] == s * c for j, c in zip(partner, coeffs))), None)
+    index = {mono: i for i, mono in enumerate(monomials)}
+    partner = [index.get(tuple((m.port, "VH"[m.pol == "V"]) for m in mono))  # equal to Modes
+               for mono in monomials]
+    sign = next((s for s in (1, -1) if pols == ["H", "V"] and len(index) == len(monomials)
+                 and None not in partner and all(coeffs[j] == s * c
+                                                 for j, c in zip(partner, coeffs))), None)
     if sign is None:
         return np.arange(len(monomials)), None, None
-    stepped = np.flatnonzero([2 * sum(m.pol == "H" for m in mono) <= len(mono)
-                              for mono in monomials])
-    return stepped, np.array(partner), sign
+    return np.flatnonzero([2 * sum(m.pol == "H" for m in mono) <= len(mono)
+                           for mono in monomials]), np.array(partner), sign
 
 
-def _expand_mirrored(monomials: list[Monomial], coeffs: list[complex], entries,
-                     pols: list[str], grow: np.ndarray, mirror: tuple) -> dict:
-    """:func:`_expand`'s sectors, with one sector of each H<->V-mirrored pair expanded.
+def _plan(dim: int, seqs: list[tuple], final: list[tuple], registers: list[int],
+          layout: list[int], partner, grow: np.ndarray, place: np.ndarray,
+          sectors: list[tuple]) -> Iterator[np.ndarray]:
+    """The expansion plan, in the order that :func:`_expand` and :func:`propagate` read it.
 
-    With a ``mirror`` (:func:`_mirror`), the partner's parts are the term's with the H
-    and V multisets swapped, times ``S``, to the bit.  So only the stepped terms are
-    expanded, and each sector ``(v, h)`` with ``h < v`` is copied from ``(h, v)``: the
-    pattern axes transposed, each row moved to its term's partner, in input order, and
-    negated as ``0.0 - x`` for ``S = -1`` (the expansion's sums start at ``0.0``, so
-    they hold no ``-0.0``).  Other inputs are expanded whole.
+    The terms have polarizations ``seqs`` (one index into the sorted polarizations per
+    photon, in mode order), so photons per polarization ``final``, atomic ``registers``
+    and H<->V ``partner`` terms, or None (:func:`_mirror`).  A pattern with ``c[q]``
+    photons of polarization ``q`` is numbered by its multisets' ranks among those of as
+    many photons, a digit per polarization, the last the fastest; a photon of ``q`` on
+    port ``k`` moves the digit of ``q`` as ``grow`` (:func:`_multisets`) says.  The
+    stepped terms are laid out in ``layout``, longest first, so at photon step ``t``
+    those that step are the first of one flat array of every term's patterns.  The plan
+    holds, per step, each parent's term, by its place in the layout; per batch
+    of whole terms of at most ``_BATCH_CHILDREN`` children (or one term), each
+    parent-and-port's child in the batch's part of the next array; and an empty array.
+    The candidate cells are each pattern of the sector table of ``sectors`` with each
+    register of its sector's terms, by ``place``, then register.  A cell sums its terms'
+    patterns in input order, and a mirrored term reads its partner's with the H and V
+    multisets swapped.  The plan ends with each cell's first term's pattern in the
+    steps' output, the others as (cell, pattern) pairs, each place's sector's
+    mirroring, and each cell's place and register.  Each array with an entry per
+    parent-and-port or per cell is of the narrowest type that holds it.
     """
     import numpy as np
-    stepped, partner, sign = mirror
-    if sign is None:
-        return _expand(monomials, coeffs, entries, pols, grow)
-    done = _expand([monomials[i] for i in stepped], [coeffs[i] for i in stepped], entries,
-                   pols, grow)
-    dim = grow.shape[1]
-    for (h, v), (term, re, im) in list(done.items()):
-        term = stepped[term]
-        done[h, v] = term, re, im
-        if h < v:
-            order = np.argsort(partner[term])
-            shape = (len(term), math.comb(dim + h - 1, h), math.comb(dim + v - 1, v))
-            mirrored = [x[order].reshape(shape).transpose(0, 2, 1).reshape(len(term), -1)
-                        for x in (re, im)]
-            if sign < 0:
-                for x in mirrored:
-                    np.subtract(0.0, x, out=x)
-            done[v, h] = partner[term][order], *mirrored
-    return done
+
+    def size(counts):
+        return math.prod(math.comb(dim + k - 1, k) for k in counts)
+    counts = {i: [0] * len(sectors[0]) for i in layout}  # photons per polarization so far
+    for t in range(len(seqs[layout[0]])):
+        live, batch, end, key, n = [i for i in layout if len(seqs[i]) > t], [], 0, None, 0
+        yield np.repeat(np.arange(len(live), dtype=np.min_scalar_type(len(live))),
+                        [size(counts[i]) for i in live])
+        for c, q in ((counts[i], seqs[i][t]) for i in live):
+            if key != (*c, q):  # the (high, q, low) digits' children, per port
+                lo, hi = (math.comb(dim + c[q] + d - 1, dim) for d in (0, 1))
+                key, child = (*c, q), ((np.arange(size(c[:q]))[:, None, None, None] * size(
+                    [c[q] + 1]) + grow[lo:hi, None] - hi) * size(c[q + 1:]) + np.arange(
+                        size(c[q + 1:]))[:, None]).ravel()
+            if batch and n + len(child) > _BATCH_CHILDREN:
+                yield np.concatenate(batch).astype(np.min_scalar_type(end))
+                batch, end, n = [], 0, 0
+            batch.append(child + end)
+            n += len(child)
+            c[q] += 1
+            end += size(c)
+        yield from (np.concatenate(batch).astype(np.min_scalar_type(end)), np.zeros(0))
+    offsets = dict(zip(layout, itertools.accumulate([0, *(size(final[i]) for i in layout)])))
+    starts = dict(zip(sectors, itertools.accumulate([0, *map(size, sectors)])))
+    regs = {s: sorted({r for f, r in zip(final, registers) if f == s}) for s in sectors}
+    flips = np.array([partner is not None and s > s[::-1] for s in sectors])
+    sector = np.repeat(range(len(sectors)), list(map(size, sectors)))[np.argsort(place)]
+    width = np.array([len(regs[s]) for s in sectors])[sector]
+    first, more, seen = np.concatenate(([0], np.cumsum(width))), [np.zeros((2, 0), int)], {}
+    src, reg = (np.empty(first[-1], np.min_scalar_type(n)) for n in (sum(map(size, final)),
+                                                                     max(registers)))
+    for i, (s, r) in enumerate(zip(final, registers)):  # in input order
+        j = np.arange(size(s), dtype=src.dtype)
+        cells = first[place[starts[s]:][:size(s)]] + regs[s].index(r)
+        if flips[sectors.index(s)]:  # the partner's (h, v) patterns as (v, h)
+            j, i = j.reshape(size(s[1:]), size(s[:1])).T.ravel(), partner[i]
+        if seen.setdefault((s, r), i) != i:  # a cell's later term
+            more.append(np.array([cells, j + offsets[i]]))
+        else:
+            src[cells], reg[cells] = j + offsets[i], r
+    yield from (src, np.concatenate(more, axis=1), flips[sector],
+                np.repeat(np.arange(len(place), dtype=place.dtype), width), reg)
+
+
+def _expand(plan: Iterator[np.ndarray], coeffs: np.ndarray, ports: np.ndarray,
+            entries) -> np.ndarray:
+    """The photon steps of the stepped terms ``coeffs``, laid out as ``plan`` (:func:`_plan`)
+    lays them out, photon ``t`` of term ``j`` on input port ``ports[j, t]``.
+
+    At each step every parent takes its port's row of the inverse matrix ``entries``, in
+    two float parts, and each child adds its parents in order from ``0.0``, a batch of
+    whole terms at a time.  A sum below ``MERGE_TOL`` is set to zero (a NaN stays), so
+    its children move no sum.  Returns the real and imaginary parts of the terms'
+    patterns, in the layout.
+    """
+    import numpy as np
+    e = np.array(entries, complex)
+    out, done = np.array([coeffs.real, coeffs.imag]), []
+    for t in range(ports.shape[1]):
+        rows, sums, p = ports[next(plan), t], [], 0  # each parent's port
+        while len(child := next(plan)):
+            n = p + len(child) // len(e)
+            (a, b), r, p = out[:, p:n, None], rows[p:n], n
+            for x, y, op in ((e.real, e.imag, np.subtract), (e.imag, e.real, np.add)):
+                x, y = np.take(x, r, axis=0), np.take(y, r, axis=0)
+                x *= a
+                y *= b  # a * er - b * ei, then a * ei + b * er
+                sums.append(np.bincount(child, op(x, y, out=x).ravel()))
+        del x, y  # before the next array, which would otherwise raise the peak
+        done.insert(0, out[:, p:].copy())  # the terms that end here
+        out, sums = np.concatenate(sums[0::2] + sums[1::2]).reshape(2, -1), None  # re, then im
+        # hypot is no less than either part, and zero for a zero sum: only sums with both
+        # parts small and one nonzero may die
+        big = abs(out).max(0)
+        small = np.flatnonzero((big < MERGE_TOL) & (big > 0.0))
+        out[:, small[np.hypot(*out[:, small]) < MERGE_TOL]] = 0.0
+    return np.concatenate([out, *done], axis=1)
 
 
 class Cells(NamedTuple):
@@ -493,7 +511,8 @@ class Cells(NamedTuple):
     the patterns as its ``patterns`` and gathers its rows' clicks.  Pattern ``j`` is the
     one at place ``places[j]``, the places ascending.  Cell ``c`` is ``amplitudes[c]`` on pattern
     ``pattern[c]`` and register ``registers[c]`` (a bitstring read as a binary integer),
-    sorted by pattern, then register."""
+    sorted by pattern, then register.  The expansion plan (:func:`_plan`) lays out every
+    candidate cell in that order, and these are the ones at or above ``MERGE_TOL``."""
 
     modes: list[Mode]  # sorted
     sectors: list[tuple]
@@ -509,16 +528,21 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
     """Expand every term of ``state`` over the output modes, summed into cells.
 
     This is :func:`fock_to_polynomial`, :func:`apply_mode_transform` and
-    :func:`expand_to_fock` fused (:func:`_expand`): coefficients ``amp / fact``
-    in, each sector with more H than V photons copied from its mirror when
-    every term has an H<->V partner (:func:`_mirror`, :func:`_expand_mirrored`,
-    the same bits), the terms it steps sized first (:func:`check_capacity`),
-    output terms times ``prod sqrt(k!)`` (:func:`_sector_table`) summed
-    into each cell in :meth:`HybridState.items` order from ``0.0``.  A cell
-    below ``MERGE_TOL`` is dropped (a NaN is kept, for the norm check), and so
-    is a pattern left with no cell; the rest are sorted once, stably, by their
-    pattern's place in canonical order.  It agrees with the reference to
-    rounding: the reference's dicts restart a sum that cancels below ``MERGE_TOL``.
+    :func:`expand_to_fock` fused: coefficients ``amp / fact`` in, the terms it
+    steps sized first (:func:`check_capacity`), output terms times ``prod
+    sqrt(k!)`` (:func:`_sector_table`) summed into each cell in
+    :meth:`HybridState.items` order from ``0.0``.  When every term has an H<->V
+    partner (:func:`_mirror`), only the terms with no more H than V photons are
+    stepped, and the others read their partners' patterns, to the bit.  The
+    index bookkeeping is one expansion plan (:func:`_plan`), kept under the key
+    of what it depends on: the number of ports, each term's polarizations in
+    mode order and register, and the stepped terms and partners.  Ports,
+    coefficients and the mirror's sign are run-time data.  :func:`_expand`
+    takes the photon steps on the plan, and each candidate cell gathers its
+    terms' patterns, in table order.  A cell below ``MERGE_TOL`` is dropped (a
+    NaN is kept, for the norm check), and so is a pattern left with no cell.  It
+    agrees with the reference to rounding: the reference's dicts restart a sum
+    that cancels below ``MERGE_TOL``.
 
     Raises:
         DimensionMismatch: some mode's port is not an integer in ``1..dim``.
@@ -543,37 +567,43 @@ def propagate(state: HybridState, inverse_matrix) -> Cells:
 
     monomials, coeffs = [mono for _, mono, _ in inputs], [coeff for _, _, coeff in inputs]
     pols = sorted({m.pol for mono in monomials for m in mono})
-    mirror = _mirror(monomials, coeffs, pols)
-    check_capacity((monomials[i] for i in mirror[0]), dim)
+    stepped, partner, sign = _mirror(monomials, coeffs, pols)
+    check_capacity((monomials[i] for i in stepped), dim)
     top = max(map(len, monomials))
     every, grow = _kept(("sets", dim, top), lambda: _multisets(dim, top))
-    done = _expand_mirrored(monomials, coeffs, inverse_matrix.entries, pols, grow, mirror)
-    sectors = sorted(done)
-    fact, place, occupations, *clicks = _kept(("sectors", dim, *sectors),
+    seqs = [tuple(pols.index(m.pol) for m in mono) for mono in monomials]
+    final = [tuple(map(seq.count, range(len(pols)))) for seq in seqs]
+    sectors = sorted(set(final))
+    place, fact, occupations, *clicks = _kept(("sectors", dim, *sectors),
                                               lambda: _sector_table(every, sectors))
-    registers = np.array([int("0" + atoms, 2) for atoms, _, _ in inputs], np.int64)
-    parts, start = [], 0
-    for counts in sectors:
-        term, re, im = done.pop(counts)  # each sector's parts go once summed
-        n = re.shape[1]
-        regs, col = np.unique(registers[term], return_inverse=True)
-        slot, f = (np.arange(n) * len(regs) + col[:, None]).ravel(), fact[start:start + n]
-        amplitudes = np.empty(n * len(regs), complex)
-        amplitudes.real = np.bincount(slot, (re * f).ravel(), len(amplitudes))
-        amplitudes.imag = np.bincount(slot, (im * f).ravel(), len(amplitudes))
-        kept = np.flatnonzero(~(np.abs(amplitudes) < MERGE_TOL))  # a NaN stays
-        pattern, reg = np.divmod(kept, len(regs))
-        parts.append((place[start + pattern], regs[reg], amplitudes[kept]))
-        start += n
-    place, registers, amplitudes = (np.concatenate(p) for p in zip(*parts))
-    del parts  # before the sorted copies, which would otherwise raise the peak
-    order = np.argsort(place, kind="stable")  # by place, each pattern's cells by register
-    place = place[order]
-    first = np.ones(len(place), bool)  # each live pattern's first cell
-    first[1:] = place[1:] != place[:-1]
+    registers = [int("0" + atoms, 2) for atoms, _, _ in inputs]
+    layout = sorted(stepped.tolist(), key=lambda i: -len(seqs[i]))
+    plan = _kept(("plan", dim, tuple(seqs), tuple(registers), stepped.tobytes(),
+                  partner if partner is None else partner.tobytes()),
+                 lambda: _plan(dim, seqs, final, registers, layout, partner, grow, place,
+                               sectors))
+    ports = np.array([([m.port - 1 for m in monomials[i]] + [0] * top)[:top] for i in layout])
+    out = _expand(plan, np.array(coeffs, complex)[layout], ports, inverse_matrix.entries)
+    src, more, flip, places, regs = plan
+    if sign == -1:  # x * -f has the bits of (0.0 - x) * f in every sum from 0.0
+        fact = np.where(flip, 0.0 - fact, fact)
+    amplitudes = np.empty(len(places), complex)
+    for x, part in zip(out, (amplitudes.real, amplitudes.imag)):
+        for cut in map(slice, range(0, len(places), _BATCH_CHILDREN),
+                       itertools.count(_BATCH_CHILDREN, _BATCH_CHILDREN)):
+            w = np.take(x, src[cut])  # each cell's first term
+            w *= np.take(fact, places[cut])
+            part[cut] = w + 0.0  # as a sum from 0.0, so no -0.0
+        # a cell's other terms, in input order
+        np.add.at(part, more[0], np.take(x, more[1]) * np.take(fact, np.take(places, more[0])))
+    del out, src, x, part  # before the cells, which would otherwise raise the peak
+    kept = np.flatnonzero(~(abs(amplitudes) < MERGE_TOL))  # a NaN stays
+    amplitudes = amplitudes[kept]
+    place = places[kept]
+    first = np.concatenate(([True], place[1:] != place[:-1]))  # each live pattern's first cell
     modes = sorted(Mode(port, pol) for pol in pols for port in range(1, dim + 1))
     return Cells(modes, sectors, occupations, tuple(clicks), place[first], np.cumsum(first) - 1,
-                 registers[order], amplitudes[order])
+                 regs[kept].astype(int), amplitudes)
 
 
 def orbit_keys(cells: Cells, permutations) -> np.ndarray:
@@ -599,7 +629,8 @@ def orbit_keys(cells: Cells, permutations) -> np.ndarray:
         orbit = np.unique(_least_keys(cells.occupations, moved), return_inverse=True)[1]
         return (orbit.astype(np.min_scalar_type(len(orbit))),)
     key = ("orbits", moved.shape[1], *cells.sectors, moved.tobytes())
-    return _kept(key, build)[0][cells.places]
+    (orbit,) = _kept(key, build)
+    return orbit[cells.places]
 
 
 def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
@@ -613,7 +644,7 @@ def _least_keys(occupations: np.ndarray, moved: np.ndarray) -> np.ndarray:
     import numpy as np
     dim = moved.shape[1]
     pols, top = occupations.shape[1] // dim, int(occupations.sum(axis=1).max(initial=0))
-    every = _kept(("sets", dim, top), lambda: _multisets(dim, top))[0]
+    every, _ = _kept(("sets", dim, top), lambda: _multisets(dim, top))
     # each pattern's photons per port of each polarization: (patterns, pols, ports)
     ranks = _multiset_ranks(occupations[:, np.arange(dim * pols).reshape(dim, pols).T])
     least = np.full(len(occupations), np.iinfo(np.int64).max)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -84,13 +85,14 @@ def test_run_gbsa_probabilities_complete(n, builder):
 
 
 def _count_expansions(monkeypatch):
-    """Record every input term that ``run_gbsa`` hands to the expansion."""
+    """Record the coefficient of every input term that ``run_gbsa`` steps through the
+    expansion plan's photon steps."""
     calls = []
     expand = entnet.photonics._expand
 
-    def counted(monomials, *args):
-        calls.extend(monomials)
-        return expand(monomials, *args)
+    def counted(plan, coeffs, *args):
+        calls.extend(coeffs.tolist())
+        return expand(plan, coeffs, *args)
 
     monkeypatch.setattr(entnet.photonics, "_expand", counted)
     return calls
@@ -341,15 +343,6 @@ def test_sym2d_swap_tables_match_the_benchmark_record(ports, want):
         assert abs(math.fsum(row.probability for row in rows) - 1) <= 4 * EPS * len(rows)
 
 
-def _expansion_arguments(state, u):
-    """What ``propagate`` hands the expansion for ``state`` (single photons) through ``u``."""
-    monomials, coeffs = zip(*((fock.monomial(), amp) for _, fock, amp in state.items()))
-    top = max(map(len, monomials))
-    pols = sorted({m.pol for mono in monomials for m in mono})
-    grow = entnet.photonics._multisets(u.dim, top)[1]
-    return list(monomials), list(coeffs), inverse(u).entries, pols, grow
-
-
 def _mirror_cases():
     cases = [(f"{name}-{''.join('+-'[s < 0] for s in signs)}", n, None, signs, u)
              for name, n, u in (("bs", 2, beam_splitter), ("tritter", 3, tritter),
@@ -365,20 +358,23 @@ def _mirror_cases():
 _MIRROR_CASES = _mirror_cases()
 
 
+def _step_every_term(monomials, coeffs, pols):
+    """:func:`~entnet.photonics._mirror` for an input without H<->V partners."""
+    return np.arange(len(monomials)), None, None
+
+
 @pytest.mark.parametrize("name", list(_MIRROR_CASES))
 def test_mirrored_sectors_equal_the_expanded_ones_to_the_bit(monkeypatch, name):
     n, ports, signs, u = _MIRROR_CASES[name]
-    args = _expansion_arguments(prepare_swap_input(n, signs, ports), u())
-    want = entnet.photonics._expand(*args)
+    state, inv = prepare_swap_input(n, signs, ports), inverse(u())
     calls = _count_expansions(monkeypatch)
-    monomials, coeffs, _, pols, _ = args
-    got = entnet.photonics._expand_mirrored(*args,
-                                            entnet.photonics._mirror(monomials, coeffs, pols))
+    got = propagate(state, inv)
     assert len(calls) == sum(math.comb(n, h) for h in range(n // 2 + 1))  # h H photons
-    assert got.keys() == want.keys()
-    for counts in want:  # the terms, then the real and imaginary parts, +-0 included
-        for a, b in zip(got[counts], want[counts], strict=True):
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    monkeypatch.setattr(entnet.photonics, "_mirror", _step_every_term)
+    calls.clear()
+    want = propagate(state, inv)
+    assert len(calls) == 2 ** n
+    assert _cells_digest(got) == _cells_digest(want)  # every field, +-0 included
 
 
 def _unmirrored_inputs():
@@ -402,6 +398,90 @@ def test_inputs_without_mirror_partners_are_expanded_whole(monkeypatch, name):
     rows = run_gbsa(state, u)
     assert len(calls) == len(state.terms)
     assert_matches_reference(rows, state, u)
+
+
+def _cells_digest(cells):
+    """SHA-256 over every field of ``cells``: each array's dtype, shape and bytes, and the
+    repr of the rest."""
+    digest = hashlib.sha256()
+    for field in cells:
+        for part in field if isinstance(field, tuple) else (field,):
+            if isinstance(part, np.ndarray):
+                digest.update(f"{part.dtype.str}{part.shape}".encode() + part.tobytes())
+            else:
+                digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
+def _pinned_inputs():
+    """The shipped analysers under every sign, four sym2d port sets (1,2,3,4 an affine
+    plane) with a seeded sign draw, an eraser on the butterfly, the inputs without mirror
+    partners that step their ports, the 16-port table, and an input that sums two terms
+    into one cell."""
+    cases = {f"{name}{''.join('+-'[s < 0] for s in signs)}":
+             lambda n=n, u=u, signs=signs: (prepare_swap_input(n, signs), u())
+             for name, n, u in (("bs", 2, beam_splitter), ("tritter", 3, tritter),
+                                ("quarter", 4, quarter)) for signs in _all_signs(n)}
+    for ports in ("1,2,3,4", "1,2,4,7", "1,3,5,8", "2,4,6,7"):
+        cases[f"sym2d-{ports}"] = lambda ports=ports: (
+            prepare_swap_input(4, random.Random(ports).choice(_all_signs(4)),
+                               [int(p) for p in ports.split(",")]), symmetric_multiport(3))
+    cases["eraser5"] = lambda: (wpe_state(5, 0.2), symmetric_multiport(3))
+    for name in ("partner-times-i", "missing-partner", "port-stepping"):
+        cases[name] = lambda name=name: _unmirrored_inputs()[name]
+    cases["16port-m3"] = lambda: (prepare_swap_input(3, [1, -1, 1], [1, 7, 16]),
+                                  symmetric_multiport(4))
+    cases["shared-port"] = lambda: (_shared_port_input(), quarter())  # a cell of two terms
+    return cases
+
+
+# SHA-256 of every field of propagate's cells, as recorded before the expansion plan
+_CELLS_BITS = {
+    "bs++": "7e6e9cad9c2962c49bd86a37d95c7ef03c88af7df7964f2059273cb60140adc1",
+    "bs+-": "ba8b365ca8115d25fc7ece7396a80374341980fae2c1aef18459d59909484e0f",
+    "bs-+": "dc6681684029c62dad96a5f65edff009dcd575c2e13b138c1aabe4abfc4fb068",
+    "bs--": "e72147dd6a7e6e663652087d3dcc48cd33a5b6ce676b8619de4597f3a3b3f889",
+    "tritter+++": "2a339ec1603b5a48a3ba57bae80efeffd5584b3996354624a04bfed0867fe3af",
+    "tritter++-": "9382c96bc065daa893813e63790f6081fbfdc04bd7e63c7f8fa1dd2e64d65fbd",
+    "tritter+-+": "15c2e3e8d56ed10fa47e36aca769bb7b3c388f94fea7a4e1f5c8c1ebdc2f1903",
+    "tritter+--": "370f7d432ca08cfcba506bfdfdd65833b361ad25402b68d8b47448f042a31ab8",
+    "tritter-++": "4f1184808480850a329d41887525b9d8666ab9748f56d00c08c884027924ac02",
+    "tritter-+-": "e4869318e1673930dc79da5444ddfca6e696c6deadbaa258851323abae0aa168",
+    "tritter--+": "a0c75d08317c1aabf6092b3f5b69b3a1d7d6c956cb7c0f682f217849f702e79f",
+    "tritter---": "f3616d5f9f746bd5430aa2594bf5fd16d515387d1cd0a818dcfeae36a442a49b",
+    "quarter++++": "18c0ea65671f6c59f38b835da7052e44c9dcbe962f7c950ed63ea026a2fae154",
+    "quarter+++-": "b3b1ff831066671f37319ec2ea53de53aa5a8a084a37599c6911baa4d42d2f63",
+    "quarter++-+": "fce35c0382d46a7d2cb20a628247c3a2f3d5d4a1f17539cee508d8e0d67e3a7c",
+    "quarter++--": "0a08165e54aad4967cbdbe6bbf96e076e1120cb60c63aa99755a54af50d39c83",
+    "quarter+-++": "4588be31b4688bd76082cbd59747bce490b3ceb8e8e857499c0144ad3c5ca25e",
+    "quarter+-+-": "b347995232808d04ac3b1c49eb85959319f0e85ad0d8fcdb19de9e5e581ada8a",
+    "quarter+--+": "b6a15f06a658ea46400f9a371de232b401689afb5691c544198e928465faee46",
+    "quarter+---": "3e181442d4ac3dbdbd54700fd82dd68acfe0a5664cea3fb931b86dd18e2d6e2f",
+    "quarter-+++": "ac9fd1a55bc7c20d21ee3859c0c03a1c063a7d9786eefac992add37d991e490f",
+    "quarter-++-": "2e62f38a50111b63f95ff23f42250a639c153d4477cc67f97d1db63940638926",
+    "quarter-+-+": "c8e59f9301975e61d6956726aa5fc2b3f682d8637bb50c6956cc92ee26f7e1f7",
+    "quarter-+--": "9f597d9f86baac764786f75ed7bc78b425489ff70b42a1934660d23aa54bf796",
+    "quarter--++": "2d5b70ebf3ca69372d3d4263166a1249105795259572cd1c6ce245528375b7ae",
+    "quarter--+-": "787dc1bc313f1232270a52224dfe6b88718ec5970387dcbe266496973edbdbde",
+    "quarter---+": "5ec845f77a6f578e92d33275ee42232571c7b267b2da6937b1688fb987c2ea99",
+    "quarter----": "714e432b44cc95a6f5fada59480d16f4f3cecb2c0c1b137657249ec0c4c004fa",
+    "sym2d-1,2,3,4": "2e4fdff9e1f2658d478443dbddfa14b2ce46b776746491a23fe68b048e49ba36",
+    "sym2d-1,2,4,7": "a9748d92b9cb3f874263e49f6195c7081b353741aadca27433963950efc36036",
+    "sym2d-1,3,5,8": "0376243823db05801fac3285323aabe392f72a4b339920bee852d00ea04821bd",
+    "sym2d-2,4,6,7": "f3bc5f45a560e53e63a763f12a0664d4f7ec6ea1a819b562d35fa24ebba22b1a",
+    "eraser5": "07c26accafd2f55e2925fbc401b4b7300ef0ac479365ee4f2e205e0901b53452",
+    "partner-times-i": "3ed79f7e9593fbbf33af69b2abbc19b0eab9ff8fc9e6d8c3a6db0e419a355cc5",
+    "missing-partner": "5270fc95b0d97351058adf236992c908b4d1ff5eddbdc5f83f5d23ade6820411",
+    "port-stepping": "104556baa8385e0bef312056f5aafbb0f693adefbd4be8e9c09b0607476fa1c1",
+    "16port-m3": "98dc8009d67bb69494fbdcb494039595de1cb04eb90e290cb5c7f925f45bdf06",
+    "shared-port": "b52cd3cb91f3314ddf93cd36115d73f750b9b5fcea9728d3c54b59d9a933148d",
+}
+
+
+@pytest.mark.parametrize("name", list(_pinned_inputs()))
+def test_propagate_cells_keep_their_bits(name):
+    state, u = _pinned_inputs()[name]()
+    assert _cells_digest(propagate(state, inverse(u))) == _CELLS_BITS[name]
 
 
 def test_run_gbsa_deterministic():
@@ -544,6 +624,57 @@ def test_suppressed_lists_share_the_expansions_multiset_table(monkeypatch):
         assert _suppressed(table, clicks) == suppressed_patterns(state, u, clicks)
     assert entnet.photonics._tables.keys() == kept.keys()
     assert all(entnet.photonics._tables[key] is kept[key] for key in kept)
+
+
+def _count_plans(monkeypatch):
+    """Record every expansion plan that ``propagate`` builds, by its arguments."""
+    builds, plan = [], entnet.photonics._plan
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    monkeypatch.setattr(entnet.photonics, "_plan",
+                        lambda *args: builds.append(args) or plan(*args))
+    return builds
+
+
+def test_one_expansion_plan_serves_every_sym2d_port_set_and_sign(monkeypatch):
+    # ports, coefficients and the mirror's sign are run-time data, not part of the plan
+    builds, inv = _count_plans(monkeypatch), inverse(symmetric_multiport(3))
+    inputs = [prepare_swap_input(4, random.Random(ports).choice(_all_signs(4)),
+                                 [int(p) for p in ports.split(",")])
+              for ports in sorted(_sym2d_swap_record())]
+    assert len({entnet.photonics._mirror(*_monomials_and_coeffs(state))[2]
+                for state in inputs}) == 2  # both signs are drawn
+    for state in inputs:
+        propagate(state, inv)
+    assert len(builds) == 1
+    propagate(inputs[0], inv)
+    assert len(builds) == 1
+    assert len([key for key in entnet.photonics._tables if key[0] == "plan"]) == 1
+
+
+def _monomials_and_coeffs(state):
+    """``state``'s monomials, coefficients and polarizations, as ``propagate`` reads them."""
+    monomials, coeffs = zip(*((fock.monomial(), amp) for _, fock, amp in state.items()))
+    return list(monomials), list(coeffs), sorted({m.pol for mono in monomials for m in mono})
+
+
+def test_a_plan_over_the_budget_is_not_kept(monkeypatch):
+    builds, inv = _count_plans(monkeypatch), inverse(symmetric_multiport(3))
+    state = prepare_swap_input(6)
+    want = _cells_digest(propagate(state, inv))
+    assert _cells_digest(propagate(state, inv)) == want
+    assert len(builds) == 2 and not any(key[0] == "plan" for key in entnet.photonics._tables)
+
+
+@pytest.mark.parametrize("children", [1, 40, 3000])
+def test_batches_and_chunks_of_any_size_keep_the_bits(monkeypatch, children):
+    # a bound of one makes every term its own batch and every cell its own gather, and
+    # keeps no plan, so each batch's indices are built when the steps reach it
+    monkeypatch.setattr(entnet.photonics, "_BATCH_CHILDREN", children)
+    monkeypatch.setattr(entnet.photonics, "_tables", {})
+    cases = _pinned_inputs()
+    for name in ("tritter+-+", "sym2d-1,2,4,7", "eraser5", "missing-partner", "shared-port"):
+        state, u = cases[name]()
+        assert _cells_digest(propagate(state, inverse(u))) == _CELLS_BITS[name]
 
 
 def test_kept_tables_are_read_only(monkeypatch):
@@ -886,19 +1017,28 @@ class _Watched(np.ndarray):
 
 def test_warm_swap_tables_are_built_and_labelled_without_sorts_or_row_reductions(monkeypatch):
     state, u = prepare_swap_input(4, [1, -1, 1, 1], [1, 2, 4, 7]), symmetric_multiport(3)
-    run_gbsa(state, u)  # warm: the sector table, its counts and the orbit numbers are kept
-    cells = propagate(state, inverse(u))
-    watched = cells._replace(occupations=cells.occupations.view(_Watched))
-    monkeypatch.setattr(entnet.herald, "propagate", lambda *args: watched)
+    run_gbsa(state, u)  # warm: the plan, the sector table, its counts and orbit numbers are kept
+    calls, expanded = Counter(), []
+    for name in ("unique", "argsort", "lexsort", "sort", "bincount"):
+        monkeypatch.setattr(np, name, lambda *args, real=getattr(np, name), name=name, **kw:
+                            calls.update([name]) or real(*args, **kw))
+    propagated = entnet.herald.propagate
+
+    def watched(*args):  # the cells, with an occupation matrix that records reductions
+        before = calls.copy()
+        cells = propagated(*args)
+        expanded.append(calls - before)
+        return cells._replace(occupations=cells.occupations.view(_Watched))
+
+    monkeypatch.setattr(entnet.herald, "propagate", watched)
     monkeypatch.setattr(_Watched, "reductions", [])
-    sorts, unique = [], np.unique
-    monkeypatch.setattr(np, "unique",
-                        lambda *args, **kw: sorts.append(args) or unique(*args, **kw))
     rows = run_gbsa(state, u)
     labels = [row.state_class() for row in rows]
     aggregate_heralding(rows, THRESHOLD, HeraldRule(4, distinct_detectors_only=True))
     aggregate_heralding(rows, NUMBER_RESOLVED, HeraldRule(4))
-    assert (sorts, _Watched.reductions) == ([], [])
+    # propagate sorts nothing: a bincount pair per photon step, and the cells are gathered
+    assert expanded == [Counter(bincount=2 * 4)]
+    assert (calls["unique"], _Watched.reductions) == (0, [])
     assert len(labels) == len(rows) == 3516 and isinstance(rows.patterns, _Watched)
     rows.occupations.max(axis=1)  # the watch sees a reduction when there is one
     assert _Watched.reductions == ["maximum"]
@@ -963,6 +1103,37 @@ def test_rows_of_different_tables_are_unequal():
     for other in (again, taken):
         assert other.probabilities == rows.probabilities
         assert all(a != b for a, b in zip(rows, other))
+
+
+def _row_columns(table, i):
+    """Row ``i``'s pattern, probability, state, place and orbit number."""
+    row = table[i]
+    return (row.pattern, row.probability, row.state.amplitudes, int(table.places[i]),
+            int(table.orbit_keys[i]))
+
+
+def test_take_counts_negative_indices_from_the_end():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    taken = rows.take([-2, -1, 0, -len(rows)])
+    assert [_row_columns(taken, i) for i in range(4)] == \
+        [_row_columns(rows, i) for i in (len(rows) - 2, len(rows) - 1, 0, 0)]
+    assert taken[1].state.amplitudes == {"1111": 1.0} != taken[0].state.amplitudes
+
+
+def test_take_picks_the_rows_of_a_boolean_mask():
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    mask = rows.n_detectors == 3
+    taken = rows.take(mask)
+    assert len(taken) == mask.sum() > 0
+    assert [_row_columns(taken, i) for i in range(len(taken))] == \
+        [_row_columns(rows, i) for i in np.flatnonzero(mask).tolist()]
+
+
+@pytest.mark.parametrize("index", [258, -259])
+def test_take_refuses_an_index_out_of_range(index):
+    rows = run_gbsa(prepare_swap_input(4), quarter())
+    with pytest.raises(IndexError):
+        rows.take([0, index])
 
 
 def test_a_table_and_its_aggregates_make_one_view(monkeypatch):
